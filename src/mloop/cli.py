@@ -135,8 +135,7 @@ def cmd_invariants(args):
     diag = loop.diagnostics()
     if not diag.is_cml:
         raise LoopError(f"{loop.name} is not a commutative Moufang loop")
-    bundle = multiplication_group(loop)
-    m = bundle.M
+    # loop-side values first: their guards fail fast, before M(L) is built
     values = {
         "order": loop.n,
         "center_order": st.center(loop).size,
@@ -144,12 +143,16 @@ def cmd_invariants(args):
         "cube_order": st.cube_subloop(loop).size,
         "nilpotency_class": st.upper_central_series(loop).nilpotency_class,
         "frattini_order": st.frattini_subloop(loop).size,
+    }
+    bundle = multiplication_group(loop)
+    m = bundle.M
+    values.update({
         "mult_group_order": m.order(),
         "inner_group_order": bundle.I.order(),
         "mult_center_order": pg.center_of_group(m).order(),
         "mult_derived_order": pg.derived_subgroup(m).order(),
         "mult_frattini_order": pg.frattini_subgroup(m).order(),
-    }
+    })
     print(_header(loop))
     width = max(len(k) for k in values)
     for key, val in values.items():

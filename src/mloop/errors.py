@@ -70,10 +70,6 @@ class NotCommutative(LoopError):
     """Operation requires a commutative loop."""
 
 
-class TrivialLoop(LoopError):
-    """Operation is undefined on the one-element loop."""
-
-
 class DegreeMismatch(LoopError):
     """Permutations act on different point sets."""
 

@@ -27,6 +27,12 @@ MAX_ORDER_DEFAULT = 1024
 # accept for cached associator / inner-mapping tables.
 _TENSOR_LIMIT = 300
 
+
+def _index_dtype(n):
+    """Smallest dtype holding the indices 0..n-1 of tables and permutations."""
+    return np.int16 if n <= (1 << 15) else np.int32
+
+
 # row-block size for chunked n^3 scans
 def _chunk_rows(n):
     return max(1, (1 << 24) // max(1, n * n))
@@ -69,7 +75,7 @@ class CayleyLoop:
         if arr.min() < 0 or arr.max() >= n:
             bad = arr.min() if arr.min() < 0 else arr.max()
             raise ParseError(f"value {bad} out of range 0..{n - 1}")
-        arr = arr.astype(np.int16 if n <= (1 << 15) else np.int32)
+        arr = arr.astype(_index_dtype(n))
         _check_latin(arr)
         if not (np.array_equal(arr[0], np.arange(n)) and np.array_equal(arr[:, 0], np.arange(n))):
             raise NoIdentity("element 0 is not a two-sided identity")

@@ -9,6 +9,8 @@ that I is the full stabilizer of the identity point.
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import NotCommutative, NotNormal, NotSubgroup
 from .loop_core import CayleyLoop, quotient
 from .perm_group import (
@@ -19,6 +21,7 @@ from .perm_group import (
     group_from_elements,
     normal_closure,
 )
+from .perm_rows import compose, fresh, row_set
 from .reporting import CheckResult
 from .structure import (
     Subloop,
@@ -48,19 +51,13 @@ def multiplication_group(loop):
         raise NotCommutative(
             f"{loop.name} is not commutative; only L-translations are generated here"
         )
-    n = loop.n
+    n, t, ld = loop.n, loop.table, loop.ldiv_table()
     trans = tuple(translation(loop, x) for x in range(n))
-    M = PermGroup(n, trans)
-    inner = []
+    M = PermGroup(n, t)
+    # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)]
     seen = set()
-    for x in range(n):
-        lx = trans[x]
-        for y in range(n):
-            g = trans[loop.mul(x, y)].inverse() * (lx * trans[y])
-            if not g.is_identity() and g.images not in seen:
-                seen.add(g.images)
-                inner.append(g)
-    I = PermGroup(n, inner)
+    inner = [fresh(ld[t[x][:, None], t[x][t]], seen) for x in range(n)]
+    I = PermGroup(n, np.concatenate(inner))
     assert M.order() == n * I.order(), (
         "inner mapping group is not the full point-0 stabilizer: "
         f"{M.order()} != {n} * {I.order()}"
@@ -75,12 +72,10 @@ def h_star(bundle, H):
     if not is_normal(loop, H):
         raise NotNormal(normality_witness(loop, H))
     _, proj = quotient(loop, H)
-    keep = [
-        a
-        for a in bundle.M.enumerate_elements()
-        if all(proj[im] == proj[i] for i, im in enumerate(a.images))
-    ]
-    return group_from_elements(loop.n, keep)
+    proj = np.array([proj], dtype=loop.table.dtype)
+    elements = bundle.M.element_array()
+    keep = (compose(proj, elements) == proj).all(axis=1)
+    return group_from_elements(loop.n, elements[keep])
 
 
 def orbit_of_identity(bundle, N):
@@ -88,17 +83,11 @@ def orbit_of_identity(bundle, N):
     loop = bundle.loop
     if not N.is_subgroup_of(bundle.M):
         raise NotSubgroup("N is not a subgroup of the multiplication group")
-    orbit = sorted({a.images[0] for a in N.enumerate_elements()})
-    result = Subloop(loop, orbit)
+    result = Subloop(loop, N.element_array()[:, 0])
     if not is_normal(loop, result):
         raise NotNormal(normality_witness(loop, result))
-    star = h_star(bundle, result)
-    star_keys = star.element_keys()
-    for g in N.generators:
-        if g.images not in star_keys:
-            raise NotSubgroup(
-                "N does not stabilize the cosets of its identity orbit"
-            )
+    if not h_star(bundle, result).contains_rows(N.gen_array).all():
+        raise NotSubgroup("N does not stabilize the cosets of its identity orbit")
     return result
 
 
@@ -115,29 +104,15 @@ def verify_lemma1(bundle, H):
     m_order = bundle.M.order()
     order_ok = qbundle.M.order() * star.order() == m_order
 
-    induced_keys = set()
-    kernel_keys = set()
-    blocks_ok = True
-    for a in bundle.M.enumerate_elements():
-        images = [-1] * q.n
-        for i, im in enumerate(a.images):
-            c, v = proj[i], proj[im]
-            if images[c] == -1:
-                images[c] = v
-            elif images[c] != v:
-                blocks_ok = False
-                break
-        if not blocks_ok:
-            break
-        key = tuple(images)
-        induced_keys.add(key)
-        if key == tuple(range(q.n)):
-            kernel_keys.add(a.images)
-
-    onto_ok = blocks_ok and induced_keys == {
-        p.images for p in qbundle.M.enumerate_elements()
-    }
-    kernel_ok = blocks_ok and kernel_keys == set(star.element_keys())
+    # coset[a, i] is the coset of a(i); a permutes cosets iff coset[a] is constant on each
+    elements = bundle.M.element_array()
+    proj = np.array([proj], dtype=loop.table.dtype)
+    coset = compose(proj, elements)
+    induced = coset[:, np.unique(proj, return_index=True)[1]]
+    blocks_ok = bool((coset == induced[:, proj[0]]).all())
+    onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
+    kernel = elements[(induced == np.arange(q.n)).all(axis=1)]
+    kernel_ok = blocks_ok and row_set(kernel) == star.element_keys()
     ok = order_ok and blocks_ok and onto_ok and kernel_ok
     witness = {
         "m_order": m_order,
@@ -161,15 +136,12 @@ def verify_prop1(bundle):
     loop = bundle.loop
     zl = center(loop)
     zm = center_of_group(bundle.M)
-    image_keys = {bundle.translations[a].images for a in zl.members}
-    set_ok = image_keys == set(zm.element_keys())
-    hom_ok = all(
-        (bundle.translations[a] * bundle.translations[b]).images
-        == bundle.translations[loop.mul(a, b)].images
-        for a in zl.members
-        for b in zl.members
-    )
-    inj_ok = len({bundle.translations[a].images[0] for a in zl.members}) == zl.size
+    t = loop.table
+    zs = np.array(zl.members)
+    set_ok = row_set(t[zs]) == zm.element_keys()
+    # L(a) L(b) = L(ab) on central a, b
+    hom_ok = bool((t[zs[:, None, None], t[zs][None]] == t[t[np.ix_(zs, zs)]]).all())
+    inj_ok = len(np.unique(t[zs, 0])) == zl.size
     ok = set_ok and hom_ok and inj_ok
     witness = {"loop_center_order": zl.size, "group_center_order": zm.order()}
     if not ok:
@@ -189,15 +161,11 @@ def verify_lemma7(bundle):
     derived = derived_subgroup(bundle.M)
     lprime = associator_subloop(loop)
     joined = PermGroup(
-        loop.n,
-        list(bundle.I.generators) + [bundle.translations[u] for u in lprime.members],
+        loop.n, np.concatenate([bundle.I.gen_array, loop.table[list(lprime.members)]])
     )
     star = h_star(bundle, lprime)
-    closure = normal_closure(bundle.M, bundle.I.generators)
-    keys = [
-        set(g.element_keys()) for g in (derived, joined, star, closure)
-    ]
-    ok = keys[0] == keys[1] == keys[2] == keys[3]
+    closure = normal_closure(bundle.M, bundle.I.gen_array)
+    ok = len({g.element_keys() for g in (derived, joined, star, closure)}) == 1
     witness = {
         "derived_order": derived.order(),
         "join_order": joined.order(),

@@ -20,10 +20,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ChainStalled, NotCML, NotNested, OracleDisagreement
+from .errors import ChainStalled, NotNested, OracleDisagreement
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
+    _require_cml,
     all_subloops,
     coerce_subloop,
     full_subloop,
@@ -48,11 +49,6 @@ class NormalizerTrace:
             "result": list(self.result.members),
             "iterations": self.iterations,
         }
-
-
-def _require_cml(loop):
-    if not loop.diagnostics().is_cml:
-        raise NotCML(f"{loop.name} does not satisfy the commutative Moufang law")
 
 
 def normalizer(loop, k, h):

@@ -1,19 +1,33 @@
-"""Exact permutation groups at desk scale.
+"""Exact permutation groups at desk scale, on integer arrays.
 
-Groups carry a stabilizer chain built from Schreier's lemma: each level
-stores a base point, an orbit transversal, and generators of the next
-stabilizer obtained as deduplicated Schreier generators.  That chain is a
-base-and-strong-generating-set by construction, so order is the product
-of transversal sizes and membership is a sift.  No randomization anywhere;
-all orbits and products are processed in sorted order for reproducibility.
+A group's generators, its chain's transversals and its enumerated
+elements are (k, degree) arrays of image rows in the loop table's dtype
+(int16 up to degree 32768), multiplied by the gathers of ``perm_rows``.
+``Permutation`` is the public value type only; no tuple copy of an array
+is kept.
+
+Groups carry a stabilizer chain built from Schreier's lemma, a base and
+strong generating set by construction: order is the product of
+transversal sizes and membership is a sift.  The chain, and with it the
+element order, is fixed bit for bit: the base is the least moved point;
+the transversal is a breadth-first search over orbit points in sorted
+order and generators in order, the first representative of a point
+winning; the next level's generators are the Schreier generators
+rep(g(pt))^-1 * g * u_pt over sorted points and ordered generators,
+without the identity or repeats.  Elements enumerate as rep_1 * rep_2 *
+... with each level's representatives in sorted point order.  No
+randomization anywhere.
 """
 
-from dataclasses import dataclass
-from functools import reduce
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from math import lcm, prod
+
+import numpy as np
 
 from .errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
+from .loop_core import CayleyLoop, _index_dtype
+from .perm_rows import blocks, compose, fresh, inverse, power, row_set
+from .structure import _prime_factors, all_subloops
 
 ELEMENT_GUARD_DEFAULT = 10**6
 FRATTINI_ORACLE_GUARD = 512
@@ -73,10 +87,7 @@ class Permutation:
         return all(i == img for i, img in enumerate(self.images))
 
     def order(self):
-        n = 1
-        for length in self.cycle_lengths():
-            n = n * length // gcd(n, length)
-        return n
+        return lcm(*self.cycle_lengths())
 
     def cycle_lengths(self):
         seen = [False] * len(self.images)
@@ -115,125 +126,135 @@ def perm_from_cycles(n, cycles):
     return Permutation(images)
 
 
-@dataclass
-class _ChainLevel:
-    base: int
-    generators: List[Permutation]
-    transversal: Dict[int, Permutation]  # orbit point -> rep (rep(base) = point)
+def _rows(degree, perms):
+    """(k, degree) image rows of Permutations, or of an integer array of rows."""
+    if not isinstance(perms, np.ndarray):
+        perms = [p.images for p in perms]
+        if any(len(p) != degree for p in perms):
+            raise DegreeMismatch(f"a permutation's degree is not the group degree {degree}")
+        perms = np.array(perms).reshape(len(perms), degree)
+    return perms.astype(_index_dtype(degree), copy=False)
+
+
+def _perms(rows):
+    return [Permutation._raw(tuple(r)) for r in rows.tolist()]
+
+
+# reps: the transversal, sorted by the point rep(base); inverses: reps^-1;
+# slot[pt]: the row of pt's rep, -1 off the orbit
+_ChainLevel = namedtuple("_ChainLevel", "base generators reps inverses slot")
 
 
 class PermGroup:
-    """Immutable permutation group with a stabilizer chain."""
+    """Immutable permutation group with a stabilizer chain.
+
+    ``generators`` may be Permutations or a (k, degree) integer array of
+    image rows; the identity and repeats are dropped, first occurrence kept.
+    """
 
     def __init__(self, degree, generators=()):
         self.degree = int(degree)
-        gens = []
-        seen = set()
-        for g in generators:
-            if g.degree != self.degree:
-                raise DegreeMismatch(
-                    f"generator degree {g.degree}, group degree {self.degree}"
-                )
-            if not g.is_identity() and g.images not in seen:
-                seen.add(g.images)
-                gens.append(g)
-        self.generators = tuple(gens)
+        rows = _rows(self.degree, generators)
+        self.gen_array = fresh(rows, {np.arange(self.degree, dtype=rows.dtype).tobytes()})
+        self.gen_array.setflags(write=False)
         self.chain = self._build_chain()
-        self._elements: Optional[Tuple[Permutation, ...]] = None
-        self._element_keys = None
-        self._reduced: Optional[Tuple[Permutation, ...]] = None
+        self._elements = None
+        self._reduced = None
+
+    @property
+    def generators(self):
+        return tuple(_perms(self.gen_array))
 
     # -- chain construction --------------------------------------------------
 
     def _build_chain(self):
         levels = []
-        gens = list(self.generators)
-        while gens:
-            base = min(
-                i for g in gens for i in range(self.degree) if g(i) != i
-            )
-            transversal = {base: Permutation.identity(self.degree)}
-            frontier = [base]
-            while frontier:
-                nxt = []
-                for pt in frontier:
-                    for g in gens:
-                        img = g(pt)
-                        if img not in transversal:
-                            transversal[img] = g * transversal[pt]
-                            nxt.append(img)
-                frontier = sorted(nxt)
-            # Schreier generators of the stabilizer, deduplicated
+        gens = self.gen_array
+        ident = np.arange(self.degree, dtype=gens.dtype)
+        while len(gens):
+            base = int(np.flatnonzero((gens != ident).any(axis=0))[0])
+            # breadth-first transversal; each round's frontier is the points of
+            # its new reps, taken in sorted order, then generators in order
+            known = ident == base
+            reps = last = ident[None]
+            while len(last):
+                images = gens[:, last[:, base]].T.ravel()
+                unseen = np.flatnonzero(~known[images])
+                points, first = np.unique(images[unseen], return_index=True)
+                known[points] = True
+                pos = unseen[first]  # first find of each new point wins
+                last = compose(gens[pos % len(gens)], last[pos // len(gens)])
+                reps = np.concatenate([reps, last])
+            reps = reps[np.argsort(reps[:, base])]
+            slot = np.full(self.degree, -1)
+            slot[reps[:, base]] = np.arange(len(reps))
+            inverses = inverse(reps)
+            # Schreier generators rep(g(pt))^-1 * (g * u_pt), deduplicated
+            seen = {ident.tobytes()}
             stab = []
-            seen = set()
-            for pt in sorted(transversal):
-                u = transversal[pt]
-                for g in gens:
-                    rep = transversal[g(pt)]
-                    s = rep.inverse() * (g * u)
-                    if not s.is_identity() and s.images not in seen:
-                        seen.add(s.images)
-                        stab.append(s)
-            levels.append(_ChainLevel(base=base, generators=gens, transversal=transversal))
-            gens = stab
+            for b in blocks(len(reps), len(gens) * self.degree):
+                gu = gens[:, reps[b]]  # [g, pt, i] = g(u_pt(i))
+                back = inverses[slot[gens[:, reps[b, base]]]]
+                s = np.take_along_axis(back, gu, axis=2).transpose(1, 0, 2)
+                stab.append(fresh(s.reshape(-1, self.degree), seen))
+            levels.append(_ChainLevel(base, gens, reps, inverses, slot))
+            gens = np.concatenate(stab)
         return tuple(levels)
 
     # -- queries -------------------------------------------------------------
 
     def order(self):
-        n = 1
+        return prod(len(level.reps) for level in self.chain)
+
+    def _sift(self, rows):
+        """Factor each row through the chain: (residues, mask of members)."""
+        rows = np.array(rows)
+        alive = np.ones(len(rows), dtype=bool)
         for level in self.chain:
-            n *= len(level.transversal)
-        return n
+            slot = level.slot[rows[:, level.base]]
+            alive &= slot >= 0
+            live = np.flatnonzero(alive)
+            rows[live] = compose(level.inverses[slot[live]], rows[live])
+        return rows, alive & (rows == np.arange(self.degree)).all(axis=1)
 
     def sift(self, p):
         """Factor p through the chain; returns the residue (identity iff member)."""
-        if p.degree != self.degree:
-            raise DegreeMismatch(f"degree {p.degree} vs group degree {self.degree}")
-        for level in self.chain:
-            img = p(level.base)
-            rep = level.transversal.get(img)
-            if rep is None:
-                return p
-            p = rep.inverse() * p
-        return p
+        residue, _ = self._sift(_rows(self.degree, [p]))
+        return _perms(residue)[0]
+
+    def contains_rows(self, rows):
+        """Boolean mask: which rows of a (k, degree) array lie in the group."""
+        return self._sift(_rows(self.degree, rows))[1]
 
     def contains(self, p):
-        return self.sift(p).is_identity()
+        return bool(self.contains_rows([p])[0])
 
-    def __contains__(self, p):
-        return self.contains(p)
+    __contains__ = contains
 
-    def enumerate_elements(self, element_guard=ELEMENT_GUARD_DEFAULT):
+    def element_array(self, element_guard=ELEMENT_GUARD_DEFAULT):
+        """All elements as a read-only (order, degree) array, identity first."""
         if self.order() > element_guard:
             raise OrderOverflow("element", element_guard, self.order())
         if self._elements is None:
-            elems = [Permutation.identity(self.degree)]
+            elems = np.arange(self.degree, dtype=self.gen_array.dtype)[None]
             for level in reversed(self.chain):
-                reps = [level.transversal[pt] for pt in sorted(level.transversal)]
-                elems = [rep * e for rep in reps for e in elems]
-            self._elements = tuple(elems)
-        return list(self._elements)
+                elems = level.reps[:, elems].reshape(-1, self.degree)
+            elems.setflags(write=False)
+            self._elements = elems
+        return self._elements
+
+    def enumerate_elements(self, element_guard=ELEMENT_GUARD_DEFAULT):
+        return _perms(self.element_array(element_guard))
 
     def element_keys(self):
-        """Frozenset of image tuples, for fast repeated membership."""
-        if self._element_keys is None:
-            self._element_keys = frozenset(
-                p.images for p in self.enumerate_elements()
-            )
-        return self._element_keys
+        """Frozenset of image tuples, for set comparisons of groups."""
+        return row_set(self.element_array())
 
     def is_subgroup_of(self, other):
-        return self.degree == other.degree and all(
-            other.contains(g) for g in self.generators
-        )
+        return self.degree == other.degree and bool(other.contains_rows(self.gen_array).all())
 
     def serialize(self):
-        return {
-            "degree": self.degree,
-            "order": self.order(),
-            "generators": [g.serialize() for g in self.generators],
-        }
+        return {"degree": self.degree, "order": self.order(), "generators": self.gen_array.tolist()}
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
@@ -247,28 +268,38 @@ def group_from_generators(gens, degree=None):
     return PermGroup(degree, gens)
 
 
+def _extend(group, rows, added=None):
+    """Add, in order, each row not in the group generated so far.
+
+    One batch sift finds the first non-member; the chain is rebuilt with
+    it and the scan resumes after it.  Added rows go to ``added``.
+    """
+    start = 0
+    while True:
+        miss = np.flatnonzero(~group.contains_rows(rows[start:]))
+        if not len(miss):
+            return group
+        start += int(miss[0])
+        group = PermGroup(group.degree, np.concatenate([group.gen_array, rows[start:start + 1]]))
+        if added is not None:
+            added.append(rows[start])
+        start += 1
+
+
+def _reduced_rows(G):
+    if G._reduced is None:
+        G._reduced = _extend(PermGroup(G.degree), G.gen_array).gen_array
+    return G._reduced
+
+
 def reduced_generators(G):
     """A greedy irredundant generating subset (same group, fewer iterations)."""
-    if G._reduced is None:
-        picked = []
-        current = PermGroup(G.degree, ())
-        for g in G.generators:
-            if not current.contains(g):
-                picked.append(g)
-                current = PermGroup(G.degree, picked)
-        G._reduced = tuple(picked)
-    return list(G._reduced)
+    return _perms(_reduced_rows(G))
 
 
 def group_from_elements(degree, elements):
     """Group from a (closed) element list, with greedy generator reduction."""
-    gens = []
-    current = PermGroup(degree, ())
-    for p in elements:
-        if not current.contains(p):
-            gens.append(p)
-            current = PermGroup(degree, gens)
-    return current
+    return _extend(PermGroup(degree), _rows(degree, elements))
 
 
 def closure_elements(degree, gens, element_guard=ELEMENT_GUARD_DEFAULT):
@@ -293,65 +324,53 @@ def closure_elements(degree, gens, element_guard=ELEMENT_GUARD_DEFAULT):
 # -- distinguished subgroups -------------------------------------------------
 
 
+def _lifts(G, N, element_guard):
+    """Mask of the p in G with p^-1 g^-1 p g in N for every reduced generator g."""
+    elements = G.element_array(element_guard)
+    inverses = inverse(elements)
+    gens = _reduced_rows(G)
+    mask = np.ones(len(elements), dtype=bool)
+    for g, g_inv in zip(gens, inverse(gens)):
+        idx = np.flatnonzero(mask)
+        comm = compose(inverses[idx], compose(g_inv[None], elements[idx][:, g]))
+        mask[idx] = N.contains_rows(comm)
+    return mask
+
+
 def center_of_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
     """Elements commuting with every generator (hence with everything)."""
-    gens = reduced_generators(G)
-    central = [
-        p
-        for p in G.enumerate_elements(element_guard)
-        if all((p * g).images == (g * p).images for g in gens)
-    ]
-    return group_from_elements(G.degree, central)
+    central = _lifts(G, PermGroup(G.degree), element_guard)
+    return group_from_elements(G.degree, G.element_array(element_guard)[central])
 
 
 def normal_closure(G, seeds):
     """Least normal subgroup of G containing the seed permutations."""
-    conj_gens = reduced_generators(G)
-    gens = []
-    seen = set()
-    for s in seeds:
-        if not s.is_identity() and s.images not in seen:
-            seen.add(s.images)
-            gens.append(s)
-    H = PermGroup(G.degree, gens)
-    work = list(gens)
+    conj = _reduced_rows(G)
+    conj_inv = inverse(conj)
+    H = PermGroup(G.degree, seeds)
+    work = list(H.gen_array)
     while work:
         h = work.pop()
-        for g in conj_gens:
-            c = h.conjugate_by(g)
-            if not H.contains(c):
-                gens.append(c)
-                H = PermGroup(G.degree, gens)
-                work.append(c)
+        # g^-1 * h * g for each conjugating g, in order
+        H = _extend(H, compose(conj_inv, h[conj]), work)
     return H
 
 
 def derived_subgroup(G):
     """Normal closure of the commutators of a generating set."""
-    gens = reduced_generators(G)
-    comms = []
-    for a in gens:
-        for b in gens:
-            comms.append(a.inverse() * b.inverse() * a * b)
+    gens = _reduced_rows(G)
+    inv = inverse(gens)
+    a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
+    comms = compose(compose(inv[a], inv[b]), compose(gens[a], gens[b]))
     return normal_closure(G, comms)
 
 
 def upper_central_series_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
     """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
-    elements = G.enumerate_elements(element_guard)
-    gens = reduced_generators(G)
-    terms = [PermGroup(G.degree, ())]
+    elements = G.element_array(element_guard)
+    terms = [PermGroup(G.degree)]
     while True:
-        prev_keys = terms[-1].element_keys()
-        lifted = [
-            p
-            for p in elements
-            if all(
-                (p.inverse() * (g.inverse() * (p * g))).images in prev_keys
-                for g in gens
-            )
-        ]
-        nxt = group_from_elements(G.degree, lifted)
+        nxt = group_from_elements(G.degree, elements[_lifts(G, terms[-1], element_guard)])
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
@@ -377,44 +396,14 @@ def frattini_subgroup(G, element_guard=ELEMENT_GUARD_DEFAULT):
         raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
     order = G.order()
     if order == 1:
-        return PermGroup(G.degree, ())
+        return PermGroup(G.degree)
     derived = derived_subgroup(G)
-    elements = G.enumerate_elements(element_guard)
-    result_keys = None
+    elements = G.element_array(element_guard)
+    inside = np.ones(len(elements), dtype=bool)
     for p in _prime_factors(order):
-        gens = list(derived.generators)
-        seen = {g.images for g in gens}
-        for g in elements:
-            q = _perm_power(g, p)
-            if not q.is_identity() and q.images not in seen:
-                seen.add(q.images)
-                gens.append(q)
-        sub = PermGroup(G.degree, gens)
-        keys = sub.element_keys()
-        result_keys = keys if result_keys is None else (result_keys & keys)
-    ordered = [p for p in elements if p.images in result_keys]
-    return group_from_elements(G.degree, ordered)
-
-
-def _perm_power(p, k):
-    acc = Permutation.identity(p.degree)
-    for _ in range(k):
-        acc = p * acc
-    return acc
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        gens = np.concatenate([derived.gen_array, power(elements, p)])
+        inside &= PermGroup(G.degree, gens).contains_rows(elements)
+    return group_from_elements(G.degree, elements[inside])
 
 
 def frattini_subgroup_oracle(G, guard=FRATTINI_ORACLE_GUARD):
@@ -432,9 +421,6 @@ def frattini_subgroup_oracle(G, guard=FRATTINI_ORACLE_GUARD):
     table = [
         [index[(a * b).images] for b in elements] for a in elements
     ]
-    from .loop_core import CayleyLoop
-    from .structure import all_subloops
-
     cayley = CayleyLoop(table, name="cayley")
     subs = all_subloops(cayley, lattice_guard=guard)
     proper = [s for s in subs if not s.is_full]
@@ -451,29 +437,23 @@ def normalizer_of_subgroup(G, H, element_guard=ELEMENT_GUARD_DEFAULT):
     """{g in G : g^-1 H g = H} over enumerated elements of G."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not contained in G (generator sift failed)")
-    hkeys = H.element_keys()
-    hgens = H.generators
-    keep = []
-    for g in G.enumerate_elements(element_guard):
-        ginv = g.inverse()
-        if all(((ginv * h) * g).images in hkeys for h in hgens):
-            keep.append(g)
-    return group_from_elements(G.degree, keep)
+    elements = G.element_array(element_guard)
+    inverses = inverse(elements)
+    keep = np.ones(len(elements), dtype=bool)
+    for h in H.gen_array:
+        idx = np.flatnonzero(keep)
+        keep[idx] = H.contains_rows(compose(inverses[idx], compose(h[None], elements[idx])))
+    return group_from_elements(G.degree, elements[keep])
 
 
 def is_divisible_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
-    """Finite specialization: p-power maps are onto only in the trivial group."""
+    """Finite specialization: p-power maps are onto only in the trivial group.
+
+    The primes dividing the exponent are those dividing the order (Cauchy).
+    """
     order = G.order()
-    elements = G.enumerate_elements(element_guard)
-    exponent = 1
-    for p in elements:
-        o = p.order()
-        exponent = exponent * o // gcd(exponent, o)
-    divisible = True
-    for p in _prime_factors(exponent):
-        image = {_perm_power(g, p).images for g in elements}
-        if len(image) != order:
-            divisible = False
-            break
+    elements = G.element_array(element_guard)
+    primes = _prime_factors(order)
+    divisible = all(len(fresh(power(elements, p), set())) == order for p in primes)
     assert divisible == (order == 1), "finite divisible group must be trivial"
     return divisible

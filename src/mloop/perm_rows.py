@@ -1,0 +1,52 @@
+"""Permutations as rows of integer arrays.
+
+A permutation of degree n is the row of its n point images, and k of them
+form a (k, n) array.  The product p * q (q applied first) is the gather
+p[q].  Gathers run in row blocks: numpy copies an index array to intp,
+and the blocks keep that copy small.
+"""
+
+import numpy as np
+
+GATHER_BLOCK = 1 << 18
+
+
+def blocks(rows, width):
+    """Row slices of at most GATHER_BLOCK entries of the given row width."""
+    step = max(1, GATHER_BLOCK // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def compose(p, q):
+    """Row-wise products p * q; p may be a single row."""
+    out = np.empty(q.shape, dtype=p.dtype)
+    for b in blocks(len(q), q.shape[1]):
+        out[b] = np.take_along_axis(p if len(p) == 1 else p[b], q[b], axis=1)
+    return out
+
+
+def inverse(p):
+    out = np.empty_like(p)
+    ident = np.arange(p.shape[1], dtype=p.dtype)[None]
+    for b in blocks(len(p), p.shape[1]):
+        np.put_along_axis(out[b], p[b], ident, axis=1)
+    return out
+
+
+def power(p, k):
+    acc = p
+    for _ in range(k - 1):
+        acc = compose(p, acc)
+    return acc
+
+
+def row_set(rows):
+    """The rows as a frozenset of image tuples, for set comparisons."""
+    return frozenset(map(tuple, rows.tolist()))
+
+
+def fresh(rows, seen):
+    """The rows whose bytes are not in ``seen``, first occurrence first; records them."""
+    width = rows.shape[1] * rows.itemsize
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel().tolist()
+    return rows[[i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]]

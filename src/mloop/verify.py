@@ -284,11 +284,9 @@ def _check_prop4(ctx):
     group_max = 0
     sampled = 0
     seen = set()
-    for p in m.enumerate_elements():
-        if p.is_identity():
-            continue
-        h = pg.group_from_generators([p])
-        key = frozenset(h.element_keys())
+    for row in m.element_array()[1:]:  # row 0 is the identity
+        h = pg.PermGroup(m.degree, row[None])
+        key = h.element_keys()
         if key in seen:
             continue
         seen.add(key)

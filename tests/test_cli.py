@@ -84,6 +84,21 @@ def test_invariants_rejects_noncml(tmp_path):
     assert "not a commutative Moufang loop" in res.stderr
 
 
+def test_invariants_guards_fail_before_multiplication_group(monkeypatch, capsys):
+    """The loop-side values come first, so a loop above the n^3-tensor
+    limit of 300 is rejected by that guard before M(L) is built."""
+    from mloop import cli
+
+    def never(loop):
+        raise AssertionError("multiplication_group ran before the loop-side guards")
+
+    monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
+    monkeypatch.setattr(cli, "multiplication_group", never)
+    assert cli.main(["invariants", "--gen", "abelian:301"]) == 2
+    err = capsys.readouterr().err
+    assert "OrderOverflow: associator table guard: 301 exceeds limit 300" in err
+
+
 def test_normalizer_trace():
     res = run_cli("normalizer", "--gen", "zassenhaus81", "--subloop", "27")
     assert res.returncode == 0

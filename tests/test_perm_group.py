@@ -1,3 +1,6 @@
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +145,83 @@ def test_element_guard():
         s3().enumerate_elements(element_guard=5)
 
 
+def digest(perms):
+    text = "\n".join(",".join(map(str, p.images)) for p in perms)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_zassenhaus_group_layer_pinned(z81_bundle):
+    """Chains, element order and subgroup generators of M(zassenhaus81)
+    and its subgroups, as the tuple-based implementation produced them."""
+    m, inner = z81_bundle.M, z81_bundle.I
+    assert [level.base for level in m.chain] == [0, 3, 9, 27]
+    assert [len(level.generators) for level in m.chain] == [80, 26, 8, 2]
+    assert digest(m.enumerate_elements()) == (
+        "b96a926f6ddf275bbd38070ea3a56bdd4990d96a2ccc1ee1413dd0c407c6f9b0"
+    )
+    assert digest(inner.enumerate_elements()) == (
+        "d5c4635e57f2d9aba72f64f912cc371ae4742501f013b407dcc0932ded347879"
+    )
+    assert digest(inner.generators) == (
+        "ead0f3ef624485aca450cc430fdcbc5a691fe633de133ada8d469cfe75712e07"
+    )
+    pinned = [
+        (center_of_group, 3, "2d2bdc78992618192cfedf9a4c939d690ace346ff72144271d2540096f705e96"),
+        (derived_subgroup, 81, "70426d4f64490fac91d6c99224fde2bb321cddce8c2b4641c95ff329b181d9e3"),
+        (frattini_subgroup, 81, "c69fc2986d6209af6dccf24a3109de01c98d3c28e6b7c975ec1f29c2b17ce4bd"),
+    ]
+    for fn, order, gens_digest in pinned:
+        sub = fn(m)
+        assert (sub.order(), digest(sub.generators)) == (order, gens_digest), fn.__name__
+
+
+def reference_chain(n, gens):
+    """The stabilizer chain by the plain algorithm on image tuples:
+    [(base, level generators, transversal reps in sorted point order)]."""
+    levels = []
+    gens = list(dict.fromkeys(g for g in gens if g != tuple(range(n))))
+    while gens:
+        base = min(i for g in gens for i in range(n) if g[i] != i)
+        trans = {base: tuple(range(n))}
+        frontier = [base]
+        while frontier:
+            nxt = []
+            for pt in frontier:
+                for g in gens:
+                    if g[pt] not in trans:
+                        trans[g[pt]] = tuple(g[u] for u in trans[pt])
+                        nxt.append(g[pt])
+            frontier = sorted(nxt)
+        stab = {}
+        for pt in sorted(trans):
+            for g in gens:
+                rep = trans[g[pt]]
+                inv = {img: i for i, img in enumerate(rep)}
+                s = tuple(inv[g[u]] for u in trans[pt])
+                if s != tuple(range(n)):
+                    stab.setdefault(s, None)
+        levels.append((base, gens, [trans[pt] for pt in sorted(trans)]))
+        gens = list(stab)
+    return levels
+
+
+def reference_sift(levels, p):
+    for base, _, reps in levels:
+        rep = {r[base]: r for r in reps}.get(p[base])
+        if rep is None:
+            return p
+        inv = {img: i for i, img in enumerate(rep)}
+        p = tuple(inv[x] for x in p)
+    return p
+
+
+def reference_elements(n, levels):
+    elems = [tuple(range(n))]
+    for _, _, reps in reversed(levels):
+        elems = [tuple(rep[i] for i in e) for rep in reps for e in elems]
+    return elems
+
+
 @st.composite
 def perm_lists(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -150,14 +230,36 @@ def perm_lists(draw):
     for _ in range(count):
         images = draw(st.permutations(range(n)))
         perms.append(Permutation(tuple(images)))
-    return n, perms
+    probes = [Permutation(tuple(draw(st.permutations(range(n))))) for _ in range(3)]
+    return n, perms, probes
 
 
 @given(perm_lists())
 @settings(max_examples=40, deadline=None)
 def test_chain_order_equals_closure(data):
-    n, gens = data
+    n, gens, probes = data
     group = PermGroup(n, gens)
-    assert group.order() == len(closure_elements(n, gens))
+    closure = closure_elements(n, gens)
+    assert group.order() == len(closure)
     for g in gens:
         assert group.contains(g)
+    # one batch sift over members and random probes agrees with the closure
+    members = {p.images for p in closure}
+    batch = closure + probes
+    mask = group.contains_rows(np.array([p.images for p in batch]))
+    assert mask.tolist() == [p.images in members for p in batch]
+
+
+@given(perm_lists())
+@settings(max_examples=40, deadline=None)
+def test_chain_matches_reference_algorithm(data):
+    n, gens, probes = data
+    group = PermGroup(n, gens)
+    levels = reference_chain(n, [g.images for g in gens])
+    assert [level.base for level in group.chain] == [base for base, _, _ in levels]
+    for level, (_, level_gens, reps) in zip(group.chain, levels):
+        assert level.generators.tolist() == [list(g) for g in level_gens]
+        assert level.reps.tolist() == [list(r) for r in reps]
+    assert [p.images for p in group.enumerate_elements()] == reference_elements(n, levels)
+    for p in probes:
+        assert group.sift(p).images == reference_sift(levels, p.images)
