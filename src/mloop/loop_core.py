@@ -20,6 +20,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
+from .perm_rows import blocks
 
 MAX_ORDER_DEFAULT = 1024
 
@@ -31,11 +32,6 @@ _TENSOR_LIMIT = 300
 def _index_dtype(n):
     """Smallest dtype holding the indices 0..n-1 of tables and permutations."""
     return np.int16 if n <= (1 << 15) else np.int32
-
-
-# row-block size for chunked n^3 scans
-def _chunk_rows(n):
-    return max(1, (1 << 24) // max(1, n * n))
 
 
 @dataclass(frozen=True)
@@ -87,6 +83,7 @@ class CayleyLoop:
         self._ldiv = None
         self._assoc = None
         self._inner = None
+        self._inner_check = None  # (violation or None,) once scanned
         self._diag = None
 
     # -- basic arithmetic on element indices --------------------------------
@@ -150,10 +147,11 @@ class CayleyLoop:
         """Full tensor A[a, b, c] = index of the associator (a, b, c)."""
         if self._assoc is None:
             self._require_tensor("associator table")
-            t = self.table
-            a_bc = t[:, t]          # a * (b c)
-            ab_c = t[t]             # (a b) * c
-            self._assoc = self.ldiv_table()[a_bc, ab_c]
+            t, n, flat = self.table, self.n, self.ldiv_table().ravel()
+            self._assoc = np.empty((n, n, n), dtype=t.dtype)
+            for b in blocks(n, n * n):
+                # ldiv[a (b c), (a b) c] for the a of this block
+                self._assoc[b] = flat[t[b][:, t].astype(np.intp) * n + t[t[b]]]
             self._assoc.setflags(write=False)
         return self._assoc
 
@@ -165,11 +163,34 @@ class CayleyLoop:
         """
         if self._inner is None:
             self._require_tensor("inner mapping table")
-            t = self.table
-            x_yz = t[:, t]                       # x * (y z), indexed [x, y, z]
-            self._inner = self.ldiv_table()[t[:, :, None], x_yz]
+            t, n, flat = self.table, self.n, self.ldiv_table().ravel()
+            self._inner = np.empty((n, n, n), dtype=t.dtype)
+            for b in blocks(n, n * n):
+                # ldiv[x y, x (y z)] for the x of this block
+                self._inner[b] = flat[t[b][:, :, None].astype(np.intp) * n + t[b][:, t]]
             self._inner.setflags(write=False)
         return self._inner
+
+    def inner_identity_violation(self):
+        """Least (x, y, z) with I[x, y, z] != z * A[z, y, x], or None.
+
+        In a CML L(x, y) sends z to z(z, y, x); this cached scan certifies the
+        associator tensor against the independent inner-mapping tensor once per loop.
+        """
+        if self._inner_check is None:
+            n, flat, found = self.n, self.table.ravel(), None
+            assoc, inner = self.associator_table(), self.inner_mapping_table()
+            zoff = np.arange(n) * n
+            for b in blocks(n, n * n):
+                # flat index of z * A[z, y, x] at [x, y, z], for the x of this block
+                zyx = np.ascontiguousarray(np.transpose(assoc[:, :, b], (2, 1, 0)), dtype=np.intp)
+                bad = inner[b] != flat[zyx + zoff]
+                if bad.any():
+                    x, y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                    found = (int(x) + b.start, int(y), int(z))
+                    break
+            self._inner_check = (found,)
+        return self._inner_check[0]
 
     def _require_tensor(self, what):
         if self.n > _TENSOR_LIMIT:
@@ -302,17 +323,14 @@ def diagnose(loop_or_table):
     sq = t[ref, ref]
     first_cml = None
     first_assoc = None
-    block = _chunk_rows(n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        rows = np.arange(lo, hi)
+    for rows in blocks(n, n * n):
         # associativity: (xy)z vs x(yz)
         if first_assoc is None:
             bad = t[t[rows], :] != t[rows][:, t]
             if bad.any():
                 off = int(np.argmax(bad))
                 x, y, z = np.unravel_index(off, bad.shape)
-                first_assoc = (int(x) + lo, int(y), int(z))
+                first_assoc = (int(x) + rows.start, int(y), int(z))
         # Moufang law: x^2 (yz) vs (xy)(xz)
         if first_cml is None:
             lhs = t[sq[rows]][:, t]
@@ -321,7 +339,7 @@ def diagnose(loop_or_table):
             if bad.any():
                 off = int(np.argmax(bad))
                 x, y, z = np.unravel_index(off, bad.shape)
-                first_cml = (int(x) + lo, int(y), int(z))
+                first_cml = (int(x) + rows.start, int(y), int(z))
         if first_assoc is not None and first_cml is not None:
             break
 

@@ -20,14 +20,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ChainStalled, NotNested, OracleDisagreement
+from .errors import ChainStalled, OracleDisagreement
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
+    _escapes,
     _require_cml,
     all_subloops,
     coerce_subloop,
-    full_subloop,
     generate_subloop,
     is_normal,
     join,
@@ -52,36 +52,23 @@ class NormalizerTrace:
 
 
 def normalizer(loop, k, h):
-    """Run the P/D fixpoint for H inside K; result is the stabilized D-set."""
-    _require_cml(loop)
-    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    h = coerce_subloop(loop, h)
-    if not h.elements <= k.elements:
-        raise NotNested(f"H (order {h.size}) is not contained in K (order {k.size})")
-    assoc = loop.associator_table()
-    in_h = h.mask()
-    hm = np.array(h.members, dtype=np.int64)
+    """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
+
+    Both stages read H's normality matrix N over K (structure._escapes):
+    P = {x : N[D, x] all true} and D = {y : N[y, P] all true}.
+    """
+    h, k, bad = _escapes(loop, h, k)
+    pairs = ~bad.any(axis=0)
     km = np.array(k.members, dtype=np.int64)
-
-    def p_stage(d_idx):
-        # {x in K : (H, D, x) subset H}; first stage uses D = H
-        block = assoc[np.ix_(hm, d_idx, km)]
-        return km[in_h[block].all(axis=(0, 1))]
-
-    def d_stage(p_idx):
-        # {x in K : (H, x, P) subset H}
-        block = assoc[np.ix_(hm, km, p_idx)]
-        return km[in_h[block].all(axis=(0, 2))]
-
     p_stages: List[Tuple[int, ...]] = []
     d_stages: List[Tuple[int, ...]] = []
-    d_idx = hm
+    d_sel = h.mask()[km]
     cap = k.size + 2
     for _ in range(cap):
-        p_idx = p_stage(d_idx)
-        d_idx = d_stage(p_idx)
-        p_stages.append(tuple(int(i) for i in p_idx))
-        d_stages.append(tuple(int(i) for i in d_idx))
+        p_sel = pairs[d_sel].all(axis=0)
+        d_sel = pairs[:, p_sel].all(axis=1)
+        p_stages.append(tuple(int(i) for i in km[p_sel]))
+        d_stages.append(tuple(int(i) for i in km[d_sel]))
         if len(p_stages) >= 2 and (
             p_stages[-1] == p_stages[-2] and d_stages[-1] == d_stages[-2]
         ):
@@ -90,8 +77,8 @@ def normalizer(loop, k, h):
         raise ChainStalled(
             f"P/D alternation exceeded {cap} rounds for H of order {h.size}"
         )
+    assert pairs[d_sel][:, d_sel].all(), "H must be normal in the stabilized D-set"
     result = Subloop(loop, d_stages[-1])
-    assert is_normal(loop, h, result), "H must be normal in the stabilized D-set"
     return NormalizerTrace(
         p_stages=tuple(p_stages),
         d_stages=tuple(d_stages),
@@ -107,16 +94,16 @@ def maximality_gaps(loop, k, h, trace=None):
     a nonempty list is a counterexample to reading the fixpoint as "the"
     normalizer.
     """
-    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    h = coerce_subloop(loop, h)
+    h, k, bad = _escapes(loop, h, k)
+    pairs = ~bad.any(axis=0)
     if trace is None:
         trace = normalizer(loop, k, h)
     gaps = []
     for x in k.members:
-        if x not in trace.result and is_normal(
-            loop, h, generate_subloop(loop, list(h.members) + [x])
-        ):
-            gaps.append(int(x))
+        if x not in trace.result:
+            sel = generate_subloop(loop, list(h.members) + [x]).mask()[k.mask()]
+            if pairs[sel][:, sel].all():
+                gaps.append(int(x))
     return gaps
 
 
@@ -126,12 +113,10 @@ def normalizer_oracle(loop, k, h, seeds=(0, 1, 2, 3, 4)):
     Every run must land on the same subloop; a disagreement (two runs
     saturating at different subloops) is raised rather than averaged,
     since it falsifies the uniqueness this oracle is meant to certify.
+    Each candidate is tested as a submatrix of H's normality matrix.
     """
-    _require_cml(loop)
-    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    h = coerce_subloop(loop, h)
-    if not h.elements <= k.elements:
-        raise NotNested(f"H (order {h.size}) is not contained in K (order {k.size})")
+    h, k, bad = _escapes(loop, h, k)
+    pairs = ~bad.any(axis=0)
     outcome = None
     for seed in seeds:
         rng = random.Random(seed)
@@ -145,7 +130,8 @@ def normalizer_oracle(loop, k, h, seeds=(0, 1, 2, 3, 4)):
                 if x in s:
                     continue
                 grown = join(s, generate_subloop(loop, [x]))
-                if is_normal(loop, h, grown):
+                sel = grown.mask()[k.mask()]
+                if pairs[sel][:, sel].all():
                     s = grown
                     changed = True
         if outcome is None:

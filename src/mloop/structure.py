@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
 )
 from .loop_core import CayleyLoop, quotient
+from .perm_rows import blocks
 
 LATTICE_GUARD_DEFAULT = 128
 
@@ -153,45 +154,42 @@ def join(a, b):
 # -- normality ---------------------------------------------------------------
 
 
-def _assoc_block(loop, first_idx, second_idx, third_idx):
-    """Associator values (a, b, c) over the three index arrays."""
-    return loop.associator_table()[np.ix_(first_idx, second_idx, third_idx)]
+def _escapes(loop, h, k):
+    """The normality kernel: (H, K, E), E[i, j, l] iff (h_i, k_j, k_l) escapes H.
 
-
-def is_normal(loop, h, k=None, check_inner=True):
-    """True iff every associator (h, y, x) with y, x in K stays inside H.
-
-    That criterion characterises invariance of H under the inner mappings
-    of K in a CML; a second route applies the inner-mapping tensor
-    L(x, y) restricted to K directly and the two verdicts must agree.
+    H is normal in K iff E is empty (CML only).  N[y, x] = "(H, y, x) in H",
+    E's all-reduction over H on the positions of K, drives fixpoint and oracle.
     """
-    h = coerce_subloop(loop, h)
+    _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
+    h = coerce_subloop(loop, h)
     if not h.elements <= k.elements:
         raise NotNested(f"H (order {h.size}) is not contained in K (order {k.size})")
-    hm = np.array(h.members, dtype=np.int64)
-    km = np.array(k.members, dtype=np.int64)
-    inside = h.mask()
-    verdict = bool(inside[_assoc_block(loop, hm, km, km)].all())
-    if check_inner:
-        images = loop.inner_mapping_table()[np.ix_(km, km, hm)]
-        alt = bool(inside[images].all())
-        if alt != verdict:
-            raise AssertionError("normality routes disagree; table corrupted")
-    return verdict
+    violation = loop.inner_identity_violation()
+    if violation is not None:
+        raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
+    esc = np.empty((h.size, k.size, k.size), dtype=bool)
+    for b in blocks(h.size, k.size * k.size):
+        block = loop.associator_table()[np.ix_(h.members[b], k.members, k.members)]
+        np.logical_not(h.mask()[block], out=esc[b])
+    return h, k, esc
+
+
+def is_normal(loop, h, k=None):
+    """True iff every associator (h, y, x) with y, x in K stays inside H.
+
+    Certified per loop to agree with invariance under the inner maps of K.
+    """
+    return not _escapes(loop, h, k)[2].any()
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h = coerce_subloop(loop, h)
-    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    hm = np.array(h.members, dtype=np.int64)
-    km = np.array(k.members, dtype=np.int64)
-    bad = ~h.mask()[_assoc_block(loop, hm, km, km)]
+    h, k, bad = _escapes(loop, h, k)
     if not bad.any():
         return None
     i, j, l = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (int(hm[i]), int(km[j]), int(km[l]))
+    return (h.members[i], k.members[j], k.members[l])
 
 
 # -- the subloop lattice -----------------------------------------------------
@@ -267,9 +265,7 @@ def associator_subloop(loop):
     t = loop.table
     ld = loop.ldiv_table()
     values = set()
-    block = max(1, (1 << 22) // max(1, loop.n * loop.n))
-    for lo in range(0, loop.n, block):
-        rows = np.arange(lo, min(loop.n, lo + block))
+    for rows in blocks(loop.n, loop.n * loop.n):
         a_bc = t[rows][:, t]
         ab_c = t[t[rows], :]
         values.update(int(v) for v in np.unique(ld[a_bc, ab_c]))

@@ -85,15 +85,16 @@ def test_invariants_rejects_noncml(tmp_path):
 
 
 def test_invariants_guards_fail_before_multiplication_group(monkeypatch, capsys):
-    """The loop-side values come first, so a loop above the n^3-tensor
-    limit of 300 is rejected by that guard before M(L) is built."""
+    """A loop above the n^3-tensor limit of 300 is rejected by that guard
+    before the first loop-side scan, and so before M(L) is built."""
     from mloop import cli
 
     def never(loop):
-        raise AssertionError("multiplication_group ran before the loop-side guards")
+        raise AssertionError("an n^3 computation ran before the tensor guard")
 
     monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
     monkeypatch.setattr(cli, "multiplication_group", never)
+    monkeypatch.setattr(cli.st, "center", never)
     assert cli.main(["invariants", "--gen", "abelian:301"]) == 2
     err = capsys.readouterr().err
     assert "OrderOverflow: associator table guard: 301 exceeds limit 300" in err

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from mloop.errors import (
     OrderOverflow,
     ParseError,
 )
-from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
+from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81, quotient
 from mloop.structure import (
     Subloop,
     all_subloops,
@@ -32,6 +33,7 @@ from mloop.structure import (
     trivial_subloop,
     upper_central_series,
 )
+from mloop.verify import run_suite
 
 
 def test_subloop_validation(z81):
@@ -176,9 +178,47 @@ def test_is_normal(z81, e27):
         assert is_normal(e27, s)
 
 
-def test_normality_dual_route_flag(z81):
-    h = generate_subloop(z81, [3, 9])
-    assert is_normal(z81, h, check_inner=False) == is_normal(z81, h)
+def test_corrupted_associator_fails_the_certificate():
+    """One wrong cell A[27, 9, 75] of the associator tensor breaks the
+    inner-mapping certificate: every normality test raises, and the identity
+    check reports the one failing triple (x, y, z) = (75, 9, 27), which lies
+    past the first row block of the scan."""
+    loop = gen_zassenhaus81()
+    assoc = loop.associator_table().copy()
+    assert assoc[27, 9, 75] != 0
+    assoc[27, 9, 75] = 0
+    assoc.setflags(write=False)
+    loop._assoc = assoc
+    with pytest.raises(AssertionError, match=r"identity fails at \(75, 9, 27\)"):
+        is_normal(loop, center(loop))
+    (check,) = [c for c in run_suite(loop, "identities").checks
+                if c.name == "inner_mapping_identity"]
+    assert (check.status, check.witness) == ("fail", {"xyz": [75, 9, 27]})
+
+
+def test_is_normal_matches_inner_mapping_definition(z81, z81_lattice):
+    """On every H <= K of the z81 lattice: H is normal in K iff every inner
+    mapping L(x, y) with x, y in K maps H into H (read off the tensor I)."""
+    inner = z81.inner_mapping_table()
+    pairs = normal = 0
+    for k in z81_lattice:
+        maps = inner[np.ix_(k.members, k.members)]  # (|K|, |K|, n)
+        for h in z81_lattice:
+            if h <= k:
+                invariant = bool(h.mask()[maps[:, :, list(h.members)]].all())
+                assert is_normal(z81, h, k) == invariant, (h.members, k.members)
+                pairs += 1
+                normal += invariant
+    assert 0 < normal < pairs
+
+
+def test_normality_requires_cml(s3_loop):
+    """<(1 2)> is not normal in S3, yet all its associators are trivial:
+    the associator criterion holds only in CMLs, so others are refused."""
+    with pytest.raises(NotCML):
+        is_normal(s3_loop, [0, 1])
+    with pytest.raises(NotCML):
+        quotient(s3_loop, [0, 1])
 
 
 def test_non_generator_witness(z81):
