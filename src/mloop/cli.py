@@ -5,7 +5,6 @@ import json
 import os
 import sys
 
-from . import perm_group as pg
 from . import structure as st
 from .errors import LoopError, OracleDisagreement, OrderOverflow
 from .loop_core import (
@@ -15,9 +14,8 @@ from .loop_core import (
     gen_zassenhaus81,
     parse_loop,
 )
-from .mult_group import multiplication_group
 from .normalizer import normalizer, normalizer_oracle
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, LoopContext, run_suite
 
 ENV_MAX_ORDER = "MLOOP_MAX_ORDER"
 
@@ -133,27 +131,23 @@ def cmd_check(args):
 def cmd_invariants(args):
     loop, _ = _load_loop(args)
     loop._require_tensor("associator table")  # before any n^3 scan
-    diag = loop.diagnostics()
-    if not diag.is_cml:
+    if not loop.diagnostics().is_cml:
         raise LoopError(f"{loop.name} is not a commutative Moufang loop")
+    ctx = LoopContext(loop)
     # loop-side values first: their guards fail fast, before M(L) is built
     values = {
         "order": loop.n,
-        "center_order": st.center(loop).size,
-        "derived_order": st.associator_subloop(loop).size,
-        "cube_order": st.cube_subloop(loop).size,
-        "nilpotency_class": st.upper_central_series(loop).nilpotency_class,
-        "frattini_order": st.frattini_subloop(loop).size,
+        "center_order": ctx.center.size,
+        "derived_order": ctx.derived.size,
+        "cube_order": ctx.cubes.size,
+        "nilpotency_class": ctx.series.nilpotency_class,
+        "frattini_order": ctx.frattini.size,
+        "mult_group_order": ctx.bundle.M.order(),
+        "inner_group_order": ctx.bundle.I.order(),
+        "mult_center_order": ctx.m_center.order(),
+        "mult_derived_order": ctx.m_derived.order(),
+        "mult_frattini_order": ctx.m_frattini.order(),
     }
-    bundle = multiplication_group(loop)
-    m = bundle.M
-    values.update({
-        "mult_group_order": m.order(),
-        "inner_group_order": bundle.I.order(),
-        "mult_center_order": pg.center_of_group(m).order(),
-        "mult_derived_order": pg.derived_subgroup(m).order(),
-        "mult_frattini_order": pg.frattini_subgroup(m).order(),
-    })
     print(_header(loop))
     width = max(len(k) for k in values)
     for key, val in values.items():

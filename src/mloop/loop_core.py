@@ -34,6 +34,11 @@ def _index_dtype(n):
     return np.int16 if n <= (1 << 15) else np.int32
 
 
+def _first_index(bad):
+    """Lexicographically least True index of a boolean array, as ints."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
 @dataclass(frozen=True)
 class LoopDiagnostics:
     """Outcome of the structural scans over a multiplication table.
@@ -143,16 +148,32 @@ class CayleyLoop:
 
     # -- cached tensors ------------------------------------------------------
 
+    def _offsets(self, u):
+        """u * n, the flat offsets of rows u of an n x n table.
+
+        int32 while n^2 fits: numpy then casts the gather index in small
+        buffers instead of holding a full intp copy.
+        """
+        out = u.astype(np.int32 if self.n * self.n <= 1 << 31 else np.intp)
+        out *= self.n
+        return out
+
+    def _associator_rows(self, rows):
+        """A[a, b, c] = ldiv[a (b c), (a b) c] for the a of a row slice."""
+        t = self.table
+        idx = self._offsets(t[rows][:, t])
+        idx += t[t[rows]]
+        return self.ldiv_table().ravel()[idx]
+
+    def _inner_rows(self, rows):
+        """I[x, y, z] = ldiv[x y, x (y z)] for the x of a row slice."""
+        t = self.table
+        return self.ldiv_table().ravel()[self._offsets(t[rows][:, :, None]) + t[rows][:, t]]
+
     def associator_table(self):
         """Full tensor A[a, b, c] = index of the associator (a, b, c)."""
         if self._assoc is None:
-            self._require_tensor("associator table")
-            t, n, flat = self.table, self.n, self.ldiv_table().ravel()
-            self._assoc = np.empty((n, n, n), dtype=t.dtype)
-            for b in blocks(n, n * n):
-                # ldiv[a (b c), (a b) c] for the a of this block
-                self._assoc[b] = flat[t[b][:, t].astype(np.intp) * n + t[t[b]]]
-            self._assoc.setflags(write=False)
+            self._assoc = self._tensor("associator table", self._associator_rows)
         return self._assoc
 
     def inner_mapping_table(self):
@@ -162,32 +183,36 @@ class CayleyLoop:
         the associator tensor, so the two can cross-check each other.
         """
         if self._inner is None:
-            self._require_tensor("inner mapping table")
-            t, n, flat = self.table, self.n, self.ldiv_table().ravel()
-            self._inner = np.empty((n, n, n), dtype=t.dtype)
-            for b in blocks(n, n * n):
-                # ldiv[x y, x (y z)] for the x of this block
-                self._inner[b] = flat[t[b][:, :, None].astype(np.intp) * n + t[b][:, t]]
-            self._inner.setflags(write=False)
+            self._inner = self._tensor("inner mapping table", self._inner_rows)
         return self._inner
+
+    def _tensor(self, what, fill):
+        """A read-only n^3 tensor filled row block by row block by ``fill``."""
+        self._require_tensor(what)
+        out = np.empty((self.n,) * 3, dtype=self.table.dtype)
+        for b in blocks(self.n, self.n * self.n):
+            out[b] = fill(b)
+        out.setflags(write=False)
+        return out
 
     def inner_identity_violation(self):
         """Least (x, y, z) with I[x, y, z] != z * A[z, y, x], or None.
 
         In a CML L(x, y) sends z to z(z, y, x); this cached scan certifies the
-        associator tensor against the independent inner-mapping tensor once per loop.
+        associator tensor against inner-map rows built independently of it,
+        streamed block by block, once per loop.
         """
         if self._inner_check is None:
             n, flat, found = self.n, self.table.ravel(), None
-            assoc, inner = self.associator_table(), self.inner_mapping_table()
+            assoc = self.associator_table()
             zoff = np.arange(n) * n
             for b in blocks(n, n * n):
                 # flat index of z * A[z, y, x] at [x, y, z], for the x of this block
                 zyx = np.ascontiguousarray(np.transpose(assoc[:, :, b], (2, 1, 0)), dtype=np.intp)
-                bad = inner[b] != flat[zyx + zoff]
+                bad = self._inner_rows(b) != flat[zyx + zoff]
                 if bad.any():
-                    x, y, z = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                    found = (int(x) + b.start, int(y), int(z))
+                    x, y, z = _first_index(bad)
+                    found = (x + b.start, y, z)
                     break
             self._inner_check = (found,)
         return self._inner_check[0]
@@ -328,18 +353,16 @@ def diagnose(loop_or_table):
         if first_assoc is None:
             bad = t[t[rows], :] != t[rows][:, t]
             if bad.any():
-                off = int(np.argmax(bad))
-                x, y, z = np.unravel_index(off, bad.shape)
-                first_assoc = (int(x) + rows.start, int(y), int(z))
+                x, y, z = _first_index(bad)
+                first_assoc = (x + rows.start, y, z)
         # Moufang law: x^2 (yz) vs (xy)(xz)
         if first_cml is None:
             lhs = t[sq[rows]][:, t]
             rhs = t[t[rows][:, :, None], t[rows][:, None, :]]
             bad = lhs != rhs
             if bad.any():
-                off = int(np.argmax(bad))
-                x, y, z = np.unravel_index(off, bad.shape)
-                first_cml = (int(x) + rows.start, int(y), int(z))
+                x, y, z = _first_index(bad)
+                first_cml = (x + rows.start, y, z)
         if first_assoc is not None and first_cml is not None:
             break
 

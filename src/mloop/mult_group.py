@@ -22,7 +22,6 @@ from .perm_group import (
     normal_closure,
 )
 from .perm_rows import compose, fresh, row_set
-from .reporting import CheckResult
 from .structure import (
     Subloop,
     associator_subloop,
@@ -91,7 +90,7 @@ def orbit_of_identity(bundle, N):
     return result
 
 
-# -- verification bridges ----------------------------------------------------
+# -- verification bridges: each returns (ok, witness) ------------------------
 
 
 def verify_lemma1(bundle, H):
@@ -124,11 +123,7 @@ def verify_lemma1(bundle, H):
         witness["blocks_ok"] = blocks_ok
         witness["onto_ok"] = onto_ok
         witness["kernel_ok"] = kernel_ok
-    return CheckResult(
-        name="lemma1_quotient_action",
-        status="pass" if ok else "fail",
-        witness=witness,
-    )
+    return ok, witness
 
 
 def verify_prop1(bundle):
@@ -148,11 +143,7 @@ def verify_prop1(bundle):
         witness["set_ok"] = set_ok
         witness["hom_ok"] = hom_ok
         witness["inj_ok"] = inj_ok
-    return CheckResult(
-        name="prop1_center_correspondence",
-        status="pass" if ok else "fail",
-        witness=witness,
-    )
+    return ok, witness
 
 
 def verify_lemma7(bundle):
@@ -172,8 +163,4 @@ def verify_lemma7(bundle):
         "h_star_order": star.order(),
         "normal_closure_order": closure.order(),
     }
-    return CheckResult(
-        name="lemma7_derived_four_way",
-        status="pass" if ok else "fail",
-        witness=witness,
-    )
+    return ok, witness

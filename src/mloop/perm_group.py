@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
 from .loop_core import CayleyLoop, _index_dtype
 from .perm_rows import blocks, compose, fresh, inverse, power, row_set
-from .structure import _prime_factors, all_subloops
+from .structure import _maximal_members, _prime_factors, all_subloops
 
 ELEMENT_GUARD_DEFAULT = 10**6
 FRATTINI_ORACLE_GUARD = 512
@@ -422,11 +422,7 @@ def frattini_subgroup_oracle(G, guard=FRATTINI_ORACLE_GUARD):
         [index[(a * b).images] for b in elements] for a in elements
     ]
     cayley = CayleyLoop(table, name="cayley")
-    subs = all_subloops(cayley, lattice_guard=guard)
-    proper = [s for s in subs if not s.is_full]
-    maximal = [
-        s for s in proper if not any(s.elements < t.elements for t in proper)
-    ]
+    maximal = _maximal_members(all_subloops(cayley, lattice_guard=guard))
     if not maximal:
         return group_from_elements(G.degree, elements)
     common = set.intersection(*(set(s.members) for s in maximal))

@@ -1,4 +1,4 @@
-"""Check-result container shared by the verification bridges and the CLI."""
+"""Check-result container: one per check in a verify report, read by the CLI."""
 
 from dataclasses import dataclass, field
 from typing import Any, Optional

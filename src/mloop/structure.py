@@ -19,7 +19,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import CayleyLoop, quotient
+from .loop_core import CayleyLoop, _first_index, quotient
 from .perm_rows import blocks
 
 LATTICE_GUARD_DEFAULT = 128
@@ -188,7 +188,7 @@ def normality_witness(loop, h, k=None):
     h, k, bad = _escapes(loop, h, k)
     if not bad.any():
         return None
-    i, j, l = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    i, j, l = _first_index(bad)
     return (h.members[i], k.members[j], k.members[l])
 
 
@@ -245,6 +245,12 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(found.values())]
 
 
+def _maximal_members(subloops):
+    """The proper members of a subloop list not strictly inside another proper member."""
+    proper = [s for s in subloops if not s.is_full]
+    return [s for s in proper if not any(s.elements < t.elements for t in proper)]
+
+
 # -- distinguished subloops --------------------------------------------------
 
 
@@ -262,14 +268,10 @@ def center(loop):
 
 def associator_subloop(loop):
     """Subloop generated by all associators (a, b, c)."""
-    t = loop.table
-    ld = loop.ldiv_table()
-    values = set()
+    seen = np.zeros(loop.n, dtype=bool)
     for rows in blocks(loop.n, loop.n * loop.n):
-        a_bc = t[rows][:, t]
-        ab_c = t[t[rows], :]
-        values.update(int(v) for v in np.unique(ld[a_bc, ab_c]))
-    return generate_subloop(loop, values)
+        seen[loop._associator_rows(rows)] = True
+    return generate_subloop(loop, np.flatnonzero(seen))
 
 
 def cube_subloop(loop):

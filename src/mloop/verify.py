@@ -1,17 +1,20 @@
 """Named verification checks, suite registry, and report assembly.
 
 Each check computes its claim from scratch against the loop in the
-context (no frozen constants); the context only caches shared expensive
-artifacts (multiplication-group bundle, subloop lattice, fixpoint
-results) so a full-suite run stays within desk-scale budgets.  Reports
-are deterministic for a fixed loop and seed: checks run in registration
-order and all witnesses are built from sorted data.
+context (no frozen constants) and returns ``(ok, witness)``; the context
+only caches shared expensive artifacts (multiplication-group bundle,
+subloop lattice, distinguished subloops and subgroups, fixpoint
+results), each built once per loop, so a full-suite run stays within
+desk-scale budgets and ``mloop invariants`` reads the same values.
+Reports are deterministic for a fixed loop and seed: checks run in
+registration order and all witnesses are built from sorted data.
 """
 
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from . import mult_group as mg
 from . import perm_group as pg
 from . import structure as st
 from .errors import OrderOverflow
+from .loop_core import _first_index
 from .normalizer import NormalizerTrace
 from .normalizer import normalizer as _run_fixpoint
 from .reporting import CheckResult
@@ -30,62 +34,57 @@ GROUP_CHAIN_SAMPLES = 20
 
 
 class LoopContext:
-    """Shared lazily-computed artifacts for one loop."""
+    """Per-loop artifacts, each built on first use and then cached."""
 
     def __init__(self, loop, seed=0, lattice_guard=st.LATTICE_GUARD_DEFAULT):
         self.loop = loop
         self.seed = int(seed)
         self.lattice_guard = lattice_guard
-        self._bundle = None
-        self._lattice = None
-        self._series = None
-        self._center = None
-        self._derived = None
-        self._maximals = None
-        self._frattini = None
         self._traces: Dict[Tuple[int, ...], NormalizerTrace] = {}
 
-    @property
-    def bundle(self):
-        if self._bundle is None:
-            self._bundle = mg.multiplication_group(self.loop)
-        return self._bundle
-
-    @property
+    @cached_property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = st.all_subloops(self.loop, lattice_guard=self.lattice_guard)
-        return self._lattice
+        return st.all_subloops(self.loop, lattice_guard=self.lattice_guard)
 
-    @property
-    def series(self):
-        if self._series is None:
-            self._series = st.upper_central_series(self.loop)
-        return self._series
-
-    @property
+    @cached_property
     def center(self):
-        if self._center is None:
-            self._center = st.center(self.loop)
-        return self._center
+        return st.center(self.loop)
 
-    @property
+    @cached_property
     def derived(self):
-        if self._derived is None:
-            self._derived = st.associator_subloop(self.loop)
-        return self._derived
+        return st.associator_subloop(self.loop)
 
-    @property
+    @cached_property
+    def cubes(self):
+        return st.cube_subloop(self.loop)
+
+    @cached_property
+    def series(self):
+        return st.upper_central_series(self.loop)
+
+    @cached_property
     def maximals(self):
-        if self._maximals is None:
-            self._maximals = st.maximal_subloops(self.loop)
-        return self._maximals
+        return st.maximal_subloops(self.loop)
 
-    @property
+    @cached_property
     def frattini(self):
-        if self._frattini is None:
-            self._frattini = st.frattini_subloop(self.loop)
-        return self._frattini
+        return st.frattini_subloop(self.loop)
+
+    @cached_property
+    def bundle(self):
+        return mg.multiplication_group(self.loop)
+
+    @cached_property
+    def m_center(self):
+        return pg.center_of_group(self.bundle.M)
+
+    @cached_property
+    def m_derived(self):
+        return pg.derived_subgroup(self.bundle.M)
+
+    @cached_property
+    def m_frattini(self):
+        return pg.frattini_subgroup(self.bundle.M)
 
     def fixpoint_result(self, subloop):
         key = subloop.members
@@ -97,16 +96,9 @@ class LoopContext:
 # -- identity checks ---------------------------------------------------------
 
 
-def _first_index(bad):
-    """Lexicographically least True index of a boolean array."""
-    flat = int(np.argmax(bad))
-    return tuple(int(i) for i in np.unravel_index(flat, bad.shape))
-
-
 def _check_inner_mapping_identity(ctx):
     bad = ctx.loop.inner_identity_violation()
-    witness = None if bad is None else {"xyz": list(bad)}
-    return CheckResult("inner_mapping_identity", "pass" if bad is None else "fail", witness)
+    return bad is None, None if bad is None else {"xyz": list(bad)}
 
 
 def _check_associator_symmetries(ctx):
@@ -128,8 +120,7 @@ def _check_associator_symmetries(ctx):
     for label, bad in laws:
         if bad.any():
             failures[label] = list(_first_index(bad))
-    ok = not failures
-    return CheckResult("associator_symmetries", "pass" if ok else "fail", failures or None)
+    return not failures, failures or None
 
 
 def _check_product_expansion(ctx):
@@ -153,8 +144,7 @@ def _check_product_expansion(ctx):
             if first is None:
                 first = (x,) + _first_index(bad)
     ok = violations == 0
-    witness = None if ok else {"violations": violations, "first_xyuv": list(first)}
-    return CheckResult("product_associator_expansion", "pass" if ok else "fail", witness)
+    return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}
 
 
 # -- structural bridge checks ------------------------------------------------
@@ -172,43 +162,32 @@ def _check_lemma2(ctx):
         if not central[loop.power(x, 3)]:
             first = x
             break
-    cubes = st.cube_subloop(loop)
-    contained = all(c in ctx.center for c in cubes.members)
+    contained = all(c in ctx.center for c in ctx.cubes.members)
     ok = first is None and contained
-    witness = None if ok else {"element": first, "cube_order": cubes.size}
-    return CheckResult("lemma2_cubes_central", "pass" if ok else "fail", witness)
+    return ok, None if ok else {"element": first, "cube_order": ctx.cubes.size}
 
 
 def _check_lemma4(ctx):
     loop_ok = ctx.derived.elements <= ctx.frattini.elements
-    m = ctx.bundle.M
-    m_derived = pg.derived_subgroup(m)
-    m_frattini = pg.frattini_subgroup(m)
-    group_ok = set(m_derived.element_keys()) <= set(m_frattini.element_keys())
+    group_ok = ctx.m_derived.element_keys() <= ctx.m_frattini.element_keys()
     ok = loop_ok and group_ok
     witness = {
         "derived_order": ctx.derived.size,
         "frattini_order": ctx.frattini.size,
-        "m_derived_order": m_derived.order(),
-        "m_frattini_order": m_frattini.order(),
+        "m_derived_order": ctx.m_derived.order(),
+        "m_frattini_order": ctx.m_frattini.order(),
     }
     if not ok:
         witness["loop_ok"] = loop_ok
         witness["group_ok"] = group_ok
-    return CheckResult(
-        "lemma4_frattini_containments", "pass" if ok else "fail", witness
-    )
+    return ok, witness
 
 
 def _check_lemma6(ctx):
     loop_side = ctx.frattini.is_full
-    m = ctx.bundle.M
-    group_side = pg.frattini_subgroup(m).order() == m.order()
-    ok = loop_side == group_side
+    group_side = ctx.m_frattini.order() == ctx.bundle.M.order()
     witness = {"loop_frattini_is_whole": loop_side, "group_frattini_is_whole": group_side}
-    return CheckResult(
-        "lemma6_frattini_biconditional", "pass" if ok else "fail", witness
-    )
+    return loop_side == group_side, witness
 
 
 def _check_lemma7(ctx):
@@ -255,9 +234,7 @@ def _check_prop3(ctx):
     witness = {"pairs_checked": checked, "failures": failures}
     if first is not None:
         witness["first_failure"] = first
-    return CheckResult(
-        "prop3_normalizer_containments", "pass" if ok else "fail", witness
-    )
+    return ok, witness
 
 
 def _check_prop4(ctx):
@@ -300,7 +277,7 @@ def _check_prop4(ctx):
         "group_chain_max_steps": group_max,
         "group_chains_sampled": sampled,
     }
-    return CheckResult("prop4_chain_bounds", "pass" if ok else "fail", witness)
+    return ok, witness
 
 
 def _check_theorem2(ctx):
@@ -320,17 +297,12 @@ def _check_theorem2(ctx):
     witness = {"proper_subloops": len(sizes), "normalizer_sizes": sizes}
     if first is not None:
         witness["self_normalizing"] = first
-    return CheckResult(
-        "theorem2_normalizer_condition", "pass" if ok else "fail", witness
-    )
+    return ok, witness
 
 
 def _check_frattini(ctx):
     loop = ctx.loop
-    proper = [s for s in ctx.lattice if not s.is_full]
-    lattice_maximals = [
-        s for s in proper if not any(s.elements < t.elements for t in proper)
-    ]
+    lattice_maximals = st._maximal_members(ctx.lattice)
     maximals_ok = {s.elements for s in ctx.maximals} == {
         s.elements for s in lattice_maximals
     }
@@ -359,10 +331,8 @@ def _check_frattini(ctx):
     group_ok = True
     m = ctx.bundle.M
     if m.order() <= pg.FRATTINI_ORACLE_GUARD:
-        formula = pg.frattini_subgroup(m)
-        oracle = pg.frattini_subgroup_oracle(m)
-        group_ok = set(formula.element_keys()) == set(oracle.element_keys())
-        group_note = formula.order()
+        group_ok = ctx.m_frattini.element_keys() == pg.frattini_subgroup_oracle(m).element_keys()
+        group_note = ctx.m_frattini.order()
 
     ok = maximals_ok and frattini_ok and non_gen_ok and group_ok
     witness = {
@@ -377,7 +347,7 @@ def _check_frattini(ctx):
         witness["group_ok"] = group_ok
         if first_bad is not None:
             witness["element"] = first_bad
-    return CheckResult("frattini_agreement", "pass" if ok else "fail", witness)
+    return ok, witness
 
 
 def _check_divisible(ctx):
@@ -397,7 +367,7 @@ def _check_divisible(ctx):
     if not ok:
         witness["loop_ok"] = loop_ok
         witness["group_ok"] = group_ok
-    return CheckResult("divisible_degeneracy", "pass" if ok else "fail", witness)
+    return ok, witness
 
 
 # -- registry ----------------------------------------------------------------
@@ -419,21 +389,7 @@ CHECK_REGISTRY = (
     ("divisible_degeneracy", "divisible", _check_divisible),
 )
 
-SUITE_NAMES = (
-    "identities",
-    "lemma1",
-    "lemma2",
-    "lemma4",
-    "lemma6",
-    "lemma7",
-    "prop1",
-    "prop3",
-    "prop4",
-    "theorem2",
-    "frattini",
-    "divisible",
-    "all",
-)
+SUITE_NAMES = tuple(dict.fromkeys(suite for _, suite, _ in CHECK_REGISTRY)) + ("all",)
 
 _LATTICE_SUITES = {"prop3", "prop4", "theorem2", "frattini"}
 
@@ -475,8 +431,7 @@ def run_suite(loop, suite, seed=0, lattice_guard=st.LATTICE_GUARD_DEFAULT):
     )
     for name, _, fn in selected:
         start = time.perf_counter()
-        result = fn(ctx)
-        result.millis = int((time.perf_counter() - start) * 1000)
-        assert result.name == name, f"check {name} returned result named {result.name}"
-        report.checks.append(result)
+        ok, witness = fn(ctx)
+        millis = int((time.perf_counter() - start) * 1000)
+        report.checks.append(CheckResult(name, "pass" if ok else "fail", witness, millis))
     return report

@@ -114,17 +114,17 @@ def test_ac05_multiplication_group_bridges(capsys):
     t0 = time.perf_counter()
     bundle = multiplication_group(loop)
     order_ok = bundle.M.order() == loop.n * bundle.I.order() == 2187
-    results = [
-        verify_prop1(bundle),
-        verify_lemma7(bundle),
-        verify_lemma1(bundle, associator_subloop(loop)),
-    ]
+    results = {
+        "prop1": verify_prop1(bundle),
+        "lemma7": verify_lemma7(bundle),
+        "lemma1": verify_lemma1(bundle, associator_subloop(loop)),
+    }
     elapsed = time.perf_counter() - t0
-    ok = order_ok and all(r.passed for r in results) and elapsed < 60.0
+    ok = order_ok and all(passed for passed, _ in results.values()) and elapsed < 60.0
     verdict(capsys, "AC05 mult-group-bridges", ok, f"{elapsed:.1f} s")
     assert order_ok
-    for r in results:
-        assert r.passed, (r.name, r.witness)
+    for bridge, (passed, witness) in results.items():
+        assert passed, (bridge, witness)
     assert elapsed < 60.0
 
 

@@ -87,13 +87,13 @@ def test_invariants_rejects_noncml(tmp_path):
 def test_invariants_guards_fail_before_multiplication_group(monkeypatch, capsys):
     """A loop above the n^3-tensor limit of 300 is rejected by that guard
     before the first loop-side scan, and so before M(L) is built."""
-    from mloop import cli
+    from mloop import cli, mult_group
 
     def never(loop):
         raise AssertionError("an n^3 computation ran before the tensor guard")
 
     monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
-    monkeypatch.setattr(cli, "multiplication_group", never)
+    monkeypatch.setattr(mult_group, "multiplication_group", never)
     monkeypatch.setattr(cli.st, "center", never)
     assert cli.main(["invariants", "--gen", "abelian:301"]) == 2
     err = capsys.readouterr().err

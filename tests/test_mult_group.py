@@ -71,24 +71,22 @@ def test_mult_group_structure(z81_bundle):
 
 
 def test_lemma1_bridge(z81, z81_bundle, e27_bundle):
-    res = verify_lemma1(z81_bundle, associator_subloop(z81))
-    assert res.name == "lemma1_quotient_action"
-    assert res.passed, res.witness
-    assert verify_lemma1(e27_bundle, trivial_subloop(e27_bundle.loop)).passed
+    ok, witness = verify_lemma1(z81_bundle, associator_subloop(z81))
+    assert ok, witness
+    ok, witness = verify_lemma1(e27_bundle, trivial_subloop(e27_bundle.loop))
+    assert ok, witness
 
 
 def test_prop1_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
-        res = verify_prop1(bundle)
-        assert res.name == "prop1_center_correspondence"
-        assert res.passed, res.witness
+        ok, witness = verify_prop1(bundle)
+        assert ok, witness
 
 
 def test_lemma7_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
-        res = verify_lemma7(bundle)
-        assert res.name == "lemma7_derived_four_way"
-        assert res.passed, res.witness
+        ok, witness = verify_lemma7(bundle)
+        assert ok, witness
 
 
 def test_requires_commutativity(s3_loop):

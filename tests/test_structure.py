@@ -12,7 +12,13 @@ from mloop.errors import (
     OrderOverflow,
     ParseError,
 )
-from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81, quotient
+from mloop.loop_core import (
+    CayleyLoop,
+    direct_product,
+    gen_abelian,
+    gen_zassenhaus81,
+    quotient,
+)
 from mloop.structure import (
     Subloop,
     all_subloops,
@@ -194,6 +200,20 @@ def test_corrupted_associator_fails_the_certificate():
     (check,) = [c for c in run_suite(loop, "identities").checks
                 if c.name == "inner_mapping_identity"]
     assert (check.status, check.witness) == ("fail", {"xyz": [75, 9, 27]})
+
+
+def test_certificate_streams_inner_map_rows(monkeypatch):
+    """The certificate compares inner-map rows block by block, so deciding
+    normality on a fresh loop never builds the n^3 inner-mapping tensor."""
+
+    def never(self):
+        raise AssertionError("the inner-mapping tensor was built")
+
+    monkeypatch.setattr(CayleyLoop, "inner_mapping_table", never)
+    loop = gen_zassenhaus81()
+    assert is_normal(loop, center(loop))
+    assert not is_normal(loop, generate_subloop(loop, [27]))
+    assert loop.inner_identity_violation() is None
 
 
 def test_is_normal_matches_inner_mapping_definition(z81, z81_lattice):

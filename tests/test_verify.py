@@ -1,8 +1,30 @@
+import json
+
 import pytest
 
+from conftest import run_cli
+
+from mloop import perm_group as pg
 from mloop.errors import OrderOverflow
-from mloop.loop_core import direct_product, gen_abelian
+from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, run_suite
+
+
+@pytest.fixture(scope="module")
+def z81_all():
+    """The full-suite report of a fresh z81, seed 0, and how many times it
+    called ``perm_group.frattini_subgroup``."""
+    calls = []
+    real = pg.frattini_subgroup
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg, "frattini_subgroup", counted)
+        report = run_suite(gen_zassenhaus81(), "all", seed=0)
+    return report, len(calls)
 
 
 def test_registry_shape():
@@ -53,9 +75,39 @@ def test_lattice_suites_respect_guard(z81):
     assert run_suite(big, "lemma2").all_passed
 
 
-def test_all_runs_each_check_once(z81):
-    report = run_suite(z81, "all", seed=0)
+def test_all_runs_each_check_once(z81_all):
+    report, _ = z81_all
     assert [c.name for c in report.checks] == [name for name, _, _ in CHECK_REGISTRY]
     statuses = {c.name: c.status for c in report.checks}
     assert statuses.pop("prop3_normalizer_containments") == "fail"
     assert set(statuses.values()) == {"pass"}
+
+
+def test_all_builds_the_group_frattini_subgroup_once(z81_all):
+    # lemma4 and lemma6 read one cached Phi(M) (frattini_agreement skips the
+    # group side at |M| = 2187, above the exhaustive oracle's guard)
+    _, frattini_calls = z81_all
+    assert frattini_calls == 1
+
+
+def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
+    """`mloop invariants` and the verify checks read one artifact context,
+    so every invariant a check reports is the same number."""
+    report, _ = z81_all
+    suite_of = {name: suite for name, suite, _ in CHECK_REGISTRY}
+    witness = {suite_of[c.name]: c.witness for c in report.checks}
+    out = tmp_path / "invariants.json"
+    res = run_cli("invariants", "--gen", "zassenhaus81", "--json", str(out))
+    assert res.returncode == 0, res.stderr
+    values = json.loads(out.read_text())["invariants"]
+    pairs = {
+        "center_order": witness["prop1"]["loop_center_order"],
+        "derived_order": witness["lemma4"]["derived_order"],
+        "frattini_order": witness["lemma4"]["frattini_order"],
+        "nilpotency_class": witness["prop4"]["nilpotency_class"],
+        "mult_group_order": witness["lemma1"]["m_order"],
+        "mult_center_order": witness["prop1"]["group_center_order"],
+        "mult_derived_order": witness["lemma4"]["m_derived_order"],
+        "mult_frattini_order": witness["lemma4"]["m_frattini_order"],
+    }
+    assert {key: values[key] for key in pairs} == pairs
