@@ -7,7 +7,6 @@ that I is the full stabilizer of the identity point.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from .perm_group import (
 from .perm_rows import compose, fresh, row_set
 from .structure import (
     Subloop,
-    associator_subloop,
-    center,
     coerce_subloop,
     is_normal,
     normality_witness,
@@ -42,7 +39,6 @@ class MultGroupBundle:
     loop: CayleyLoop
     M: PermGroup
     I: PermGroup
-    translations: Tuple[Permutation, ...]
 
 
 def multiplication_group(loop):
@@ -51,7 +47,6 @@ def multiplication_group(loop):
             f"{loop.name} is not commutative; only L-translations are generated here"
         )
     n, t, ld = loop.n, loop.table, loop.ldiv_table()
-    trans = tuple(translation(loop, x) for x in range(n))
     M = PermGroup(n, t)
     # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)]
     seen = set()
@@ -61,7 +56,7 @@ def multiplication_group(loop):
         "inner mapping group is not the full point-0 stabilizer: "
         f"{M.order()} != {n} * {I.order()}"
     )
-    return MultGroupBundle(loop=loop, M=M, I=I, translations=trans)
+    return MultGroupBundle(loop=loop, M=M, I=I)
 
 
 def h_star(bundle, H):
@@ -126,10 +121,10 @@ def verify_lemma1(bundle, H):
     return ok, witness
 
 
-def verify_prop1(bundle):
-    """Z(M) coincides with the translations by central loop elements."""
+def verify_prop1(bundle, center):
+    """Z(M) coincides with the translations by the loop's center Z(L)."""
     loop = bundle.loop
-    zl = center(loop)
+    zl = coerce_subloop(loop, center)
     zm = center_of_group(bundle.M)
     t = loop.table
     zs = np.array(zl.members)
@@ -146,11 +141,11 @@ def verify_prop1(bundle):
     return ok, witness
 
 
-def verify_lemma7(bundle):
-    """Four descriptions of M' must coincide setwise."""
+def verify_lemma7(bundle, lprime):
+    """Four descriptions of M' must coincide setwise; lprime is the loop's L'."""
     loop = bundle.loop
     derived = derived_subgroup(bundle.M)
-    lprime = associator_subloop(loop)
+    lprime = coerce_subloop(loop, lprime)
     joined = PermGroup(
         loop.n, np.concatenate([bundle.I.gen_array, loop.table[list(lprime.members)]])
     )

@@ -87,8 +87,9 @@ def normalizer(loop, k, h):
     )
 
 
-def maximality_gaps(loop, k, h, trace=None):
-    """Elements x in K outside the fixpoint result with H still normal in <H, x>.
+def maximality_gaps(loop, k, h, trace):
+    """Elements x in K outside the result of trace = normalizer(loop, k, h)
+    with H still normal in <H, x>.
 
     An empty list certifies the maximality contrapositive for this input;
     a nonempty list is a counterexample to reading the fixpoint as "the"
@@ -96,8 +97,6 @@ def maximality_gaps(loop, k, h, trace=None):
     """
     h, k, bad = _escapes(loop, h, k)
     pairs = ~bad.any(axis=0)
-    if trace is None:
-        trace = normalizer(loop, k, h)
     gaps = []
     for x in k.members:
         if x not in trace.result:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
 from .loop_core import CayleyLoop, _index_dtype
 from .perm_rows import blocks, compose, fresh, inverse, power, row_set
-from .structure import _maximal_members, _prime_factors, all_subloops
+from .structure import _maximal_members, _meet, _prime_factors, all_subloops
 
 ELEMENT_GUARD_DEFAULT = 10**6
 FRATTINI_ORACLE_GUARD = 512
@@ -160,6 +160,7 @@ class PermGroup:
         self.chain = self._build_chain()
         self._elements = None
         self._reduced = None
+        self._derived = None
 
     @property
     def generators(self):
@@ -231,10 +232,10 @@ class PermGroup:
 
     __contains__ = contains
 
-    def element_array(self, element_guard=ELEMENT_GUARD_DEFAULT):
+    def element_array(self):
         """All elements as a read-only (order, degree) array, identity first."""
-        if self.order() > element_guard:
-            raise OrderOverflow("element", element_guard, self.order())
+        if self.order() > ELEMENT_GUARD_DEFAULT:
+            raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, self.order())
         if self._elements is None:
             elems = np.arange(self.degree, dtype=self.gen_array.dtype)[None]
             for level in reversed(self.chain):
@@ -243,8 +244,8 @@ class PermGroup:
             self._elements = elems
         return self._elements
 
-    def enumerate_elements(self, element_guard=ELEMENT_GUARD_DEFAULT):
-        return _perms(self.element_array(element_guard))
+    def enumerate_elements(self):
+        return _perms(self.element_array())
 
     def element_keys(self):
         """Frozenset of image tuples, for set comparisons of groups."""
@@ -302,7 +303,7 @@ def group_from_elements(degree, elements):
     return _extend(PermGroup(degree), _rows(degree, elements))
 
 
-def closure_elements(degree, gens, element_guard=ELEMENT_GUARD_DEFAULT):
+def closure_elements(degree, gens):
     """Brute-force closure enumeration, independent of the chain machinery."""
     identity = Permutation.identity(degree)
     found = {identity.images: identity}
@@ -313,8 +314,8 @@ def closure_elements(degree, gens, element_guard=ELEMENT_GUARD_DEFAULT):
             for g in gens:
                 q = g * p
                 if q.images not in found:
-                    if len(found) >= element_guard:
-                        raise OrderOverflow("element", element_guard, len(found) + 1)
+                    if len(found) >= ELEMENT_GUARD_DEFAULT:
+                        raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, len(found) + 1)
                     found[q.images] = q
                     nxt.append(q)
         frontier = nxt
@@ -324,9 +325,9 @@ def closure_elements(degree, gens, element_guard=ELEMENT_GUARD_DEFAULT):
 # -- distinguished subgroups -------------------------------------------------
 
 
-def _lifts(G, N, element_guard):
+def _lifts(G, N):
     """Mask of the p in G with p^-1 g^-1 p g in N for every reduced generator g."""
-    elements = G.element_array(element_guard)
+    elements = G.element_array()
     inverses = inverse(elements)
     gens = _reduced_rows(G)
     mask = np.ones(len(elements), dtype=bool)
@@ -337,10 +338,10 @@ def _lifts(G, N, element_guard):
     return mask
 
 
-def center_of_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
+def center_of_group(G):
     """Elements commuting with every generator (hence with everything)."""
-    central = _lifts(G, PermGroup(G.degree), element_guard)
-    return group_from_elements(G.degree, G.element_array(element_guard)[central])
+    central = _lifts(G, PermGroup(G.degree))
+    return group_from_elements(G.degree, G.element_array()[central])
 
 
 def normal_closure(G, seeds):
@@ -357,20 +358,22 @@ def normal_closure(G, seeds):
 
 
 def derived_subgroup(G):
-    """Normal closure of the commutators of a generating set."""
-    gens = _reduced_rows(G)
-    inv = inverse(gens)
-    a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
-    comms = compose(compose(inv[a], inv[b]), compose(gens[a], gens[b]))
-    return normal_closure(G, comms)
+    """Normal closure of the commutators of a generating set (built once per G)."""
+    if G._derived is None:
+        gens = _reduced_rows(G)
+        inv = inverse(gens)
+        a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
+        comms = compose(compose(inv[a], inv[b]), compose(gens[a], gens[b]))
+        G._derived = normal_closure(G, comms)
+    return G._derived
 
 
-def upper_central_series_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
+def upper_central_series_group(G):
     """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
-    elements = G.element_array(element_guard)
+    elements = G.element_array()
     terms = [PermGroup(G.degree)]
     while True:
-        nxt = group_from_elements(G.degree, elements[_lifts(G, terms[-1], element_guard)])
+        nxt = group_from_elements(G.degree, elements[_lifts(G, terms[-1])])
         if nxt.order() == terms[-1].order():
             break
         terms.append(nxt)
@@ -379,12 +382,12 @@ def upper_central_series_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
     return terms
 
 
-def is_nilpotent_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
-    series = upper_central_series_group(G, element_guard)
+def is_nilpotent_group(G):
+    series = upper_central_series_group(G)
     return series[-1].order() == G.order()
 
 
-def frattini_subgroup(G, element_guard=ELEMENT_GUARD_DEFAULT):
+def frattini_subgroup(G):
     """Frattini subgroup of a finite nilpotent group.
 
     For nilpotent G the maximal subgroups are exactly the index-p
@@ -392,13 +395,13 @@ def frattini_subgroup(G, element_guard=ELEMENT_GUARD_DEFAULT):
     primes p | order(G) of G' * <g^p : g in G>.  (The intersection over
     primes matters as soon as the order is not a prime power.)
     """
-    if not is_nilpotent_group(G, element_guard):
+    if not is_nilpotent_group(G):
         raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
     order = G.order()
     if order == 1:
         return PermGroup(G.degree)
     derived = derived_subgroup(G)
-    elements = G.element_array(element_guard)
+    elements = G.element_array()
     inside = np.ones(len(elements), dtype=bool)
     for p in _prime_factors(order):
         gens = np.concatenate([derived.gen_array, power(elements, p)])
@@ -406,15 +409,15 @@ def frattini_subgroup(G, element_guard=ELEMENT_GUARD_DEFAULT):
     return group_from_elements(G.degree, elements[inside])
 
 
-def frattini_subgroup_oracle(G, guard=FRATTINI_ORACLE_GUARD):
+def frattini_subgroup_oracle(G):
     """Intersection of maximal subgroups, by exhaustive subgroup search.
 
     The group's own Cayley table is a (Latin, associative) loop table, so
     the subloop-lattice machinery enumerates exactly the subgroups.
     """
     order = G.order()
-    if order > guard:
-        raise OrderOverflow("frattini-oracle", guard, order)
+    if order > FRATTINI_ORACLE_GUARD:
+        raise OrderOverflow("frattini-oracle", FRATTINI_ORACLE_GUARD, order)
     elements = G.enumerate_elements()
     index = {p.images: i for i, p in enumerate(elements)}
     assert index[Permutation.identity(G.degree).images] == 0
@@ -422,18 +425,16 @@ def frattini_subgroup_oracle(G, guard=FRATTINI_ORACLE_GUARD):
         [index[(a * b).images] for b in elements] for a in elements
     ]
     cayley = CayleyLoop(table, name="cayley")
-    maximal = _maximal_members(all_subloops(cayley, lattice_guard=guard))
-    if not maximal:
-        return group_from_elements(G.degree, elements)
-    common = set.intersection(*(set(s.members) for s in maximal))
-    return group_from_elements(G.degree, [elements[i] for i in sorted(common)])
+    lattice = all_subloops(cayley, lattice_guard=FRATTINI_ORACLE_GUARD)
+    common = _meet(cayley, _maximal_members(lattice))
+    return group_from_elements(G.degree, [elements[i] for i in common.members])
 
 
-def normalizer_of_subgroup(G, H, element_guard=ELEMENT_GUARD_DEFAULT):
+def normalizer_of_subgroup(G, H):
     """{g in G : g^-1 H g = H} over enumerated elements of G."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not contained in G (generator sift failed)")
-    elements = G.element_array(element_guard)
+    elements = G.element_array()
     inverses = inverse(elements)
     keep = np.ones(len(elements), dtype=bool)
     for h in H.gen_array:
@@ -442,13 +443,13 @@ def normalizer_of_subgroup(G, H, element_guard=ELEMENT_GUARD_DEFAULT):
     return group_from_elements(G.degree, elements[keep])
 
 
-def is_divisible_group(G, element_guard=ELEMENT_GUARD_DEFAULT):
+def is_divisible_group(G):
     """Finite specialization: p-power maps are onto only in the trivial group.
 
     The primes dividing the exponent are those dividing the order (Cauchy).
     """
     order = G.order()
-    elements = G.element_array(element_guard)
+    elements = G.element_array()
     primes = _prime_factors(order)
     divisible = all(len(fresh(power(elements, p), set())) == order for p in primes)
     assert divisible == (order == 1), "finite divisible group must be trivial"

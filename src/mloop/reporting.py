@@ -7,7 +7,7 @@ from typing import Any, Optional
 @dataclass
 class CheckResult:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     witness: Optional[Any] = None
     millis: int = 0
 

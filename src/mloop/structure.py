@@ -326,9 +326,11 @@ def maximal_subloops(loop):
     dividing |A|, found by linear algebra over GF(p).
     """
     _require_cml(loop)
-    if loop.n == 1:
-        return []
-    derived = associator_subloop(loop)
+    return _maximal_over(loop, associator_subloop(loop))
+
+
+def _maximal_over(loop, derived):
+    """maximal_subloops, given the associator subloop L' of the loop."""
     quot, proj = quotient(loop, derived)
     proj_arr = np.array(proj, dtype=np.int64)
     out = []
@@ -400,12 +402,14 @@ def _hyperplanes(vec, p):
 
 def frattini_subloop(loop):
     """Intersection of all maximal subloops (the whole loop if none exist)."""
-    maxima = maximal_subloops(loop)
-    if not maxima:
-        return full_subloop(loop)
-    mask = maxima[0].mask().copy()
-    for m in maxima[1:]:
-        mask &= m.mask()
+    return _meet(loop, maximal_subloops(loop))
+
+
+def _meet(loop, subloops):
+    """Intersection of a list of subloops of the loop; the whole loop if empty."""
+    mask = np.ones(loop.n, dtype=bool)
+    for s in subloops:
+        mask &= s.mask()
     return Subloop(loop, np.flatnonzero(mask))
 
 

@@ -64,11 +64,11 @@ class LoopContext:
 
     @cached_property
     def maximals(self):
-        return st.maximal_subloops(self.loop)
+        return st._maximal_over(self.loop, self.derived)
 
     @cached_property
     def frattini(self):
-        return st.frattini_subloop(self.loop)
+        return st._meet(self.loop, self.maximals)
 
     @cached_property
     def bundle(self):
@@ -191,11 +191,11 @@ def _check_lemma6(ctx):
 
 
 def _check_lemma7(ctx):
-    return mg.verify_lemma7(ctx.bundle)
+    return mg.verify_lemma7(ctx.bundle, ctx.derived)
 
 
 def _check_prop1(ctx):
-    return mg.verify_prop1(ctx.bundle)
+    return mg.verify_prop1(ctx.bundle, ctx.center)
 
 
 def _check_prop3(ctx):
@@ -306,11 +306,7 @@ def _check_frattini(ctx):
     maximals_ok = {s.elements for s in ctx.maximals} == {
         s.elements for s in lattice_maximals
     }
-    if lattice_maximals:
-        common = frozenset.intersection(*(s.elements for s in lattice_maximals))
-    else:
-        common = set(range(loop.n))
-    frattini_ok = ctx.frattini.elements == common
+    frattini_ok = ctx.frattini == st._meet(loop, lattice_maximals)
 
     non_gen_ok = True
     first_bad = None

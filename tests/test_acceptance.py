@@ -115,8 +115,8 @@ def test_ac05_multiplication_group_bridges(capsys):
     bundle = multiplication_group(loop)
     order_ok = bundle.M.order() == loop.n * bundle.I.order() == 2187
     results = {
-        "prop1": verify_prop1(bundle),
-        "lemma7": verify_lemma7(bundle),
+        "prop1": verify_prop1(bundle, center(loop)),
+        "lemma7": verify_lemma7(bundle, associator_subloop(loop)),
         "lemma1": verify_lemma1(bundle, associator_subloop(loop)),
     }
     elapsed = time.perf_counter() - t0

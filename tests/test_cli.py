@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +262,14 @@ def test_bad_suite_name():
 def test_bad_subloop_indices():
     res = run_cli("normalizer", "--gen", "abelian:9", "--subloop", "3,x")
     assert res.returncode == 2
+
+
+def test_readme_cli_examples_match_the_cli():
+    """Each ``$ mloop ...`` block of README.md is the command's exact stdout."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n\$ mloop ([^\n]*)\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 4
+    millis = re.compile(r"\(\d+ ms\)")
+    for command, body in blocks:
+        res = run_cli(*shlex.split(command))
+        assert millis.sub("(N ms)", res.stdout) == millis.sub("(N ms)", body), command

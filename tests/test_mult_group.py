@@ -18,7 +18,7 @@ from mloop.perm_group import (
     frattini_subgroup,
     upper_central_series_group,
 )
-from mloop.structure import associator_subloop, generate_subloop, trivial_subloop
+from mloop.structure import associator_subloop, center, generate_subloop, trivial_subloop
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +79,13 @@ def test_lemma1_bridge(z81, z81_bundle, e27_bundle):
 
 def test_prop1_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
-        ok, witness = verify_prop1(bundle)
+        ok, witness = verify_prop1(bundle, center(bundle.loop))
         assert ok, witness
 
 
 def test_lemma7_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
-        ok, witness = verify_lemma7(bundle)
+        ok, witness = verify_lemma7(bundle, associator_subloop(bundle.loop))
         assert ok, witness
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mloop import perm_group as pg
 from mloop.errors import DegreeMismatch, NotNilpotent, OrderOverflow
 from mloop.perm_group import (
     PermGroup,
@@ -140,9 +141,10 @@ def test_divisible_group():
     assert not is_divisible_group(cyclic(4))
 
 
-def test_element_guard():
+def test_element_guard(monkeypatch):
+    monkeypatch.setattr(pg, "ELEMENT_GUARD_DEFAULT", 5)
     with pytest.raises(OrderOverflow):
-        s3().enumerate_elements(element_guard=5)
+        s3().enumerate_elements()
 
 
 def digest(perms):

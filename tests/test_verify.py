@@ -1,30 +1,66 @@
 import json
+import sys
 
 import pytest
 
 from conftest import run_cli
 
+from mloop import cli
 from mloop import perm_group as pg
+from mloop import structure as st
 from mloop.errors import OrderOverflow
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, run_suite
 
+# The builders of the shared artifacts: L', the maximal subloops, Z(L),
+# M' (the normal closure inside derived_subgroup) and Phi(M).
+BUILDERS = (
+    (st, "associator_subloop"),
+    (st, "_maximal_over"),
+    (st, "center"),
+    (pg, "normal_closure"),
+    (pg, "frattini_subgroup"),
+)
+
+
+def count_builds(mp):
+    """Wrap each builder in every ``mloop.*`` namespace that holds it.
+
+    Returns ``{name: count}``, filled as the builders run.  Loop-side
+    builders count only calls on zassenhaus81 itself, not on its
+    quotients; ``normal_closure`` counts only calls from inside
+    ``perm_group``, where it builds a derived subgroup.
+    """
+    counts = dict.fromkeys([name for _, name in BUILDERS], 0)
+
+    def wrap(real, name):
+        def counted(*args, **kwargs):
+            on_z81 = getattr(args[0], "name", "zassenhaus81") == "zassenhaus81"
+            caller = sys._getframe(1).f_globals["__name__"]
+            if on_z81 and (name != "normal_closure" or caller == pg.__name__):
+                counts[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for owner, name in BUILDERS:
+        real = getattr(owner, name)
+        counted = wrap(real, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "mloop":
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        mp.setattr(mod, attr, counted)
+    return counts
+
 
 @pytest.fixture(scope="module")
 def z81_all():
-    """The full-suite report of a fresh z81, seed 0, and how many times it
-    called ``perm_group.frattini_subgroup``."""
-    calls = []
-    real = pg.frattini_subgroup
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
+    """The full-suite report of a fresh z81, seed 0, and the build counts."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pg, "frattini_subgroup", counted)
+        counts = count_builds(mp)
         report = run_suite(gen_zassenhaus81(), "all", seed=0)
-    return report, len(calls)
+    return report, counts
 
 
 def test_registry_shape():
@@ -86,8 +122,23 @@ def test_all_runs_each_check_once(z81_all):
 def test_all_builds_the_group_frattini_subgroup_once(z81_all):
     # lemma4 and lemma6 read one cached Phi(M) (frattini_agreement skips the
     # group side at |M| = 2187, above the exhaustive oracle's guard)
-    _, frattini_calls = z81_all
-    assert frattini_calls == 1
+    _, counts = z81_all
+    assert counts["frattini_subgroup"] == 1
+
+
+def test_all_builds_each_artifact_once(z81_all):
+    # the maxima come from the context's L', Phi(L) from its maxima, and the
+    # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
+    # on M for m_derived, frattini_subgroup and the lemma7 bridge
+    _, counts = z81_all
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
+    counts = count_builds(monkeypatch)
+    assert cli.main(["invariants", "--gen", "zassenhaus81"]) == 0
+    assert "derived_order:       3" in capsys.readouterr().out
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
