@@ -1,6 +1,7 @@
 """Command-line front end: check, invariants, normalizer, verify."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,10 +19,6 @@ from .normalizer import normalizer, normalizer_oracle
 from .verify import SUITE_NAMES, LoopContext, run_suite
 
 ENV_MAX_ORDER = "MLOOP_MAX_ORDER"
-
-
-def _bool(v):
-    return "true" if v else "false"
 
 
 def _effective_max_order(args):
@@ -102,30 +99,23 @@ def _header(loop):
     return f"loop: {loop.name} (order {loop.n})"
 
 
+def _print_fields(loop, values):
+    """The loop header, then one ``key: value`` line per field, values aligned."""
+    print(_header(loop))
+    width = max(len(k) for k in values) + 1
+    for key, val in values.items():
+        if isinstance(val, bool):
+            val = "true" if val else "false"
+        print(f"{key + ':':<{width}} {val}")
+
+
 def cmd_check(args):
     loop, _ = _load_loop(args)
-    diag = loop.diagnostics()
-    print(_header(loop))
-    print(f"is_latin:        {_bool(diag.is_latin)}")
-    print(f"has_identity:    {_bool(diag.has_identity)}")
-    print(f"is_commutative:  {_bool(diag.is_commutative)}")
-    print(f"is_cml:          {_bool(diag.is_cml)}")
-    print(f"is_associative:  {_bool(diag.is_associative)}")
-    fv = diag.first_violation
-    print(f"first_violation: {fv if fv is None else tuple(fv)}")
+    values = dataclasses.asdict(loop.diagnostics())
+    _print_fields(loop, values)
     if args.json:
-        _write_json(args.json, {
-            "loop": {"name": loop.name, "order": loop.n},
-            "diagnostics": {
-                "is_latin": diag.is_latin,
-                "has_identity": diag.has_identity,
-                "is_commutative": diag.is_commutative,
-                "is_cml": diag.is_cml,
-                "is_associative": diag.is_associative,
-                "first_violation": None if fv is None else list(fv),
-            },
-        })
-    return 0 if diag.is_cml else 1
+        _write_json(args.json, {"loop": {"name": loop.name, "order": loop.n}, "diagnostics": values})
+    return 0 if values["is_cml"] else 1
 
 
 def cmd_invariants(args):
@@ -148,10 +138,7 @@ def cmd_invariants(args):
         "mult_derived_order": ctx.m_derived.order(),
         "mult_frattini_order": ctx.m_frattini.order(),
     }
-    print(_header(loop))
-    width = max(len(k) for k in values)
-    for key, val in values.items():
-        print(f"{key + ':':<{width + 1}} {val}")
+    _print_fields(loop, values)
     if args.json:
         _write_json(args.json, {"loop": {"name": loop.name, "order": loop.n}, "invariants": values})
     return 0

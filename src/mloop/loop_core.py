@@ -7,7 +7,7 @@ numpy and chunked so that order-1024 tables stay within memory.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -67,18 +67,13 @@ class CayleyLoop:
     """
 
     def __init__(self, table, name=None):
-        arr = np.asarray(table)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise BadDimension(f"expected a non-empty square table, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ParseError("table entries must be integers")
+        arr = _raw_table(table)
         n = arr.shape[0]
-        if arr.min() < 0 or arr.max() >= n:
-            bad = arr.min() if arr.min() < 0 else arr.max()
-            raise ParseError(f"value {bad} out of range 0..{n - 1}")
         arr = arr.astype(_index_dtype(n))
-        _check_latin(arr)
-        if not (np.array_equal(arr[0], np.arange(n)) and np.array_equal(arr[:, 0], np.arange(n))):
+        violation = _latin_violation(arr)
+        if violation is not None:
+            raise NotLatinSquare(*violation)
+        if not _has_identity(arr):
             raise NoIdentity("element 0 is not a two-sided identity")
         arr.setflags(write=False)
         self.table = arr
@@ -287,18 +282,6 @@ class LoopElement:
         return f"<{self.index} in {self.loop.name}>"
 
 
-def mul(a, b):
-    return a * b
-
-
-def inv(a):
-    return a.inv()
-
-
-def power(a, k):
-    return a ** k
-
-
 def associator(a, b, c):
     b = a._join(b)
     c = a._join(c)
@@ -308,7 +291,22 @@ def associator(a, b, c):
 # -- validation and diagnostics ---------------------------------------------
 
 
-def _check_latin(arr):
+def _raw_table(table):
+    """The table as an array, checked to be non-empty, square, integer and in range."""
+    arr = np.asarray(table)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise BadDimension(f"expected a non-empty square table, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ParseError("table entries must be integers")
+    n = arr.shape[0]
+    if arr.min() < 0 or arr.max() >= n:
+        bad = arr.min() if arr.min() < 0 else arr.max()
+        raise ParseError(f"value {bad} out of range 0..{n - 1}")
+    return arr
+
+
+def _latin_violation(arr):
+    """(axis, index, repeated value) of the first non-Latin row or column, or None."""
     n = arr.shape[0]
     ref = np.arange(n)
     for axis, mat in (("row", arr), ("col", arr.T)):
@@ -316,8 +314,13 @@ def _check_latin(arr):
         if not ok.all():
             idx = int(np.argmin(ok))
             counts = np.bincount(np.asarray(mat[idx], dtype=np.int64), minlength=n)
-            value = int(np.argmax(counts > 1))
-            raise NotLatinSquare(axis, idx, value)
+            return axis, idx, int(np.argmax(counts > 1))
+    return None
+
+
+def _has_identity(arr):
+    ref = np.arange(arr.shape[0])
+    return bool(np.array_equal(arr[0], ref) and np.array_equal(arr[:, 0], ref))
 
 
 def diagnose(loop_or_table):
@@ -329,20 +332,12 @@ def diagnose(loop_or_table):
     if isinstance(loop_or_table, CayleyLoop):
         t = loop_or_table.table
     else:
-        t = np.asarray(loop_or_table)
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
-            raise BadDimension(f"expected a non-empty square table, got shape {t.shape}")
-        if not np.issubdtype(t.dtype, np.integer):
-            raise ParseError("table entries must be integers")
-        if t.min() < 0 or t.max() >= t.shape[0]:
-            raise ParseError("table entry out of range")
+        t = _raw_table(loop_or_table)
     n = t.shape[0]
     ref = np.arange(n)
 
-    is_latin = bool(
-        (np.sort(t, axis=1) == ref).all() and (np.sort(t, axis=0) == ref[:, None]).all()
-    )
-    has_identity = bool(np.array_equal(t[0], ref) and np.array_equal(t[:, 0], ref))
+    is_latin = _latin_violation(t) is None
+    has_identity = _has_identity(t)
     is_commutative = bool(np.array_equal(t, t.T))
 
     sq = t[ref, ref]
@@ -486,7 +481,8 @@ def direct_product(a, b, max_order=None, name=None):
 def quotient(loop, subloop):
     """Quotient loop by a normal subloop, with the coset projection.
 
-    Returns (Q, proj) where proj[x] is the index in Q of the coset of x.
+    Returns (Q, proj) where proj is a read-only index array in the table's
+    dtype and proj[x] is the index in Q of the coset of x.
     Coset representatives are the least member of each coset and the
     identity coset always lands at index 0.
     """
@@ -506,4 +502,6 @@ def quotient(loop, subloop):
     reps = np.array(reps, dtype=np.int64)
     qtable = cos[np.asarray(t[np.ix_(reps, reps)], dtype=np.int64)]
     q = CayleyLoop(qtable, name=f"{loop.name}/{len(members)}")
-    return q, tuple(int(c) for c in cos)
+    proj = cos.astype(t.dtype)
+    proj.setflags(write=False)
+    return q, proj

@@ -66,9 +66,8 @@ def h_star(bundle, H):
     if not is_normal(loop, H):
         raise NotNormal(normality_witness(loop, H))
     _, proj = quotient(loop, H)
-    proj = np.array([proj], dtype=loop.table.dtype)
     elements = bundle.M.element_array()
-    keep = (compose(proj, elements) == proj).all(axis=1)
+    keep = (compose(proj[None], elements) == proj).all(axis=1)
     return group_from_elements(loop.n, elements[keep])
 
 
@@ -100,10 +99,9 @@ def verify_lemma1(bundle, H):
 
     # coset[a, i] is the coset of a(i); a permutes cosets iff coset[a] is constant on each
     elements = bundle.M.element_array()
-    proj = np.array([proj], dtype=loop.table.dtype)
-    coset = compose(proj, elements)
+    coset = compose(proj[None], elements)
     induced = coset[:, np.unique(proj, return_index=True)[1]]
-    blocks_ok = bool((coset == induced[:, proj[0]]).all())
+    blocks_ok = bool((coset == induced[:, proj]).all())
     onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
     kernel = elements[(induced == np.arange(q.n)).all(axis=1)]
     kernel_ok = blocks_ok and row_set(kernel) == star.element_keys()

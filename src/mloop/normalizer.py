@@ -16,7 +16,7 @@ up on concrete loops.
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .structure import (
     join,
     trivial_subloop,
 )
+
+ORACLE_SEEDS = (0, 1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,8 @@ def maximality_gaps(loop, k, h, trace):
     return gaps
 
 
-def normalizer_oracle(loop, k, h, seeds=(0, 1, 2, 3, 4)):
-    """Greedy saturation from H, repeated over seeded addition orders.
+def normalizer_oracle(loop, k, h):
+    """Greedy saturation from H, repeated over the addition orders of ORACLE_SEEDS.
 
     Every run must land on the same subloop; a disagreement (two runs
     saturating at different subloops) is raised rather than averaged,
@@ -117,7 +119,7 @@ def normalizer_oracle(loop, k, h, seeds=(0, 1, 2, 3, 4)):
     h, k, bad = _escapes(loop, h, k)
     pairs = ~bad.any(axis=0)
     outcome = None
-    for seed in seeds:
+    for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
         s = h
         changed = True
@@ -152,11 +154,10 @@ def normalizer_condition(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     return True, None
 
 
-def normalizer_chain(loop, h, max_steps=None):
-    """H, N(H), N(N(H)), ... until the whole loop; stalling is an error."""
+def normalizer_chain(loop, h):
+    """H, N(H), N(N(H)), ... until the whole loop; each step grows or raises ChainStalled."""
     h = coerce_subloop(loop, h)
     chain = [h]
-    cap = max_steps if max_steps is not None else loop.n + 1
     while not chain[-1].is_full:
         result = normalizer(loop, None, chain[-1]).result
         if result.elements == chain[-1].elements:
@@ -165,8 +166,6 @@ def normalizer_chain(loop, h, max_steps=None):
                 f"(subloop {result.serialize()})"
             )
         chain.append(result)
-        if len(chain) > cap:
-            raise ChainStalled(f"normalizer chain exceeded {cap} terms")
     return chain
 
 

@@ -1,6 +1,6 @@
 """Check-result container: one per check in a verify report, read by the CLI."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 
@@ -16,9 +16,4 @@ class CheckResult:
         return self.status == "pass"
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
+        return asdict(self)

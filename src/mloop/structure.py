@@ -19,10 +19,11 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import CayleyLoop, _first_index, quotient
+from .loop_core import _first_index, quotient
 from .perm_rows import blocks
 
 LATTICE_GUARD_DEFAULT = 128
+NON_GENERATOR_TRIALS = 60
 
 
 class Subloop:
@@ -195,8 +196,8 @@ def normality_witness(loop, h, k=None):
 # -- the subloop lattice -----------------------------------------------------
 
 
-def cyclic_subloops(loop):
-    """Distinct subloops <x>, including the trivial one, sorted."""
+def _cyclic_masks(loop):
+    """Masks of the distinct subloops <x> keyed by their bytes, trivial first, then in x order."""
     seen = {}
     base = np.zeros(loop.n, dtype=bool)
     base[0] = True
@@ -205,7 +206,12 @@ def cyclic_subloops(loop):
         seed[x] = True
         mask = _close(loop.table, base, seed)
         seen.setdefault(mask.tobytes(), mask)
-    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(seen.values())]
+    return seen
+
+
+def cyclic_subloops(loop):
+    """Distinct subloops <x>, including the trivial one, sorted."""
+    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(_cyclic_masks(loop).values())]
 
 
 def _sorted_masks(masks):
@@ -217,19 +223,8 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     if loop.n > lattice_guard:
         raise OrderOverflow("lattice", lattice_guard, loop.n)
     table = loop.table
-    atom_masks = []
-    found = {}
-    base = np.zeros(loop.n, dtype=bool)
-    base[0] = True
-    found[base.tobytes()] = base
-    for x in range(1, loop.n):
-        seed = base.copy()
-        seed[x] = True
-        mask = _close(table, base, seed)
-        key = mask.tobytes()
-        if key not in found:
-            found[key] = mask
-            atom_masks.append(mask)
+    found = _cyclic_masks(loop)
+    atom_masks = list(found.values())[1:]
     worklist = list(found.values())
     while worklist:
         current = worklist.pop()
@@ -308,9 +303,7 @@ def upper_central_series(loop):
     terms = [trivial_subloop(loop)]
     while not terms[-1].is_full:
         q, proj = quotient(loop, terms[-1])
-        zq = center(q)
-        proj_arr = np.array(proj, dtype=np.int64)
-        lifted = Subloop(loop, np.flatnonzero(zq.mask()[proj_arr]))
+        lifted = Subloop(loop, np.flatnonzero(center(q).mask()[proj]))
         if lifted == terms[-1]:
             break
         terms.append(lifted)
@@ -332,17 +325,14 @@ def maximal_subloops(loop):
 def _maximal_over(loop, derived):
     """maximal_subloops, given the associator subloop L' of the loop."""
     quot, proj = quotient(loop, derived)
-    proj_arr = np.array(proj, dtype=np.int64)
     out = []
     for p in _prime_factors(quot.n):
         powered = Subloop(
             quot, np.unique([quot.power(x, p) for x in range(quot.n)])
         )
         vec, vproj = quotient(quot, powered)
-        vproj_arr = np.array(vproj, dtype=np.int64)
         for hyper in _hyperplanes(vec, p):
-            in_quot = hyper.mask()[vproj_arr]
-            out.append(Subloop(loop, np.flatnonzero(in_quot[proj_arr])))
+            out.append(Subloop(loop, np.flatnonzero(hyper.mask()[vproj][proj])))
     uniq = {s.elements: s for s in out}
     return sorted(uniq.values(), key=lambda s: s.members)
 
@@ -426,23 +416,22 @@ def is_divisible(loop):
     return True
 
 
-def non_generator_witness(loop, x, trials=200, seed=0, maximals=None):
+def non_generator_witness(loop, x, seed, maximals):
     """Sampled refutation that x is a non-generator.
 
     Returns a subset S with <S + x> = L but <S> != L, or None if no
-    sampled subset refutes it.  For x outside the Frattini subloop a
-    maximal subloop avoiding x is tried first, which is a guaranteed
-    witness; random subsets cannot prove the converse, only refute.
+    sampled subset refutes it.  For x outside the Frattini subloop, one of
+    the loop's maximal subloops ``maximals`` avoids x and is a guaranteed
+    witness; NON_GENERATOR_TRIALS random subsets cannot prove the converse,
+    only refute.
     """
     x = int(x)
-    if maximals is None:
-        maximals = maximal_subloops(loop)
     for m in maximals:
         if x not in m:
             return m.members
     rng = random.Random(seed)
     pool = list(range(1, loop.n))
-    for _ in range(trials):
+    for _ in range(NON_GENERATOR_TRIALS):
         size = rng.randint(0, min(len(pool), 5))
         s = rng.sample(pool, size)
         with_x = generate_subloop(loop, s + [x])

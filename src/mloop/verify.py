@@ -29,7 +29,6 @@ from .reporting import CheckResult
 
 ARTIFACT_VERSION = "0.1.0"
 PROP3_SAMPLE_COUNT = 200
-NON_GENERATOR_TRIALS = 60
 GROUP_CHAIN_SAMPLES = 20
 
 
@@ -311,13 +310,7 @@ def _check_frattini(ctx):
     non_gen_ok = True
     first_bad = None
     for x in range(loop.n):
-        witness_set = st.non_generator_witness(
-            loop,
-            x,
-            trials=NON_GENERATOR_TRIALS,
-            seed=ctx.seed,
-            maximals=ctx.maximals,
-        )
+        witness_set = st.non_generator_witness(loop, x, ctx.seed, ctx.maximals)
         if (witness_set is None) != (x in ctx.frattini):
             non_gen_ok = False
             first_bad = x

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NONCML6, S3_TABLE
 from mloop.errors import (
     BadDimension,
     CrossLoop,
@@ -22,7 +21,6 @@ from mloop.loop_core import (
     diagnose,
     direct_product,
     gen_abelian,
-    gen_zassenhaus81,
     parse_loop,
     quotient,
 )
@@ -67,6 +65,23 @@ def test_diagnose_accepts_raw_tables():
     d = diagnose(shifted)
     assert d.is_latin
     assert not d.has_identity
+    # both share one raw-table validator: same rejections, same exception types
+    bad_tables = [
+        (np.zeros((2, 3), dtype=np.int64), BadDimension),
+        (np.zeros((0, 0), dtype=np.int64), BadDimension),
+        (np.zeros((2, 2)), ParseError),
+        (np.array([[0, 1], [1, 7]]), ParseError),
+        (np.array([[0, 1], [1, -1]]), ParseError),
+    ]
+    for table, exc in bad_tables:
+        with pytest.raises(exc) as from_diagnose:
+            diagnose(table)
+        with pytest.raises(exc) as from_constructor:
+            CayleyLoop(table)
+        assert type(from_diagnose.value) is type(from_constructor.value)
+        assert str(from_diagnose.value) == str(from_constructor.value)
+    with pytest.raises(ParseError, match=r"value 7 out of range 0\.\.1"):
+        diagnose(np.array([[0, 1], [1, 7]]))
 
 
 def test_constructor_rejections():
@@ -190,6 +205,9 @@ def test_direct_product(z81):
 def test_quotient_by_center(z81):
     q, proj = quotient(z81, center(z81))
     assert q.n == 27
+    assert isinstance(proj, np.ndarray)
+    assert proj.dtype == z81.table.dtype
+    assert not proj.flags.writeable
     assert q.diagnostics().is_associative
     assert q.exponent() == 3
     assert proj[0] == 0

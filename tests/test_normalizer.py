@@ -1,7 +1,9 @@
+import importlib
+
 import pytest
 
 from conftest import normalizing_maxima
-from mloop.errors import ChainStalled, NotCML, NotNested, OracleDisagreement
+from mloop.errors import NotCML, NotNested, OracleDisagreement
 from mloop.normalizer import (
     ascending_subnormal_system,
     maximality_gaps,
@@ -84,11 +86,6 @@ def test_chains_and_subnormal_system(z81):
     assert normalizer_chain(z81, full_subloop(z81)) == [full_subloop(z81)]
 
 
-def test_chain_step_cap(z81):
-    with pytest.raises(ChainStalled, match="exceeded 1"):
-        normalizer_chain(z81, generate_subloop(z81, [3, 9]), max_steps=1)
-
-
 def test_normalizer_condition(z81, e27):
     assert normalizer_condition(z81) == (True, None)
     assert normalizer_condition(e27) == (True, None)
@@ -101,7 +98,7 @@ def test_input_validation(z81, noncml6):
         normalizer(noncml6, None, [0])
 
 
-def test_fixpoint_uniqueness_claims_order3_noncentral(z81, z81_lattice):
+def test_fixpoint_uniqueness_claims_order3_noncentral(z81, z81_lattice, monkeypatch):
     """Three textbook claims about the fixpoint, pinned on H = <27>.
 
     The claims are P = D, a unique greedy saturation, and no element
@@ -133,7 +130,13 @@ def test_fixpoint_uniqueness_claims_order3_noncentral(z81, z81_lattice):
     assert frozenset.intersection(*(m.elements for m in maxima)) == result.elements
     maxima_members = {m.members for m in maxima}
 
-    outcomes = [normalizer_oracle(z81, None, h, seeds=(s,)) for s in range(5)]
+    # the package rebinds the name mloop.normalizer to the function, so fetch the module
+    module = importlib.import_module("mloop.normalizer")
+    outcomes = []
+    for s in module.ORACLE_SEEDS:
+        monkeypatch.setattr(module, "ORACLE_SEEDS", (s,))
+        outcomes.append(normalizer_oracle(z81, None, h))
+    monkeypatch.undo()
     assert all(o.members in maxima_members and o != result for o in outcomes)
     with pytest.raises(OracleDisagreement) as exc:
         normalizer_oracle(z81, None, h)
