@@ -114,10 +114,13 @@ def normalizer_oracle(loop, k, h):
     Every run must land on the same subloop; a disagreement (two runs
     saturating at different subloops) is raised rather than averaged,
     since it falsifies the uniqueness this oracle is meant to certify.
-    Each candidate is tested as a submatrix of H's normality matrix.
+    Each candidate is tested as a submatrix of H's normality matrix.  The
+    runs revisit the same (S, x) pairs, so each join <S, x> is built and
+    tested once (``grown_by`` holds it if H is normal in it, else None).
     """
     h, k, bad = _escapes(loop, h, k)
     pairs = ~bad.any(axis=0)
+    grown_by = {}
     outcome = None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
@@ -130,10 +133,13 @@ def normalizer_oracle(loop, k, h):
             for x in candidates:
                 if x in s:
                     continue
-                grown = join(s, generate_subloop(loop, [x]))
-                sel = grown.mask()[k.mask()]
-                if pairs[sel][:, sel].all():
-                    s = grown
+                key = (s.members, x)
+                if key not in grown_by:
+                    grown = join(s, generate_subloop(loop, [x]))
+                    sel = grown.mask()[k.mask()]
+                    grown_by[key] = grown if pairs[sel][:, sel].all() else None
+                if grown_by[key] is not None:
+                    s = grown_by[key]
                     changed = True
         if outcome is None:
             outcome = s

@@ -4,6 +4,13 @@ Subloops are element sets of a parent CayleyLoop.  Closures and the full
 lattice run on numpy boolean masks; the lattice is the join-closure of the
 cyclic subloops, which is provably complete (every subloop is the join of
 the cyclic subloops of its elements).
+
+Joins in the lattice stop early once their result is known.  For a subloop
+S and atoms <x_a>, <x_b> outside it, with J_a = S v <x_a> already built:
+if x_b is in J_a, then S v <x_b> is inside J_a, and once the closure of S
+and <x_b> reaches x_a it contains J_a too, so S v <x_b> = J_a.  The proof
+uses closure alone (no Moufang law, commutativity or Lagrange property), so
+it holds for any loop table, group tables included.
 """
 
 import random
@@ -117,18 +124,24 @@ def coerce_subloop(loop, value):
 # -- closure -----------------------------------------------------------------
 
 
-def _close(table, base_mask, new_mask):
-    """Product-closure of base_mask | new_mask, assuming base_mask is closed."""
+def _close(table, base_mask, new_mask, stop=None):
+    """Product-closure of base_mask | new_mask, assuming base_mask is closed.
+
+    With an index array ``stop``, returns early, possibly before closing,
+    as soon as the mask holds one of those indices.
+    """
     known = base_mask | new_mask
-    frontier = np.flatnonzero(new_mask & ~base_mask)
+    frontier = (new_mask & ~base_mask).nonzero()[0]
     while frontier.size:
-        kidx = np.flatnonzero(known)
+        if stop is not None and known[stop].any():
+            break
+        kidx = known.nonzero()[0]
         hit = np.zeros(known.shape[0], dtype=bool)
-        hit[np.asarray(table[np.ix_(frontier, kidx)], dtype=np.int64).ravel()] = True
-        hit[np.asarray(table[np.ix_(kidx, frontier)], dtype=np.int64).ravel()] = True
+        hit[table[frontier[:, None], kidx]] = True
+        hit[table[kidx[:, None], frontier]] = True
         hit &= ~known
         known |= hit
-        frontier = np.flatnonzero(hit)
+        frontier = hit.nonzero()[0]
     return known
 
 
@@ -197,7 +210,10 @@ def normality_witness(loop, h, k=None):
 
 
 def _cyclic_masks(loop):
-    """Masks of the distinct subloops <x> keyed by their bytes, trivial first, then in x order."""
+    """The distinct subloops <x>, trivial first, then in x order, as (gens, masks).
+
+    gens[i] is the first x with <x> = masks[i], so it generates masks[i].
+    """
     seen = {}
     base = np.zeros(loop.n, dtype=bool)
     base[0] = True
@@ -205,13 +221,14 @@ def _cyclic_masks(loop):
         seed = base.copy()
         seed[x] = True
         mask = _close(loop.table, base, seed)
-        seen.setdefault(mask.tobytes(), mask)
-    return seen
+        seen.setdefault(mask.tobytes(), (x, mask))
+    gens, masks = zip(*seen.values())
+    return np.array(gens, dtype=np.int64), list(masks)
 
 
 def cyclic_subloops(loop):
     """Distinct subloops <x>, including the trivial one, sorted."""
-    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(_cyclic_masks(loop).values())]
+    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(_cyclic_masks(loop)[1])]
 
 
 def _sorted_masks(masks):
@@ -219,24 +236,45 @@ def _sorted_masks(masks):
 
 
 def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
-    """Every subloop, as the join-closure of the cyclic subloops."""
+    """Every subloop, as the join-closure of the cyclic subloops.
+
+    Each subloop S taken off the worklist is joined with every atom <x_b>
+    outside it, in atom order, and ``joins`` keeps the joins of S found so
+    far.  A join stops early once its result is known: if x_b lies in an
+    earlier join J_a = S v <x_a>, then S v <x_b> is inside J_a, so as soon
+    as the closure of S and <x_b> reaches x_a it contains J_a, and
+    S v <x_b> = J_a.  The argument uses closure alone, so it holds for any
+    loop table, Moufang, commutative or not.
+    """
     if loop.n > lattice_guard:
         raise OrderOverflow("lattice", lattice_guard, loop.n)
     table = loop.table
-    found = _cyclic_masks(loop)
-    atom_masks = list(found.values())[1:]
-    worklist = list(found.values())
+    gens, masks = _cyclic_masks(loop)
+    found = {m.tobytes(): m for m in masks}
+    atom_gens, atom_masks = gens[1:], masks[1:]
+    joins = np.empty((len(atom_masks), loop.n), dtype=bool)
+    worklist = list(masks)
     while worklist:
         current = worklist.pop()
         if current.all():
             continue
-        for atom in atom_masks:
-            if (atom & ~current).any():
-                merged = _close(table, current, atom)
-                key = merged.tobytes()
-                if key not in found:
-                    found[key] = merged
-                    worklist.append(merged)
+        # rows not yet joined (or of atoms inside S) hold S itself, which no x_b is in
+        joins[:] = current
+        for b, (xb, atom) in enumerate(zip(atom_gens, atom_masks)):
+            if current[xb]:
+                continue
+            earlier = joins[:, xb].nonzero()[0]
+            stop = atom_gens[earlier]
+            merged = _close(table, current, atom, stop)
+            reached = merged[stop].nonzero()[0]
+            if reached.size:
+                joins[b] = joins[earlier[reached[0]]]
+                continue
+            joins[b] = merged
+            key = merged.tobytes()
+            if key not in found:
+                found[key] = merged
+                worklist.append(merged)
     return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(found.values())]
 
 

@@ -97,3 +97,32 @@ def normalizing_maxima(loop, lattice, h):
     """
     over = [k for k in lattice if h <= k and structure.is_normal(loop, h, k)]
     return [k for k in over if not any(k.elements < t.elements for t in over)]
+
+
+def naive_lattice(loop):
+    """Member tuples of every subloop, sorted by (order, members), by the plain
+    join-closure: each subloop found is joined with every cyclic subloop
+    through `structure._close`, with no early stop.
+
+    A route independent of `all_subloops`' early-stopping joins and of the
+    atom generators it records.
+    """
+    base = np.zeros(loop.n, dtype=bool)
+    base[0] = True
+    found = {}
+    for x in range(loop.n):
+        seed = base.copy()
+        seed[x] = True
+        mask = structure._close(loop.table, base, seed)
+        found.setdefault(mask.tobytes(), mask)
+    atoms = list(found.values())
+    worklist = list(atoms)
+    while worklist:
+        current = worklist.pop()
+        for atom in atoms:
+            merged = structure._close(loop.table, current, atom)
+            if merged.tobytes() not in found:
+                found[merged.tobytes()] = merged
+                worklist.append(merged)
+    return sorted((tuple(int(i) for i in np.flatnonzero(m)) for m in found.values()),
+                  key=lambda members: (len(members), members))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NONCML6, S3_TABLE, naive_lattice
 from mloop.errors import (
     NotASubloop,
     NotCML,
@@ -19,6 +20,7 @@ from mloop.loop_core import (
 )
 from mloop.structure import (
     Subloop,
+    _cyclic_masks,
     all_subloops,
     associator_subloop,
     center,
@@ -104,6 +106,44 @@ def test_zassenhaus_lattice(z81_lattice):
     sizes = [s.size for s in z81_lattice]
     assert sizes == sorted(sizes)
     assert z81_lattice[0].is_trivial and z81_lattice[-1].is_full
+
+
+LATTICE_LOOPS = {
+    "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
+    "noncml6": lambda: CayleyLoop(NONCML6, name="noncml6"),
+    "abelian:4": lambda: gen_abelian((4,)),
+    "abelian:9": lambda: gen_abelian((9,)),
+    "abelian:2,2": lambda: gen_abelian((2, 2)),
+    "abelian:2,3": lambda: gen_abelian((2, 3)),
+    "abelian:4,4": lambda: gen_abelian((4, 4)),
+    "abelian:3,3,3": lambda: gen_abelian((3, 3, 3)),
+    "zassenhaus81": gen_zassenhaus81,
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_LOOPS)
+def test_lattice_matches_naive_join_closure(name):
+    """The early-stopping joins find the same subloops, in the same order, as
+    joining every subloop with every cyclic subloop to the end.  sym3 is not
+    commutative and noncml6 is not Moufang: the stop rule rests on closure
+    alone.  abelian:4,4 has cyclic subloops nested in others, where a stop on
+    x_b instead of x_a would return a join that is too large."""
+    loop = LATTICE_LOOPS[name]()
+    assert [s.members for s in all_subloops(loop)] == naive_lattice(loop)
+
+
+@pytest.mark.parametrize("name", ["zassenhaus81", "sym3", "abelian:9"])
+def test_atom_generators(name):
+    """Each recorded x is the first element generating its cyclic subloop."""
+    loop = LATTICE_LOOPS[name]()
+    gens, masks = _cyclic_masks(loop)
+    assert len(set(gens)) == len(gens) == len(masks)
+    for x, mask in zip(gens, masks):
+        assert np.array_equal(generate_subloop(loop, [x]).mask(), mask)
+        assert not any(np.array_equal(generate_subloop(loop, [y]).mask(), mask)
+                       for y in range(x))
+    if name == "abelian:9":
+        assert {int(m.sum()): int(x) for x, m in zip(gens, masks)} == {1: 0, 9: 1, 3: 3}
 
 
 def test_lattice_guard(z81):
