@@ -1,9 +1,10 @@
 """Cayley-table loops.
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
-identity pinned at index 0.  All heavy scans (associativity, the commutative
-Moufang law x^2(yz) = (xy)(xz), associator tensors) are vectorised with
-numpy and chunked so that order-1024 tables stay within memory.
+identity pinned at index 0.  Every n^3 scan (associativity, the Moufang law
+x^2(yz) = (xy)(xz), associator and inner-map tensors) runs y-row blocks
+outer, each cast to intp once, and x inner: (xy)z is then the table with its
+rows permuted by L_x, and x(yz) a ``take`` from row x.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .perm_rows import blocks
+from .perm_rows import cast_blocks
 
 MAX_ORDER_DEFAULT = 1024
 
@@ -37,6 +38,23 @@ def _index_dtype(n):
 def _first_index(bad):
     """Lexicographically least True index of a boolean array, as ints."""
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def _least_violations(table, laws):
+    """Per law, the least (x, y, z) with law(x, rows, t_rows)[y - rows.start, z], or None.
+
+    Once a y-block finds a law failing at x*, later blocks test it only at x < x*.
+    """
+    found, bound = [None] * len(laws), [len(table)] * len(laws)
+    for rows, t_rows in cast_blocks(table):
+        for x in range(max(bound)):
+            for i, law in enumerate(laws):
+                if x < bound[i]:
+                    bad = law(x, rows, t_rows)
+                    if bad.any():
+                        y, z = _first_index(bad)
+                        found[i], bound[i] = (x, rows.start + y, z), x
+    return found
 
 
 @dataclass(frozen=True)
@@ -143,32 +161,22 @@ class CayleyLoop:
 
     # -- cached tensors ------------------------------------------------------
 
-    def _offsets(self, u):
-        """u * n, the flat offsets of rows u of an n x n table.
-
-        int32 while n^2 fits: numpy then casts the gather index in small
-        buffers instead of holding a full intp copy.
-        """
-        out = u.astype(np.int32 if self.n * self.n <= 1 << 31 else np.intp)
-        out *= self.n
-        return out
-
-    def _associator_rows(self, rows):
-        """A[a, b, c] = ldiv[a (b c), (a b) c] for the a of a row slice."""
+    def _associator_index(self, x, rows, t_rows):
+        """Flat ldiv index of A[x, y, z] = ldiv[x (y z), (x y) z] at [y, z], y in rows."""
         t = self.table
-        idx = self._offsets(t[rows][:, t])
-        idx += t[t[rows]]
-        return self.ldiv_table().ravel()[idx]
+        idx = (t[x].astype(np.intp) * self.n).take(t_rows)
+        return np.add(idx, t.take(t[x, rows], axis=0), out=idx)
 
-    def _inner_rows(self, rows):
-        """I[x, y, z] = ldiv[x y, x (y z)] for the x of a row slice."""
+    def _inner_index(self, x, rows, t_rows):
+        """Flat ldiv index of I[x, y, z] = ldiv[x y, x (y z)] at [y, z], y in rows."""
         t = self.table
-        return self.ldiv_table().ravel()[self._offsets(t[rows][:, :, None]) + t[rows][:, t]]
+        idx = t[x].astype(np.intp).take(t_rows)
+        return np.add(idx, t[x, rows].astype(np.intp)[:, None] * self.n, out=idx)
 
     def associator_table(self):
         """Full tensor A[a, b, c] = index of the associator (a, b, c)."""
         if self._assoc is None:
-            self._assoc = self._tensor("associator table", self._associator_rows)
+            self._assoc = self._tensor("associator table", self._associator_index)
         return self._assoc
 
     def inner_mapping_table(self):
@@ -178,38 +186,36 @@ class CayleyLoop:
         the associator tensor, so the two can cross-check each other.
         """
         if self._inner is None:
-            self._inner = self._tensor("inner mapping table", self._inner_rows)
+            self._inner = self._tensor("inner mapping table", self._inner_index)
         return self._inner
 
-    def _tensor(self, what, fill):
-        """A read-only n^3 tensor filled row block by row block by ``fill``."""
+    def _tensor(self, what, index):
+        """A read-only n^3 tensor T, T[x, rows] = ldiv gathered at index(x, rows, t_rows)."""
         self._require_tensor(what)
-        out = np.empty((self.n,) * 3, dtype=self.table.dtype)
-        for b in blocks(self.n, self.n * self.n):
-            out[b] = fill(b)
+        out, ldiv = np.empty((self.n,) * 3, dtype=self.table.dtype), self.ldiv_table().ravel()
+        for rows, t_rows in cast_blocks(self.table):
+            for x in range(self.n):
+                out[x, rows] = ldiv.take(index(x, rows, t_rows))
         out.setflags(write=False)
         return out
 
     def inner_identity_violation(self):
         """Least (x, y, z) with I[x, y, z] != z * A[z, y, x], or None.
 
-        In a CML L(x, y) sends z to z(z, y, x); this cached scan certifies the
-        associator tensor against inner-map rows built independently of it,
-        streamed block by block, once per loop.
+        In a CML L(x, y) sends z to z(z, y, x); this scan, cached per loop,
+        certifies the associator tensor against inner-map rows built apart from it.
         """
         if self._inner_check is None:
-            n, flat, found = self.n, self.table.ravel(), None
+            flat, ldiv = self.table.ravel(), self.ldiv_table().ravel()
             assoc = self.associator_table()
-            zoff = np.arange(n) * n
-            for b in blocks(n, n * n):
-                # flat index of z * A[z, y, x] at [x, y, z], for the x of this block
-                zyx = np.ascontiguousarray(np.transpose(assoc[:, :, b], (2, 1, 0)), dtype=np.intp)
-                bad = self._inner_rows(b) != flat[zyx + zoff]
-                if bad.any():
-                    x, y, z = _first_index(bad)
-                    found = (x + b.start, y, z)
-                    break
-            self._inner_check = (found,)
+            zoff = np.arange(self.n) * self.n
+
+            def bad(x, rows, t_rows):
+                # flat index of z * A[z, y, x] at [y, z], C-ordered for the take
+                zyx = np.add(zoff, assoc[:, rows, x].T, order="C")
+                return ldiv.take(self._inner_index(x, rows, t_rows)) != flat.take(zyx)
+
+            self._inner_check = tuple(_least_violations(self.table, (bad,)))
         return self._inner_check[0]
 
     def _require_tensor(self, what):
@@ -333,34 +339,16 @@ def diagnose(loop_or_table):
         t = loop_or_table.table
     else:
         t = _raw_table(loop_or_table)
-    n = t.shape[0]
-    ref = np.arange(n)
-
     is_latin = _latin_violation(t) is None
     has_identity = _has_identity(t)
     is_commutative = bool(np.array_equal(t, t.T))
+    def non_associative(x, rows, t_rows):  # (xy)z vs x(yz)
+        return t.take(t[x, rows], axis=0) != t[x].take(t_rows)
 
-    sq = t[ref, ref]
-    first_cml = None
-    first_assoc = None
-    for rows in blocks(n, n * n):
-        # associativity: (xy)z vs x(yz)
-        if first_assoc is None:
-            bad = t[t[rows], :] != t[rows][:, t]
-            if bad.any():
-                x, y, z = _first_index(bad)
-                first_assoc = (x + rows.start, y, z)
-        # Moufang law: x^2 (yz) vs (xy)(xz)
-        if first_cml is None:
-            lhs = t[sq[rows]][:, t]
-            rhs = t[t[rows][:, :, None], t[rows][:, None, :]]
-            bad = lhs != rhs
-            if bad.any():
-                x, y, z = _first_index(bad)
-                first_cml = (x + rows.start, y, z)
-        if first_assoc is not None and first_cml is not None:
-            break
+    def non_moufang(x, rows, t_rows):  # x^2 (yz) vs (xy)(xz)
+        return t[t[x, x]].take(t_rows) != t.take(t[x, rows], axis=0).take(t[x], axis=1)
 
+    first_assoc, first_cml = _least_violations(t, (non_associative, non_moufang))
     is_associative = first_assoc is None
     is_cml = is_commutative and first_cml is None
     violation = first_cml if first_cml is not None else first_assoc

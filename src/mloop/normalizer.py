@@ -24,7 +24,7 @@ from .errors import ChainStalled, OracleDisagreement
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
-    _escapes,
+    _normality_matrix,
     _require_cml,
     all_subloops,
     coerce_subloop,
@@ -56,11 +56,10 @@ class NormalizerTrace:
 def normalizer(loop, k, h):
     """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
 
-    Both stages read H's normality matrix N over K (structure._escapes):
+    Both stages read H's normality matrix N over K (structure._normality_matrix):
     P = {x : N[D, x] all true} and D = {y : N[y, P] all true}.
     """
-    h, k, bad = _escapes(loop, h, k)
-    pairs = ~bad.any(axis=0)
+    h, k, pairs = _normality_matrix(loop, h, k)
     km = np.array(k.members, dtype=np.int64)
     p_stages: List[Tuple[int, ...]] = []
     d_stages: List[Tuple[int, ...]] = []
@@ -97,8 +96,7 @@ def maximality_gaps(loop, k, h, trace):
     a nonempty list is a counterexample to reading the fixpoint as "the"
     normalizer.
     """
-    h, k, bad = _escapes(loop, h, k)
-    pairs = ~bad.any(axis=0)
+    h, k, pairs = _normality_matrix(loop, h, k)
     gaps = []
     for x in k.members:
         if x not in trace.result:
@@ -118,8 +116,7 @@ def normalizer_oracle(loop, k, h):
     runs revisit the same (S, x) pairs, so each join <S, x> is built and
     tested once (``grown_by`` holds it if H is normal in it, else None).
     """
-    h, k, bad = _escapes(loop, h, k)
-    pairs = ~bad.any(axis=0)
+    h, k, pairs = _normality_matrix(loop, h, k)
     grown_by = {}
     outcome = None
     for seed in ORACLE_SEEDS:

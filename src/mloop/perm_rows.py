@@ -2,8 +2,9 @@
 
 A permutation of degree n is the row of its n point images, and k of them
 form a (k, n) array.  The product p * q (q applied first) is the gather
-p[q].  Gathers run in row blocks: numpy copies an index array to intp,
-and the blocks keep that copy small.
+p[q].  Gathers run in row blocks of at most GATHER_BLOCK entries.  A loop
+table's row x is L_x, and every n^3 table scan runs y-row blocks outer, each
+cast to intp once (``cast_blocks``), and x inner, each product a ``take``.
 """
 
 import numpy as np
@@ -15,6 +16,12 @@ def blocks(rows, width):
     """Row slices of at most GATHER_BLOCK entries of the given row width."""
     step = max(1, GATHER_BLOCK // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def cast_blocks(table):
+    """(rows, table[rows] as intp) over row blocks; no full-table intp copy is made."""
+    for b in blocks(len(table), table.shape[1]):
+        yield b, table[b].astype(np.intp)
 
 
 def compose(p, q):

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .loop_core import _first_index, quotient
-from .perm_rows import blocks
+from .perm_rows import cast_blocks
 
 LATTICE_GUARD_DEFAULT = 128
 NON_GENERATOR_TRIALS = 60
@@ -168,11 +168,10 @@ def join(a, b):
 # -- normality ---------------------------------------------------------------
 
 
-def _escapes(loop, h, k):
-    """The normality kernel: (H, K, E), E[i, j, l] iff (h_i, k_j, k_l) escapes H.
-
-    H is normal in K iff E is empty (CML only).  N[y, x] = "(H, y, x) in H",
-    E's all-reduction over H on the positions of K, drives fixpoint and oracle.
+def _stay_rows(loop, h, k):
+    """The normality kernel: (H, K, rows), yielding for each h_i in H the matrix
+    S, S[j, l] iff (h_i, k_j, k_l) stays inside H.  H is normal in K iff every
+    S is all true (CML only); rows come lazily, one row of the tensor at a time.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
@@ -182,11 +181,23 @@ def _escapes(loop, h, k):
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
-    esc = np.empty((h.size, k.size, k.size), dtype=bool)
-    for b in blocks(h.size, k.size * k.size):
-        block = loop.associator_table()[np.ix_(h.members[b], k.members, k.members)]
-        np.logical_not(h.mask()[block], out=esc[b])
-    return h, k, esc
+    assoc, inside = loop.associator_table(), h.mask()
+
+    def stays():
+        for x in h.members:
+            row = assoc[x] if k.is_full else assoc[x].take(k.members, 0).take(k.members, 1)
+            yield inside.take(row)
+
+    return h, k, stays()
+
+
+def _normality_matrix(loop, h, k):
+    """(H, K, N), N[j, l] iff (h, k_j, k_l) stays inside H for every h in H."""
+    h, k, stays = _stay_rows(loop, h, k)
+    pairs = np.ones((k.size, k.size), dtype=bool)
+    for s in stays:
+        pairs &= s
+    return h, k, pairs
 
 
 def is_normal(loop, h, k=None):
@@ -194,16 +205,17 @@ def is_normal(loop, h, k=None):
 
     Certified per loop to agree with invariance under the inner maps of K.
     """
-    return not _escapes(loop, h, k)[2].any()
+    return all(s.all() for s in _stay_rows(loop, h, k)[2])
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h, k, bad = _escapes(loop, h, k)
-    if not bad.any():
-        return None
-    i, j, l = _first_index(bad)
-    return (h.members[i], k.members[j], k.members[l])
+    h, k, stays = _stay_rows(loop, h, k)
+    for x, s in zip(h.members, stays):
+        if not s.all():
+            j, l = _first_index(~s)
+            return (x, k.members[j], k.members[l])
+    return None
 
 
 # -- the subloop lattice -----------------------------------------------------
@@ -290,29 +302,28 @@ def _maximal_members(subloops):
 def center(loop):
     """Elements commuting with everything and associating in first position."""
     t = loop.table
-    n = loop.n
-    commutes = (t == t.T).all(axis=1)
-    central = np.zeros(n, dtype=bool)
-    for x in range(n):
-        if commutes[x]:
-            central[x] = bool((t[t[x], :] == t[x, t]).all())
+    central = (t == t.T).all(axis=1)
+    for rows, t_rows in cast_blocks(t):
+        for x in central.nonzero()[0]:
+            # (xy)z vs x(yz); x leaves at its first failing block
+            central[x] = np.array_equal(t.take(t[x, rows], axis=0), t[x].take(t_rows))
     return Subloop(loop, np.flatnonzero(central))
 
 
 def associator_subloop(loop):
     """Subloop generated by all associators (a, b, c)."""
-    seen = np.zeros(loop.n, dtype=bool)
-    for rows in blocks(loop.n, loop.n * loop.n):
-        seen[loop._associator_rows(rows)] = True
-    return generate_subloop(loop, np.flatnonzero(seen))
+    # mark the pairs (a(bc), (ab)c) that occur; each gives the associator ldiv[pair]
+    pairs = np.zeros(loop.n * loop.n, dtype=bool)
+    for rows, t_rows in cast_blocks(loop.table):
+        for x in range(loop.n):
+            pairs[loop._associator_index(x, rows, t_rows)] = True
+    return generate_subloop(loop, np.unique(loop.ldiv_table().ravel()[pairs]))
 
 
 def cube_subloop(loop):
     """The set of cubes x^3; in a CML this set is itself a subloop."""
     _require_cml(loop)
-    idx = np.arange(loop.n)
-    cubes = loop.table[np.asarray(loop.table[idx, idx], dtype=np.int64), idx]
-    return Subloop(loop, np.unique(np.asarray(cubes, dtype=np.int64)))
+    return Subloop(loop, np.unique(loop.table[loop.table.diagonal(), np.arange(loop.n)]))
 
 
 def _require_cml(loop):
@@ -401,21 +412,16 @@ def _hyperplanes(vec, p):
     if r == 0:
         return
     # coordinates of every element in the chosen basis
-    coords = {0: (0,) * r}
+    coord_arr = np.zeros((vec.n, r), dtype=np.int64)
     elems = [0]
     for k, b in enumerate(basis):
-        layer = list(elems)
-        for e in layer:
+        for e in list(elems):
             acc = e
             for c in range(1, p):
                 acc = vec.mul(acc, b)
-                coord = list(coords[e])
-                coord[k] = c
-                coords[acc] = tuple(coord)
+                coord_arr[acc] = coord_arr[e]
+                coord_arr[acc, k] = c
                 elems.append(acc)
-    coord_arr = np.zeros((vec.n, r), dtype=np.int64)
-    for e, cs in coords.items():
-        coord_arr[e] = cs
     # functionals up to scalar: first nonzero weight equals 1
     for lead in range(r):
         tail = r - lead - 1

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -126,3 +127,37 @@ def naive_lattice(loop):
                 worklist.append(merged)
     return sorted((tuple(int(i) for i in np.flatnonzero(m)) for m in found.values()),
                   key=lambda members: (len(members), members))
+
+
+def naive_violations(table):
+    """(triples breaking (xy)z = x(yz), triples breaking x^2(yz) = (xy)(xz)), each
+    list in lexicographic order, by pure-Python triple loops.
+
+    A route independent of the y-block / x-inner `take` scans of `diagnose`;
+    accepts any square table with entries in range.
+    """
+    t = np.asarray(table).tolist()
+    assoc, moufang = [], []
+    for x, y, z in itertools.product(range(len(t)), repeat=3):
+        if t[t[x][y]][z] != t[x][t[y][z]]:
+            assoc.append((x, y, z))
+        if t[t[x][x]][t[y][z]] != t[t[x][y]][t[x][z]]:
+            moufang.append((x, y, z))
+    return assoc, moufang
+
+
+def naive_center(loop):
+    """Members of the centre: x commuting with every y and with (xy)z = x(yz) for all y, z."""
+    t = loop.table.tolist()
+    r = range(loop.n)
+    return [x for x in r
+            if all(t[x][y] == t[y][x] for y in r)
+            and all(t[t[x][y]][z] == t[x][t[y][z]] for y in r for z in r)]
+
+
+def naive_associators(loop):
+    """{(a, b, c): k} with (a(bc)) k = (ab)c, read off inverted rows {u k: k} of the table."""
+    t = loop.table.tolist()
+    ldiv = [{v: k for k, v in enumerate(row)} for row in t]
+    return {(a, b, c): ldiv[t[a][t[b][c]]][t[t[a][b]][c]]
+            for a, b, c in itertools.product(range(loop.n), repeat=3)}
