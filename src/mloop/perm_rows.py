@@ -52,8 +52,12 @@ def row_set(rows):
     return frozenset(map(tuple, rows.tolist()))
 
 
+def row_keys(rows):
+    """Each row's bytes as a hashable key, in row order."""
+    width = rows.shape[1] * rows.itemsize
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel().tolist()
+
+
 def fresh(rows, seen):
     """The rows whose bytes are not in ``seen``, first occurrence first; records them."""
-    width = rows.shape[1] * rows.itemsize
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel().tolist()
-    return rows[[i for i, key in enumerate(keys) if not (key in seen or seen.add(key))]]
+    return rows[[i for i, key in enumerate(row_keys(rows)) if not (key in seen or seen.add(key))]]

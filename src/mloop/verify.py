@@ -25,6 +25,7 @@ from .errors import OrderOverflow
 from .loop_core import _first_index
 from .normalizer import NormalizerTrace
 from .normalizer import normalizer as _run_fixpoint
+from .perm_rows import blocks, row_keys
 from .reporting import CheckResult
 
 ARTIFACT_VERSION = "0.1.0"
@@ -123,25 +124,26 @@ def _check_associator_symmetries(ctx):
 
 
 def _check_product_expansion(ctx):
+    # Exact: (u, v) enters every term only through the column A[:, u, v], so equal columns agree.
     loop = ctx.loop
     t = loop.table
     assoc = loop.associator_table()
     n = loop.n
-    y_col = np.arange(n)[:, None, None]
-    violations = 0
-    first = None
-    for x in range(n):
-        a = assoc[x]  # (u, v)
-        b = assoc[a[None, :, :], x, y_col]  # (y, u, v)
-        c = assoc  # (y, u, v)
-        d = assoc[c, y_col, x]
-        lhs = assoc[t[x]]  # (y, u, v) = assoc[x*y, u, v]
-        rhs = t[t[a[None, :, :], b], t[c, d]]
-        bad = lhs != rhs
+    cols = assoc.reshape(n, n * n).T  # row u*n + v is the column A[:, u, v]
+    classes = {}  # column bytes -> [least u*n + v, multiplicity]
+    for rows in blocks(n * n, n):
+        for k, key in enumerate(row_keys(cols[rows]), rows.start):
+            classes.setdefault(key, [k, 0])[1] += 1
+    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+    violations, first = 0, None
+    for k, count in classes.values():
+        col = cols[k]
+        a, c = col[x], col[y]  # (x, u, v) and (y, u, v)
+        bad = col[t] != t[t[a, assoc[a, x, y]], t[c, assoc[c, y, x]]]
         if bad.any():
-            violations += int(bad.sum())
-            if first is None:
-                first = (x,) + _first_index(bad)
+            violations += count * int(bad.sum())
+            found = _first_index(bad) + divmod(k, n)
+            first = found if first is None else min(first, found)
     ok = violations == 0
     return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}
 

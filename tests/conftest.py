@@ -161,3 +161,32 @@ def naive_associators(loop):
     ldiv = [{v: k for k, v in enumerate(row)} for row in t]
     return {(a, b, c): ldiv[t[a][t[b][c]]][t[t[a][b]][c]]
             for a, b, c in itertools.product(range(loop.n), repeat=3)}
+
+
+def quadruple_product_expansion(loop):
+    """(ok, witness) of the product-associator expansion
+    (xy, u, v) = [a (a, x, y)] [c (c, y, x)], a = (x, u, v), c = (y, u, v),
+    gathered over all (y, u, v) for each x: one verdict per quadruple.
+
+    A route independent of the column classes of `verify`'s check.
+    """
+    t = loop.table
+    assoc = loop.associator_table()
+    n = loop.n
+    y_col = np.arange(n)[:, None, None]
+    violations = 0
+    first = None
+    for x in range(n):
+        a = assoc[x]  # (u, v)
+        b = assoc[a[None, :, :], x, y_col]  # (y, u, v)
+        c = assoc  # (y, u, v)
+        d = assoc[c, y_col, x]
+        lhs = assoc[t[x]]  # (y, u, v) = assoc[x*y, u, v]
+        rhs = t[t[a[None, :, :], b], t[c, d]]
+        bad = lhs != rhs
+        if bad.any():
+            violations += int(bad.sum())
+            if first is None:
+                first = (x,) + loop_core._first_index(bad)
+    ok = violations == 0
+    return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}

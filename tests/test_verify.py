@@ -1,16 +1,18 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import NONCML6, S3_TABLE, quadruple_product_expansion, run_cli
 
 from mloop import cli
 from mloop import perm_group as pg
+from mloop import perm_rows
 from mloop import structure as st
 from mloop.errors import OrderOverflow
-from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
-from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, run_suite
+from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
+from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, LoopContext, _check_product_expansion, run_suite
 
 # The builders of the shared artifacts: L', the maximal subloops, Z(L),
 # M' (the normal closure inside derived_subgroup) and Phi(M).
@@ -80,6 +82,62 @@ def test_single_suite(z81):
 def test_identities_on_abelian():
     report = run_suite(gen_abelian((3, 3)), "identities")
     assert [c.status for c in report.checks] == ["pass", "pass", "pass"]
+
+
+def test_identities_at_order_243():
+    """z81 x Z3: the expansion check visits its 243^4 quadruples through the
+    few distinct columns of the 243^3 associator tensor."""
+    report = run_suite(direct_product(gen_zassenhaus81(), gen_abelian((3,))), "identities")
+    assert [c.status for c in report.checks] == ["pass", "pass", "pass"]
+
+
+def swapped_cyclic(n, swaps, seed):
+    """Z_n with up to `swaps` seeded intercalates {r, r + n/2} x {c, c + n/2}
+    swapped, r, c not in {0, n/2}: a loop which, for the seeds below, is
+    neither associative nor Moufang and has far more distinct associator
+    columns than z81's 27."""
+    rng = np.random.default_rng(seed)
+    h = n // 2
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    for _ in range(swaps):
+        r, c = rng.integers(1, h, size=2)
+        block = np.ix_([r, r + h], [c, c + h])
+        if t[r, c] == t[r + h, c + h] and t[r, c + h] == t[r + h, c]:  # still an intercalate
+            t[block] = t[block][::-1]
+    return CayleyLoop(t, name=f"swapped{n}")
+
+
+def corrupted_z81(seed, cells):
+    """z81 with `cells` seeded cells of a copy of its associator tensor changed."""
+    loop = gen_zassenhaus81()
+    rng = np.random.default_rng(seed)
+    assoc = loop.associator_table().copy()
+    for w, u, v in rng.integers(0, 81, size=(cells, 3)):
+        assoc[w, u, v] = (assoc[w, u, v] + rng.integers(1, 81)) % 81
+    assoc.setflags(write=False)
+    loop._assoc = assoc
+    return loop
+
+
+EXPANSION_CASES = {
+    "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
+    "noncml6": lambda: CayleyLoop(NONCML6, name="noncml6"),
+    "abelian:2,3": lambda: gen_abelian((2, 3)),
+    "swapped24": lambda: swapped_cyclic(24, 10, 24),
+    "swapped48": lambda: swapped_cyclic(48, 20, 48),
+    **{f"z81-{cells}-cells": (lambda cells=cells: corrupted_z81(cells, cells)) for cells in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("case", list(EXPANSION_CASES))
+def test_product_expansion_matches_quadruple_reference(monkeypatch, case):
+    """Column classes give the per-quadruple verdicts: the same count and
+    least (x, y, u, v), with the columns keyed in one block or many."""
+    loop = EXPANSION_CASES[case]()
+    expected = quadruple_product_expansion(loop)
+    for block in (perm_rows.GATHER_BLOCK, 7 * loop.n):
+        monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+        assert _check_product_expansion(LoopContext(loop)) == expected
 
 
 def test_theorem2_witness(z81):
