@@ -152,9 +152,16 @@ def digest(perms):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def set_digest(group):
+    """Digest of the group's element set, independent of element order."""
+    text = "\n".join(",".join(map(str, key)) for key in sorted(group.element_keys()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_zassenhaus_group_layer_pinned(z81_bundle):
     """Chains, element order and subgroup generators of M(zassenhaus81)
-    and its subgroups, as the tuple-based implementation produced them."""
+    and its subgroups, as the tuple-based implementation produced them,
+    and the sorted element sets of its distinguished subgroups."""
     m, inner = z81_bundle.M, z81_bundle.I
     assert [level.base for level in m.chain] == [0, 3, 9, 27]
     assert [len(level.generators) for level in m.chain] == [80, 26, 8, 2]
@@ -167,14 +174,23 @@ def test_zassenhaus_group_layer_pinned(z81_bundle):
     assert digest(inner.generators) == (
         "ead0f3ef624485aca450cc430fdcbc5a691fe633de133ada8d469cfe75712e07"
     )
+    z1 = "74c8745ada4be9fb8ead8903626b2266f254e2bb93988fc895bafdcbe33a1452"
+    z2 = "d1e59b0c69842b043de461b0f1b4ec56a9a4e498557f6dae6d130411888b8d77"
     pinned = [
-        (center_of_group, 3, "2d2bdc78992618192cfedf9a4c939d690ace346ff72144271d2540096f705e96"),
-        (derived_subgroup, 81, "70426d4f64490fac91d6c99224fde2bb321cddce8c2b4641c95ff329b181d9e3"),
-        (frattini_subgroup, 81, "c69fc2986d6209af6dccf24a3109de01c98d3c28e6b7c975ec1f29c2b17ce4bd"),
+        (center_of_group, 3, "2d2bdc78992618192cfedf9a4c939d690ace346ff72144271d2540096f705e96", z1),
+        (derived_subgroup, 81, "70426d4f64490fac91d6c99224fde2bb321cddce8c2b4641c95ff329b181d9e3", z2),
+        (frattini_subgroup, 81, "c69fc2986d6209af6dccf24a3109de01c98d3c28e6b7c975ec1f29c2b17ce4bd", z2),
     ]
-    for fn, order, gens_digest in pinned:
+    for fn, order, gens_digest, elements_digest in pinned:
         sub = fn(m)
         assert (sub.order(), digest(sub.generators)) == (order, gens_digest), fn.__name__
+        assert set_digest(sub) == elements_digest, fn.__name__
+    assert [(t.order(), set_digest(t)) for t in upper_central_series_group(m)] == [
+        (1, "596573831ef84f97a78c5b36afa324241ad91427df935a03487964605e345107"),
+        (3, z1),
+        (81, z2),
+        (2187, "ac7679e3ff1fe598878728f6036e83366f5a9acf0a65a1cf84f08b9a344d3281"),
+    ]
 
 
 def reference_chain(n, gens):
