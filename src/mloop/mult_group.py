@@ -15,9 +15,9 @@ from .loop_core import CayleyLoop, quotient
 from .perm_group import (
     PermGroup,
     Permutation,
+    _generators,
     center_of_group,
     derived_subgroup,
-    group_from_elements,
     normal_closure,
 )
 from .perm_rows import compose, fresh, row_set
@@ -68,7 +68,7 @@ def h_star(bundle, H):
     _, proj = quotient(loop, H)
     elements = bundle.M.element_array()
     keep = (compose(proj[None], elements) == proj).all(axis=1)
-    return group_from_elements(loop.n, elements[keep])
+    return PermGroup(loop.n, _generators(bundle.M, keep))
 
 
 def orbit_of_identity(bundle, N):

@@ -17,6 +17,10 @@ rep(g(pt))^-1 * g * u_pt over sorted points and ordered generators,
 without the identity or repeats.  Elements enumerate as rep_1 * rep_2 *
 ... with each level's representatives in sorted point order.  No
 randomization anywhere.
+
+Subgroups of an enumerated group are masks over its element order.  A
+member's position is its base point images sifted alone, exact since a
+base fixes each element; conjugates are never built as full rows.
 """
 
 from collections import namedtuple
@@ -158,6 +162,7 @@ class PermGroup:
         self.gen_array = fresh(rows, {np.arange(self.degree, dtype=rows.dtype).tobytes()})
         self.gen_array.setflags(write=False)
         self.chain = self._build_chain()
+        self.base = [level.base for level in self.chain]
         self._elements = None
         self._reduced = None
         self._derived = None
@@ -231,6 +236,18 @@ class PermGroup:
         return bool(self.contains_rows([p])[0])
 
     __contains__ = contains
+
+    def _index(self, images):
+        """Positions in ``element_array()`` of the members with base point images
+        ``images[..., i]``: level slots are mixed-radix digits; off-orbit is fatal."""
+        images = np.array(images, dtype=np.intp)
+        index = np.zeros(images.shape[:-1], dtype=np.intp)
+        for i, level in enumerate(self.chain):
+            slot = level.slot[images[..., i]]
+            assert (slot >= 0).all(), "a base image is off its orbit: the row is not in the group"
+            index = index * len(level.reps) + slot
+            images[..., i + 1:] = level.inverses[slot[..., None], images[..., i + 1:]]
+        return index
 
     def element_array(self):
         """All elements as a read-only (order, degree) array, identity first."""
@@ -322,26 +339,60 @@ def closure_elements(degree, gens):
     return list(found.values())
 
 
-# -- distinguished subgroups -------------------------------------------------
+# -- distinguished subgroups, as masks over the element index of G ----------
 
 
-def _lifts(G, N):
-    """Mask of the p in G with p^-1 g^-1 p g in N for every reduced generator g."""
-    elements = G.element_array()
-    inverses = inverse(elements)
-    gens = _reduced_rows(G)
-    mask = np.ones(len(elements), dtype=bool)
-    for g, g_inv in zip(gens, inverse(gens)):
-        idx = np.flatnonzero(mask)
-        comm = compose(inverses[idx], compose(g_inv[None], elements[idx][:, g]))
-        mask[idx] = N.contains_rows(comm)
+def _inverse_at(G, points):
+    """Row g of ``points`` mapped by g^-1, g = rep_1 * rep_2 * ... read off g's position."""
+    digits = np.unravel_index(np.arange(len(points)), [len(level.reps) for level in G.chain])
+    for level, digit in zip(G.chain, digits):
+        points = level.inverses[digit[:, None], points]
+    return points
+
+
+def _close(G, mask, gens):
+    """The mask closed under right multiplication by the rows ``gens``."""
+    frontier = np.flatnonzero(mask)
+    while len(frontier):
+        found = G._index(G.element_array()[frontier[:, None, None], gens[:, G.base]])
+        frontier = np.unique(found[~mask[found]])
+        mask[frontier] = True
     return mask
+
+
+def _generators(G, mask):
+    """Greedy generator rows of the subgroup ``mask``: each member, in element
+    order, outside the subgroup generated by those before it (as ``_extend``)."""
+    elements = G.element_array()
+    closed = np.arange(len(mask)) == 0
+    picked = []
+    for i in np.flatnonzero(mask).tolist():
+        if not closed[i]:
+            picked.append(i)
+            closed = _close(G, closed, elements[picked])
+    return elements[picked]
+
+
+def _normalizer_mask(G, mask):
+    """Mask of the g in G with g^-1 h g in the subgroup ``mask`` for each of its generators h."""
+    keep = np.ones(len(mask), dtype=bool)
+    for h in _generators(G, mask):
+        keep &= mask[G._index(_inverse_at(G, h[G.element_array()[:, G.base]]))]
+    return keep
+
+
+def _lifts(G, inside):
+    """Mask of the p in G with p^-1 g^-1 p g in the mask ``inside`` for every reduced generator g."""
+    gens = _reduced_rows(G)
+    lifted = np.ones(len(inside), dtype=bool)
+    for g, g_inv in zip(gens, inverse(gens)):
+        lifted &= inside[G._index(_inverse_at(G, g_inv[G.element_array()[:, g[G.base]]]))]
+    return lifted
 
 
 def center_of_group(G):
     """Elements commuting with every generator (hence with everything)."""
-    central = _lifts(G, PermGroup(G.degree))
-    return group_from_elements(G.degree, G.element_array()[central])
+    return PermGroup(G.degree, _generators(G, _lifts(G, np.arange(G.order()) == 0)))
 
 
 def normal_closure(G, seeds):
@@ -370,16 +421,13 @@ def derived_subgroup(G):
 
 def upper_central_series_group(G):
     """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
-    elements = G.element_array()
-    terms = [PermGroup(G.degree)]
-    while True:
-        nxt = group_from_elements(G.degree, elements[_lifts(G, terms[-1])])
-        if nxt.order() == terms[-1].order():
+    masks = [np.arange(G.order()) == 0]
+    while not masks[-1].all():
+        nxt = _lifts(G, masks[-1])
+        if nxt.sum() == masks[-1].sum():
             break
-        terms.append(nxt)
-        if nxt.order() == G.order():
-            break
-    return terms
+        masks.append(nxt)
+    return [PermGroup(G.degree, _generators(G, mask)) for mask in masks]
 
 
 def is_nilpotent_group(G):
@@ -406,7 +454,7 @@ def frattini_subgroup(G):
     for p in _prime_factors(order):
         gens = np.concatenate([derived.gen_array, power(elements, p)])
         inside &= PermGroup(G.degree, gens).contains_rows(elements)
-    return group_from_elements(G.degree, elements[inside])
+    return PermGroup(G.degree, _generators(G, inside))
 
 
 def frattini_subgroup_oracle(G):
@@ -434,13 +482,8 @@ def normalizer_of_subgroup(G, H):
     """{g in G : g^-1 H g = H} over enumerated elements of G."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not contained in G (generator sift failed)")
-    elements = G.element_array()
-    inverses = inverse(elements)
-    keep = np.ones(len(elements), dtype=bool)
-    for h in H.gen_array:
-        idx = np.flatnonzero(keep)
-        keep[idx] = H.contains_rows(compose(inverses[idx], compose(h[None], elements[idx])))
-    return group_from_elements(G.degree, elements[keep])
+    mask = _close(G, np.arange(G.order()) == 0, H.gen_array)
+    return PermGroup(G.degree, _generators(G, _normalizer_mask(G, mask)))
 
 
 def is_divisible_group(G):

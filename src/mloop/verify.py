@@ -249,36 +249,33 @@ def _check_prop4(ctx):
             current = ctx.fixpoint_result(current).result
             steps += 1
         loop_max = max(loop_max, steps)
-    m = ctx.bundle.M
     group_bound = max(0, 2 * cls - 1)
-    group_max = 0
-    sampled = 0
-    seen = set()
-    for row in m.element_array()[1:]:  # row 0 is the identity
-        h = pg.PermGroup(m.degree, row[None])
-        key = h.element_keys()
-        if key in seen:
-            continue
-        seen.add(key)
-        sampled += 1
-        steps = 0
-        current = h
-        while current.order() < m.order():
-            current = pg.normalizer_of_subgroup(m, current)
-            steps += 1
-            if steps > group_bound + 2:
-                break
-        group_max = max(group_max, steps)
-        if sampled >= GROUP_CHAIN_SAMPLES:
-            break
+    chains = _group_chains(ctx.bundle.M, group_bound + 3)
+    group_max = max((len(chain) - 1 for chain in chains), default=0)
     ok = loop_max <= cls and group_max <= group_bound
     witness = {
         "nilpotency_class": cls,
         "loop_chain_max_steps": loop_max,
         "group_chain_max_steps": group_max,
-        "group_chains_sampled": sampled,
+        "group_chains_sampled": len(chains),
     }
     return ok, witness
+
+
+def _group_chains(m, limit):
+    """Normalizer chains H, N(H), N(N(H)), ... as masks over m's element index,
+    from the first GROUP_CHAIN_SAMPLES distinct cyclic subgroups in element
+    order; each chain stops at m or after ``limit`` steps."""
+    chains = {}
+    for i in range(1, m.order()):
+        if len(chains) == GROUP_CHAIN_SAMPLES:
+            break
+        h = pg._close(m, np.arange(m.order()) == 0, m.element_array()[i:i + 1])
+        chains.setdefault(h.tobytes(), [h])
+    for chain in chains.values():
+        while not chain[-1].all() and len(chain) <= limit:
+            chain.append(pg._normalizer_mask(m, chain[-1]))
+    return list(chains.values())
 
 
 def _check_theorem2(ctx):

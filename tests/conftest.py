@@ -9,6 +9,9 @@ import pytest
 
 import mloop
 from mloop import loop_core, mult_group, structure
+from mloop.errors import NotSubgroup
+from mloop.perm_group import PermGroup, _reduced_rows, group_from_elements
+from mloop.perm_rows import compose, inverse
 
 # Directory holding the imported `mloop` package (`src/` in a checkout).
 MLOOP_SOURCE_ROOT = str(Path(mloop.__file__).resolve().parent.parent)
@@ -190,3 +193,49 @@ def quadruple_product_expansion(loop):
                 first = (x,) + loop_core._first_index(bad)
     ok = violations == 0
     return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}
+
+
+# The sift route of the group layer: every conjugate and commutator is a full
+# degree-n row, sifted through the chain of the subgroup it must lie in, and
+# each result is rebuilt by `group_from_elements`.  A route independent of the
+# base-image index and the element masks of `perm_group`.
+
+
+def naive_lifts(G, N):
+    """Mask of the p in G with p^-1 g^-1 p g in N for every reduced generator g."""
+    elements = G.element_array()
+    inverses = inverse(elements)
+    gens = _reduced_rows(G)
+    mask = np.ones(len(elements), dtype=bool)
+    for g, g_inv in zip(gens, inverse(gens)):
+        idx = np.flatnonzero(mask)
+        comm = compose(inverses[idx], compose(g_inv[None], elements[idx][:, g]))
+        mask[idx] = N.contains_rows(comm)
+    return mask
+
+
+def naive_upper_central_series(G):
+    """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
+    elements = G.element_array()
+    terms = [PermGroup(G.degree)]
+    while True:
+        nxt = group_from_elements(G.degree, elements[naive_lifts(G, terms[-1])])
+        if nxt.order() == terms[-1].order():
+            break
+        terms.append(nxt)
+        if nxt.order() == G.order():
+            break
+    return terms
+
+
+def naive_normalizer(G, H):
+    """{g in G : g^-1 H g = H} over enumerated elements of G."""
+    if not H.is_subgroup_of(G):
+        raise NotSubgroup("H is not contained in G (generator sift failed)")
+    elements = G.element_array()
+    inverses = inverse(elements)
+    keep = np.ones(len(elements), dtype=bool)
+    for h in H.gen_array:
+        idx = np.flatnonzero(keep)
+        keep[idx] = H.contains_rows(compose(inverses[idx], compose(h[None], elements[idx])))
+    return group_from_elements(G.degree, elements[keep])

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_lifts, naive_normalizer, naive_upper_central_series
 from mloop import perm_group as pg
-from mloop.errors import DegreeMismatch, NotNilpotent, OrderOverflow
+from mloop import verify
+from mloop.errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
+from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
+from mloop.mult_group import multiplication_group
 from mloop.perm_group import (
     PermGroup,
     Permutation,
@@ -281,3 +285,117 @@ def test_chain_matches_reference_algorithm(data):
     assert [p.images for p in group.enumerate_elements()] == reference_elements(n, levels)
     for p in probes:
         assert group.sift(p).images == reference_sift(levels, p.images)
+
+
+def subgroup_mask(G, H):
+    """H's members as a mask over G's element order, by row keys."""
+    keys = H.element_keys()
+    return np.array([tuple(row) in keys for row in G.element_array().tolist()])
+
+
+@given(perm_lists())
+@settings(max_examples=40, deadline=None)
+def test_mask_layer_matches_sift_route_on_random_groups(data):
+    n, gens, _ = data
+    group = PermGroup(n, gens)
+    elements = group.element_array()
+    assert group._index(elements[:, group.base]).tolist() == list(range(len(elements)))
+    sub = PermGroup(n, gens[:1])
+    ours, theirs = normalizer_of_subgroup(group, sub), naive_normalizer(group, sub)
+    assert ours.gen_array.tolist() == theirs.gen_array.tolist()
+    assert np.array_equal(pg._lifts(group, subgroup_mask(group, sub)), naive_lifts(group, sub))
+
+
+def every_subgroup(G):
+    """Each subgroup generated by at most two elements of G, once, in order of first find."""
+    found = {}
+    for a in G.element_array():
+        for b in G.element_array():
+            sub = PermGroup(G.degree, np.stack([a, b]))
+            found.setdefault(sub.element_keys(), sub)
+    return list(found.values())
+
+
+@pytest.mark.parametrize(
+    "make,count",
+    [
+        (s3, 6),
+        (lambda: cyclic(4), 3),
+        (lambda: multiplication_group(gen_abelian((3, 3))).M, 6),
+    ],
+    ids=["s3", "cyclic4", "M(abelian:3,3)"],
+)
+def test_mask_layer_matches_sift_route(make, count):
+    """Normalizers, lifts and central series agree with the sift route,
+    generators included, for every subgroup of a few small groups."""
+    G = make()
+    subgroups = every_subgroup(G)
+    assert len(subgroups) == count
+    for sub in subgroups:
+        ours, theirs = normalizer_of_subgroup(G, sub), naive_normalizer(G, sub)
+        assert ours.gen_array.tolist() == theirs.gen_array.tolist()
+        assert np.array_equal(pg._lifts(G, subgroup_mask(G, sub)), naive_lifts(G, sub))
+    ours, theirs = upper_central_series_group(G), naive_upper_central_series(G)
+    assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
+    naive_center = group_from_elements(G.degree, G.element_array()[naive_lifts(G, PermGroup(G.degree))])
+    assert center_of_group(G).gen_array.tolist() == naive_center.gen_array.tolist()
+
+
+def test_prop4_chains_match_sift_route(z81_bundle):
+    """The 20 mask-walked normalizer chains of M(zassenhaus81) against chains of
+    PermGroups built by the sift route: step counts, orders and element sets."""
+    m = z81_bundle.M
+    limit = 6  # verify's bound 2 * class - 1 = 3, plus 3
+    elements = m.element_array()
+    naive, seen = [], set()
+    for row in elements[1:]:
+        h = PermGroup(m.degree, row[None])
+        if h.element_keys() in seen:
+            continue
+        seen.add(h.element_keys())
+        chain = [h]
+        while chain[-1].order() < m.order() and len(chain) <= limit:
+            chain.append(naive_normalizer(m, chain[-1]))
+        naive.append(chain)
+        if len(naive) == verify.GROUP_CHAIN_SAMPLES:
+            break
+    chains = verify._group_chains(m, limit)
+    assert [[int(mask.sum()) for mask in c] for c in chains] == [[g.order() for g in c] for c in naive]
+    assert [[sorted(map(tuple, elements[mask].tolist())) for mask in c] for c in chains] == [
+        [sorted(g.element_keys()) for g in c] for c in naive
+    ]
+    assert max(len(c) - 1 for c in chains) == 2
+
+
+@pytest.fixture(scope="module")
+def z243_group():
+    return multiplication_group(direct_product(gen_zassenhaus81(), gen_abelian((3,)))).M
+
+
+def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243_group):
+    for m in (z81_bundle.M, z243_group):
+        elements = m.element_array()
+        assert np.array_equal(m._index(elements[:, m.base]), np.arange(m.order()))
+        ours, theirs = upper_central_series_group(m), naive_upper_central_series(m)
+        assert [(t.order(), sorted(t.element_keys())) for t in ours] == [
+            (t.order(), sorted(t.element_keys())) for t in theirs
+        ]
+        assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
+    assert [t.order() for t in ours] == [1, 9, 243, 6561]
+
+
+def test_index_certifies_non_members(z81_bundle):
+    """A base image off its level's orbit is a non-member: the kernel refuses it,
+    and normalizer_of_subgroup refuses an H outside G."""
+    m = z81_bundle.M
+    orbit = set(m.chain[1].reps[:, m.base[1]].tolist())
+    outside = min(set(range(1, m.degree)) - orbit)
+    swap = perm_from_cycles(m.degree, [(m.base[1], outside)])
+    assert swap not in m
+    with pytest.raises(AssertionError, match="off its orbit"):
+        m._index(np.array([swap.images])[:, m.base])
+    # the public normalizer sifts a user-supplied H before any index lookup
+    with pytest.raises(NotSubgroup):
+        normalizer_of_subgroup(m, group_from_generators([swap]))
+    with pytest.raises(NotSubgroup):
+        normalizer_of_subgroup(cyclic(3), group_from_generators([Permutation((1, 0, 2))]))
