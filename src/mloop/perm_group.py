@@ -18,9 +18,9 @@ without the identity or repeats.  Elements enumerate as rep_1 * rep_2 *
 ... with each level's representatives in sorted point order.  No
 randomization anywhere.
 
-Subgroups of an enumerated group are masks over its element order.  A
-member's position is its base point images sifted alone, exact since a
-base fixes each element; conjugates are never built as full rows.
+Subgroups of an enumerated G are masks over its element order, a member's
+position read off its base point images alone; greedy generators close the
+mask one row at a time, and only a group a function returns gets a chain.
 """
 
 from collections import namedtuple
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
 from .loop_core import CayleyLoop, _index_dtype
-from .perm_rows import blocks, compose, fresh, inverse, power, row_set
+from .perm_rows import blocks, compose, fresh, inverse, row_set
 from .structure import _maximal_members, _meet, _prime_factors, all_subloops
 
 ELEMENT_GUARD_DEFAULT = 10**6
@@ -140,6 +140,11 @@ def _rows(degree, perms):
     return perms.astype(_index_dtype(degree), copy=False)
 
 
+def _distinct(rows):
+    """The rows without the identity and repeats, first occurrence first."""
+    return fresh(rows, {np.arange(rows.shape[1], dtype=rows.dtype).tobytes()})
+
+
 def _perms(rows):
     return [Permutation._raw(tuple(r)) for r in rows.tolist()]
 
@@ -158,8 +163,7 @@ class PermGroup:
 
     def __init__(self, degree, generators=()):
         self.degree = int(degree)
-        rows = _rows(self.degree, generators)
-        self.gen_array = fresh(rows, {np.arange(self.degree, dtype=rows.dtype).tobytes()})
+        self.gen_array = _distinct(_rows(self.degree, generators))
         self.gen_array.setflags(write=False)
         self.chain = self._build_chain()
         self.base = [level.base for level in self.chain]
@@ -286,40 +290,6 @@ def group_from_generators(gens, degree=None):
     return PermGroup(degree, gens)
 
 
-def _extend(group, rows, added=None):
-    """Add, in order, each row not in the group generated so far.
-
-    One batch sift finds the first non-member; the chain is rebuilt with
-    it and the scan resumes after it.  Added rows go to ``added``.
-    """
-    start = 0
-    while True:
-        miss = np.flatnonzero(~group.contains_rows(rows[start:]))
-        if not len(miss):
-            return group
-        start += int(miss[0])
-        group = PermGroup(group.degree, np.concatenate([group.gen_array, rows[start:start + 1]]))
-        if added is not None:
-            added.append(rows[start])
-        start += 1
-
-
-def _reduced_rows(G):
-    if G._reduced is None:
-        G._reduced = _extend(PermGroup(G.degree), G.gen_array).gen_array
-    return G._reduced
-
-
-def reduced_generators(G):
-    """A greedy irredundant generating subset (same group, fewer iterations)."""
-    return _perms(_reduced_rows(G))
-
-
-def group_from_elements(degree, elements):
-    """Group from a (closed) element list, with greedy generator reduction."""
-    return _extend(PermGroup(degree), _rows(degree, elements))
-
-
 def closure_elements(degree, gens):
     """Brute-force closure enumeration, independent of the chain machinery."""
     identity = Permutation.identity(degree)
@@ -339,7 +309,7 @@ def closure_elements(degree, gens):
     return list(found.values())
 
 
-# -- distinguished subgroups, as masks over the element index of G ----------
+# -- subgroups, as masks over the element index of G ------------------------
 
 
 def _inverse_at(G, points):
@@ -360,17 +330,41 @@ def _close(G, mask, gens):
     return mask
 
 
+def _grow(G, mask, gens, rows):
+    """The greedy kernel: append to the generator rows ``gens`` each member row of
+    ``rows``, in order, outside the subgroup ``mask`` generated so far, closing
+    the mask after each.  Returns (mask, gens)."""
+    for i, row in zip(G._index(rows[:, G.base]).tolist(), rows):
+        if not mask[i]:
+            gens = np.concatenate([gens, row[None]])
+            mask = _close(G, mask, gens)
+    return mask, gens
+
+
 def _generators(G, mask):
-    """Greedy generator rows of the subgroup ``mask``: each member, in element
-    order, outside the subgroup generated by those before it (as ``_extend``)."""
+    """Greedy generator rows of the subgroup ``mask``, from its members in element order."""
     elements = G.element_array()
-    closed = np.arange(len(mask)) == 0
-    picked = []
-    for i in np.flatnonzero(mask).tolist():
-        if not closed[i]:
-            picked.append(i)
-            closed = _close(G, closed, elements[picked])
-    return elements[picked]
+    return _grow(G, np.arange(G.order()) == 0, elements[:0], elements[mask])[1]
+
+
+def _reduced_rows(G):
+    if G._reduced is None:
+        G._reduced = _grow(G, np.arange(G.order()) == 0, G.gen_array[:0], G.gen_array)[1]
+    return G._reduced
+
+
+def reduced_generators(G):
+    """A greedy irredundant generating subset (same group, fewer iterations)."""
+    return _perms(_reduced_rows(G))
+
+
+def _powers(G, p):
+    """Positions of g^p for each g in G, from g's base point images alone."""
+    elements = G.element_array()
+    images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(elements), len(G.base)))
+    for _ in range(p):
+        images = np.take_along_axis(elements, images, axis=1)
+    return G._index(images)
 
 
 def _normalizer_mask(G, mask):
@@ -390,6 +384,46 @@ def _lifts(G, inside):
     return lifted
 
 
+def _central_series(G):
+    """Masks of the upper central series Z_0 <= Z_1 <= ..., up to its first repeat."""
+    masks = [np.arange(G.order()) == 0]
+    while not masks[-1].all():
+        nxt = _lifts(G, masks[-1])
+        if nxt.sum() == masks[-1].sum():
+            break
+        masks.append(nxt)
+    return masks
+
+
+def _normal_closure(G, seeds):
+    """(mask, generator rows) of the least normal subgroup containing the member
+    rows ``seeds``: each distinct seed is a generator, then, last in first out,
+    each conjugate g^-1 h g of a generator h by the reduced generators g in
+    order that lies outside the subgroup so far."""
+    conj = _reduced_rows(G)
+    conj_inv = inverse(conj)
+    gens = _distinct(seeds)
+    mask = _close(G, np.arange(G.order()) == 0, gens)
+    work = list(gens)
+    while work:
+        h = work.pop()
+        known = len(gens)
+        mask, gens = _grow(G, mask, gens, compose(conj_inv, h[conj]))
+        work.extend(gens[known:])
+    return mask, gens
+
+
+def _derived(G):
+    """(mask, generator rows) of G', the normal closure of the commutators of
+    the reduced generators (built once per G)."""
+    if G._derived is None:
+        gens = _reduced_rows(G)
+        inv = inverse(gens)
+        a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
+        G._derived = _normal_closure(G, compose(compose(inv[a], inv[b]), compose(gens[a], gens[b])))
+    return G._derived
+
+
 def center_of_group(G):
     """Elements commuting with every generator (hence with everything)."""
     return PermGroup(G.degree, _generators(G, _lifts(G, np.arange(G.order()) == 0)))
@@ -397,42 +431,24 @@ def center_of_group(G):
 
 def normal_closure(G, seeds):
     """Least normal subgroup of G containing the seed permutations."""
-    conj = _reduced_rows(G)
-    conj_inv = inverse(conj)
-    H = PermGroup(G.degree, seeds)
-    work = list(H.gen_array)
-    while work:
-        h = work.pop()
-        # g^-1 * h * g for each conjugating g, in order
-        H = _extend(H, compose(conj_inv, h[conj]), work)
-    return H
+    rows = _rows(G.degree, seeds)
+    if not G.contains_rows(rows).all():
+        raise NotSubgroup("a seed is not contained in G (sift failed)")
+    return PermGroup(G.degree, _normal_closure(G, rows)[1])
 
 
 def derived_subgroup(G):
-    """Normal closure of the commutators of a generating set (built once per G)."""
-    if G._derived is None:
-        gens = _reduced_rows(G)
-        inv = inverse(gens)
-        a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
-        comms = compose(compose(inv[a], inv[b]), compose(gens[a], gens[b]))
-        G._derived = normal_closure(G, comms)
-    return G._derived
+    """Normal closure of the commutators of a generating set."""
+    return PermGroup(G.degree, _derived(G)[1])
 
 
 def upper_central_series_group(G):
     """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
-    masks = [np.arange(G.order()) == 0]
-    while not masks[-1].all():
-        nxt = _lifts(G, masks[-1])
-        if nxt.sum() == masks[-1].sum():
-            break
-        masks.append(nxt)
-    return [PermGroup(G.degree, _generators(G, mask)) for mask in masks]
+    return [PermGroup(G.degree, _generators(G, mask)) for mask in _central_series(G)]
 
 
 def is_nilpotent_group(G):
-    series = upper_central_series_group(G)
-    return series[-1].order() == G.order()
+    return bool(_central_series(G)[-1].all())
 
 
 def frattini_subgroup(G):
@@ -445,15 +461,10 @@ def frattini_subgroup(G):
     """
     if not is_nilpotent_group(G):
         raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
-    order = G.order()
-    if order == 1:
-        return PermGroup(G.degree)
-    derived = derived_subgroup(G)
     elements = G.element_array()
     inside = np.ones(len(elements), dtype=bool)
-    for p in _prime_factors(order):
-        gens = np.concatenate([derived.gen_array, power(elements, p)])
-        inside &= PermGroup(G.degree, gens).contains_rows(elements)
+    for p in _prime_factors(G.order()):
+        inside &= _close(G, _derived(G)[0].copy(), elements[np.unique(_powers(G, p))])
     return PermGroup(G.degree, _generators(G, inside))
 
 
@@ -469,13 +480,11 @@ def frattini_subgroup_oracle(G):
     elements = G.enumerate_elements()
     index = {p.images: i for i, p in enumerate(elements)}
     assert index[Permutation.identity(G.degree).images] == 0
-    table = [
-        [index[(a * b).images] for b in elements] for a in elements
-    ]
+    table = [[index[(a * b).images] for b in elements] for a in elements]
     cayley = CayleyLoop(table, name="cayley")
     lattice = all_subloops(cayley, lattice_guard=FRATTINI_ORACLE_GUARD)
     common = _meet(cayley, _maximal_members(lattice))
-    return group_from_elements(G.degree, [elements[i] for i in common.members])
+    return PermGroup(G.degree, G.element_array()[list(common.members)])
 
 
 def normalizer_of_subgroup(G, H):
@@ -492,8 +501,6 @@ def is_divisible_group(G):
     The primes dividing the exponent are those dividing the order (Cauchy).
     """
     order = G.order()
-    elements = G.element_array()
-    primes = _prime_factors(order)
-    divisible = all(len(fresh(power(elements, p), set())) == order for p in primes)
+    divisible = all(len(np.unique(_powers(G, p))) == order for p in _prime_factors(order))
     assert divisible == (order == 1), "finite divisible group must be trivial"
     return divisible

@@ -40,13 +40,6 @@ def inverse(p):
     return out
 
 
-def power(p, k):
-    acc = p
-    for _ in range(k - 1):
-        acc = compose(p, acc)
-    return acc
-
-
 def row_set(rows):
     """The rows as a frozenset of image tuples, for set comparisons."""
     return frozenset(map(tuple, rows.tolist()))

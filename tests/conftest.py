@@ -9,9 +9,9 @@ import pytest
 
 import mloop
 from mloop import loop_core, mult_group, structure
-from mloop.errors import NotSubgroup
-from mloop.perm_group import PermGroup, _reduced_rows, group_from_elements
-from mloop.perm_rows import compose, inverse
+from mloop.errors import NotNilpotent, NotSubgroup
+from mloop.perm_group import PermGroup, _rows
+from mloop.perm_rows import compose, fresh, inverse
 
 # Directory holding the imported `mloop` package (`src/` in a checkout).
 MLOOP_SOURCE_ROOT = str(Path(mloop.__file__).resolve().parent.parent)
@@ -195,17 +195,99 @@ def quadruple_product_expansion(loop):
     return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}
 
 
-# The sift route of the group layer: every conjugate and commutator is a full
-# degree-n row, sifted through the chain of the subgroup it must lie in, and
-# each result is rebuilt by `group_from_elements`.  A route independent of the
-# base-image index and the element masks of `perm_group`.
+# The sift route of the group layer: every conjugate, commutator and power is
+# a full degree-n row, sifted through the chain of the subgroup it must lie in,
+# and each subgroup is grown by rebuilding its chain for every generator added.
+# A route independent of the base-image index and the element masks of
+# `perm_group`; the greedy generator choices are the same, so generator rows
+# compare bit for bit.
+
+
+def power(p, k):
+    acc = p
+    for _ in range(k - 1):
+        acc = compose(p, acc)
+    return acc
+
+
+def sift_extend(group, rows, added=None):
+    """Add, in order, each row not in the group generated so far.
+
+    One batch sift finds the first non-member; the chain is rebuilt with
+    it and the scan resumes after it.  Added rows go to ``added``.
+    """
+    start = 0
+    while True:
+        miss = np.flatnonzero(~group.contains_rows(rows[start:]))
+        if not len(miss):
+            return group
+        start += int(miss[0])
+        group = PermGroup(group.degree, np.concatenate([group.gen_array, rows[start:start + 1]]))
+        if added is not None:
+            added.append(rows[start])
+        start += 1
+
+
+def sift_reduced_rows(G):
+    return sift_extend(PermGroup(G.degree), G.gen_array).gen_array
+
+
+def group_from_elements(degree, elements):
+    """Group from a (closed) element list, with greedy generator reduction."""
+    return sift_extend(PermGroup(degree), _rows(degree, elements))
+
+
+def sift_normal_closure(G, seeds):
+    """Least normal subgroup of G containing the seed permutations."""
+    conj = sift_reduced_rows(G)
+    conj_inv = inverse(conj)
+    H = PermGroup(G.degree, seeds)
+    work = list(H.gen_array)
+    while work:
+        h = work.pop()
+        # g^-1 * h * g for each conjugating g, in order
+        H = sift_extend(H, compose(conj_inv, h[conj]), work)
+    return H
+
+
+def sift_derived_subgroup(G):
+    """Normal closure of the commutators of a generating set."""
+    gens = sift_reduced_rows(G)
+    inv = inverse(gens)
+    a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
+    comms = compose(compose(inv[a], inv[b]), compose(gens[a], gens[b]))
+    return sift_normal_closure(G, comms)
+
+
+def sift_frattini_subgroup(G):
+    """Phi(G) of a nilpotent G: the intersection over primes p | order(G) of
+    G' * <g^p : g in G>, each sifted as a group of its own."""
+    if naive_upper_central_series(G)[-1].order() != G.order():
+        raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
+    order = G.order()
+    if order == 1:
+        return PermGroup(G.degree)
+    derived = sift_derived_subgroup(G)
+    elements = G.element_array()
+    inside = np.ones(len(elements), dtype=bool)
+    for p in structure._prime_factors(order):
+        gens = np.concatenate([derived.gen_array, power(elements, p)])
+        inside &= PermGroup(G.degree, gens).contains_rows(elements)
+    return group_from_elements(G.degree, elements[inside])
+
+
+def sift_is_divisible_group(G):
+    """Whether every p-power map is onto, p | order(G), by full power rows."""
+    elements = G.element_array()
+    return all(len(fresh(power(elements, p), set())) == G.order()
+               for p in structure._prime_factors(G.order()))
 
 
 def naive_lifts(G, N):
     """Mask of the p in G with p^-1 g^-1 p g in N for every reduced generator g."""
     elements = G.element_array()
     inverses = inverse(elements)
-    gens = _reduced_rows(G)
+    gens = sift_reduced_rows(G)
     mask = np.ones(len(elements), dtype=bool)
     for g, g_inv in zip(gens, inverse(gens)):
         idx = np.flatnonzero(mask)

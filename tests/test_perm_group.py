@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_lifts, naive_normalizer, naive_upper_central_series
+from conftest import (
+    group_from_elements,
+    naive_lifts,
+    naive_normalizer,
+    naive_upper_central_series,
+    sift_derived_subgroup,
+    sift_frattini_subgroup,
+    sift_is_divisible_group,
+    sift_normal_closure,
+    sift_reduced_rows,
+)
 from mloop import perm_group as pg
 from mloop import verify
 from mloop.errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
@@ -19,7 +29,6 @@ from mloop.perm_group import (
     derived_subgroup,
     frattini_subgroup,
     frattini_subgroup_oracle,
-    group_from_elements,
     group_from_generators,
     is_divisible_group,
     is_nilpotent_group,
@@ -287,6 +296,33 @@ def test_chain_matches_reference_algorithm(data):
         assert group.sift(p).images == reference_sift(levels, p.images)
 
 
+def same_rows(ours, theirs):
+    """Bit-for-bit equality of two row arrays: dtype, shape and bytes."""
+    return (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+
+
+def same_group(ours, theirs):
+    return same_rows(ours.gen_array, theirs.gen_array) and (
+        sorted(ours.element_keys()) == sorted(theirs.element_keys())
+    )
+
+
+def assert_closures_match_sift_route(G, seed_lists):
+    """Reduced generators, the normal closure of each seed list, G', Phi(G)
+    (where G is nilpotent) and divisibility against the sift route."""
+    assert same_rows(pg._reduced_rows(G), sift_reduced_rows(G))
+    for seeds in seed_lists:
+        assert same_group(normal_closure(G, seeds), sift_normal_closure(G, seeds))
+    assert same_group(derived_subgroup(G), sift_derived_subgroup(G))
+    if is_nilpotent_group(G):
+        assert same_group(frattini_subgroup(G), sift_frattini_subgroup(G))
+    else:
+        for frattini in (frattini_subgroup, sift_frattini_subgroup):
+            with pytest.raises(NotNilpotent):
+                frattini(G)
+    assert is_divisible_group(G) == sift_is_divisible_group(G)
+
+
 def subgroup_mask(G, H):
     """H's members as a mask over G's element order, by row keys."""
     keys = H.element_keys()
@@ -304,6 +340,7 @@ def test_mask_layer_matches_sift_route_on_random_groups(data):
     ours, theirs = normalizer_of_subgroup(group, sub), naive_normalizer(group, sub)
     assert ours.gen_array.tolist() == theirs.gen_array.tolist()
     assert np.array_equal(pg._lifts(group, subgroup_mask(group, sub)), naive_lifts(group, sub))
+    assert_closures_match_sift_route(group, [sub.gen_array, np.array([p.images for p in gens])])
 
 
 def every_subgroup(G):
@@ -322,12 +359,15 @@ def every_subgroup(G):
         (s3, 6),
         (lambda: cyclic(4), 3),
         (lambda: multiplication_group(gen_abelian((3, 3))).M, 6),
+        (d4, 10),
+        (lambda: cyclic(12), 6),
     ],
-    ids=["s3", "cyclic4", "M(abelian:3,3)"],
+    ids=["s3", "cyclic4", "M(abelian:3,3)", "d4", "cyclic12"],
 )
 def test_mask_layer_matches_sift_route(make, count):
-    """Normalizers, lifts and central series agree with the sift route,
-    generators included, for every subgroup of a few small groups."""
+    """Normalizers, lifts, central series, normal closures, G', Phi(G) and
+    divisibility agree with the sift route, generators included, for every
+    subgroup of a few small groups (G' is trivial in the abelian ones)."""
     G = make()
     subgroups = every_subgroup(G)
     assert len(subgroups) == count
@@ -339,6 +379,7 @@ def test_mask_layer_matches_sift_route(make, count):
     assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
     naive_center = group_from_elements(G.degree, G.element_array()[naive_lifts(G, PermGroup(G.degree))])
     assert center_of_group(G).gen_array.tolist() == naive_center.gen_array.tolist()
+    assert_closures_match_sift_route(G, [sub.gen_array for sub in subgroups])
 
 
 def test_prop4_chains_match_sift_route(z81_bundle):
@@ -368,12 +409,12 @@ def test_prop4_chains_match_sift_route(z81_bundle):
 
 
 @pytest.fixture(scope="module")
-def z243_group():
-    return multiplication_group(direct_product(gen_zassenhaus81(), gen_abelian((3,)))).M
+def z243_bundle():
+    return multiplication_group(direct_product(gen_zassenhaus81(), gen_abelian((3,))))
 
 
-def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243_group):
-    for m in (z81_bundle.M, z243_group):
+def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243_bundle):
+    for m in (z81_bundle.M, z243_bundle.M):
         elements = m.element_array()
         assert np.array_equal(m._index(elements[:, m.base]), np.arange(m.order()))
         ours, theirs = upper_central_series_group(m), naive_upper_central_series(m)
@@ -382,6 +423,25 @@ def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243
         ]
         assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
     assert [t.order() for t in ours] == [1, 9, 243, 6561]
+
+
+def test_closures_match_sift_route_at_orders_2187_and_6561(z81_bundle, z243_bundle):
+    """The reduced generators, M', Phi(M), the normal closure of the inner
+    mapping group's generators (lemma7) and divisibility of M(zassenhaus81)
+    and M(zassenhaus81 x Z3) against the sift route."""
+    for bundle in (z81_bundle, z243_bundle):
+        assert_closures_match_sift_route(bundle.M, [bundle.I.gen_array])
+
+
+def test_normal_closure_refuses_seeds_outside_g(z81_bundle):
+    """A seed outside G fails the sift guard before any index lookup."""
+    with pytest.raises(NotSubgroup):
+        normal_closure(cyclic(3), [Permutation((1, 0, 2))])
+    m = z81_bundle.M
+    swap = perm_from_cycles(m.degree, [(0, 1)])
+    assert swap not in m
+    with pytest.raises(NotSubgroup):
+        normal_closure(m, [m.generators[0], swap])
 
 
 def test_index_certifies_non_members(z81_bundle):

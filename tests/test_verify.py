@@ -15,12 +15,12 @@ from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenh
 from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, LoopContext, _check_product_expansion, run_suite
 
 # The builders of the shared artifacts: L', the maximal subloops, Z(L),
-# M' (the normal closure inside derived_subgroup) and Phi(M).
+# M' (the normal closure mask inside perm_group._derived) and Phi(M).
 BUILDERS = (
     (st, "associator_subloop"),
     (st, "_maximal_over"),
     (st, "center"),
-    (pg, "normal_closure"),
+    (pg, "_normal_closure"),
     (pg, "frattini_subgroup"),
 )
 
@@ -30,16 +30,16 @@ def count_builds(mp):
 
     Returns ``{name: count}``, filled as the builders run.  Loop-side
     builders count only calls on zassenhaus81 itself, not on its
-    quotients; ``normal_closure`` counts only calls from inside
-    ``perm_group``, where it builds a derived subgroup.
+    quotients; ``_normal_closure`` counts only calls from
+    ``perm_group._derived``, where it builds a derived subgroup.
     """
     counts = dict.fromkeys([name for _, name in BUILDERS], 0)
 
     def wrap(real, name):
         def counted(*args, **kwargs):
             on_z81 = getattr(args[0], "name", "zassenhaus81") == "zassenhaus81"
-            caller = sys._getframe(1).f_globals["__name__"]
-            if on_z81 and (name != "normal_closure" or caller == pg.__name__):
+            caller = sys._getframe(1).f_code.co_name
+            if on_z81 and (name != "_normal_closure" or caller == "_derived"):
                 counts[name] += 1
             return real(*args, **kwargs)
 
@@ -56,13 +56,28 @@ def count_builds(mp):
     return counts
 
 
+def count_chains(mp):
+    """Count ``PermGroup._build_chain`` calls: one per Schreier chain built."""
+    counts = [0]
+    real = pg.PermGroup._build_chain
+
+    def counted(self):
+        counts[0] += 1
+        return real(self)
+
+    mp.setattr(pg.PermGroup, "_build_chain", counted)
+    return counts
+
+
 @pytest.fixture(scope="module")
 def z81_all():
-    """The full-suite report of a fresh z81, seed 0, and the build counts."""
+    """The full-suite report of a fresh z81, seed 0, the build counts and the
+    number of Schreier chains built."""
     with pytest.MonkeyPatch.context() as mp:
         counts = count_builds(mp)
+        chains = count_chains(mp)
         report = run_suite(gen_zassenhaus81(), "all", seed=0)
-    return report, counts
+    return report, counts, chains[0]
 
 
 def test_registry_shape():
@@ -170,7 +185,7 @@ def test_lattice_suites_respect_guard(z81):
 
 
 def test_all_runs_each_check_once(z81_all):
-    report, _ = z81_all
+    report, _, _ = z81_all
     assert [c.name for c in report.checks] == [name for name, _, _ in CHECK_REGISTRY]
     statuses = {c.name: c.status for c in report.checks}
     assert statuses.pop("prop3_normalizer_containments") == "fail"
@@ -180,7 +195,7 @@ def test_all_runs_each_check_once(z81_all):
 def test_all_builds_the_group_frattini_subgroup_once(z81_all):
     # lemma4 and lemma6 read one cached Phi(M) (frattini_agreement skips the
     # group side at |M| = 2187, above the exhaustive oracle's guard)
-    _, counts = z81_all
+    _, counts, _ = z81_all
     assert counts["frattini_subgroup"] == 1
 
 
@@ -188,7 +203,7 @@ def test_all_builds_each_artifact_once(z81_all):
     # the maxima come from the context's L', Phi(L) from its maxima, and the
     # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
     # on M for m_derived, frattini_subgroup and the lemma7 bridge
-    _, counts = z81_all
+    _, counts, _ = z81_all
     assert counts == dict.fromkeys(counts, 1)
 
 
@@ -199,10 +214,26 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     assert counts == dict.fromkeys(counts, 1)
 
 
+def test_all_builds_twelve_chains(z81_all):
+    # M and I of z81 and of the lemma1 quotient; lemma1's H*; Z(M); M' for the
+    # context and again in the lemma7 bridge; Phi(M); lemma7's join, H* and
+    # normal closure.  Every other subgroup is an element mask with no chain.
+    _, _, chains = z81_all
+    assert chains == 12
+
+
+@pytest.mark.parametrize("spec", ["zassenhaus81", "product:zassenhaus81xabelian:3"])
+def test_invariants_builds_five_chains(monkeypatch, spec):
+    # M, I, Z(M), M' and Phi(M); the nilpotency test behind Phi(M) builds none
+    chains = count_chains(monkeypatch)
+    assert cli.main(["invariants", "--gen", spec]) == 0
+    assert chains == [5]
+
+
 def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
     """`mloop invariants` and the verify checks read one artifact context,
     so every invariant a check reports is the same number."""
-    report, _ = z81_all
+    report, _, _ = z81_all
     suite_of = {name: suite for name, suite, _ in CHECK_REGISTRY}
     witness = {suite_of[c.name]: c.witness for c in report.checks}
     out = tmp_path / "invariants.json"
