@@ -120,7 +120,6 @@ def cmd_check(args):
 
 def cmd_invariants(args):
     loop, _ = _load_loop(args)
-    loop._require_tensor("associator table")  # before any n^3 scan
     if not loop.diagnostics().is_cml:
         raise LoopError(f"{loop.name} is not a commutative Moufang loop")
     ctx = LoopContext(loop)

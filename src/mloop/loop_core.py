@@ -2,9 +2,12 @@
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
 identity pinned at index 0.  Every n^3 scan (associativity, the Moufang law
-x^2(yz) = (xy)(xz), associator and inner-map tensors) runs y-row blocks
+x^2(yz) = (xy)(xz), the centre, the inner-map certificate) runs y-row blocks
 outer, each cast to intp once, and x inner: (xy)z is then the table with its
-rows permuted by L_x, and x(yz) a ``take`` from row x.
+rows permuted by L_x, and x(yz) a ``take`` from row x.  The associator lives
+on L/Z(L): (xc, y, z) = (x, y, z) for c central and nuclear, and likewise in
+each slot (Bruck, A Survey of Binary Systems, 1958), so (x, y, z) is
+A_q[x', y', z'] over the cosets x' of Z(L), an (m, m, m) tensor, m = |L/Z(L)|.
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,8 @@ from .perm_rows import cast_blocks
 
 MAX_ORDER_DEFAULT = 1024
 
-# n^3 tensors are cached as int16; 300^3 is ~54 MB which is the ceiling we
-# accept for cached associator / inner-mapping tables.
+# Cached tensors are int16; 300^3 is ~54 MB, the ceiling accepted for the
+# associator tensor (on m = |L/Z(L)|) and the inner-mapping tensor (on n).
 _TENSOR_LIMIT = 300
 
 
@@ -99,6 +102,8 @@ class CayleyLoop:
         self.name = name if name is not None else f"loop{n}"
         self._inv = None
         self._ldiv = None
+        self._central = None
+        self._cosets = None
         self._assoc = None
         self._inner = None
         self._inner_check = None  # (violation or None,) once scanned
@@ -159,24 +164,44 @@ class CayleyLoop:
         right = t[a, t[b, c]]
         return int(self.ldiv_table()[right, left])
 
-    # -- cached tensors ------------------------------------------------------
+    # -- the centre and cached tensors ---------------------------------------
 
-    def _associator_index(self, x, rows, t_rows):
-        """Flat ldiv index of A[x, y, z] = ldiv[x (y z), (x y) z] at [y, z], y in rows."""
-        t = self.table
-        idx = (t[x].astype(np.intp) * self.n).take(t_rows)
-        return np.add(idx, t.take(t[x, rows], axis=0), out=idx)
+    def central_mask(self):
+        """Mask of Z(L): elements commuting with everything and associating in first position."""
+        if self._central is None:
+            t = self.table
+            central = (t == t.T).all(axis=1)
+            for rows, t_rows in cast_blocks(t):
+                for x in central.nonzero()[0]:
+                    # (xy)z vs x(yz); x leaves at its first failing block
+                    central[x] = np.array_equal(t.take(t[x, rows], axis=0), t[x].take(t_rows))
+            central.setflags(write=False)
+            self._central = central
+        return self._central
 
-    def _inner_index(self, x, rows, t_rows):
-        """Flat ldiv index of I[x, y, z] = ldiv[x y, x (y z)] at [y, z], y in rows."""
-        t = self.table
-        idx = t[x].astype(np.intp).take(t_rows)
-        return np.add(idx, t[x, rows].astype(np.intp)[:, None] * self.n, out=idx)
+    def central_cosets(self):
+        """(reps, proj) of the cosets of Z(L), taken trivial for a non-commutative
+        table, where the first-position test does not prove an element nuclear."""
+        if self._cosets is None:
+            t = self.table
+            members = np.flatnonzero(self.central_mask()) if np.array_equal(t, t.T) else [0]
+            self._cosets = _cosets(t, members)
+        return self._cosets
 
     def associator_table(self):
-        """Full tensor A[a, b, c] = index of the associator (a, b, c)."""
+        """A_q[a, b, c] = (r_a, r_b, r_c), r = reps of ``central_cosets()``, so that
+        (x, y, z) = A_q[proj[x], proj[y], proj[z]]; the guard bounds m, not n."""
         if self._assoc is None:
-            self._assoc = self._tensor("associator table", self._associator_index)
+            reps = self.central_cosets()[0]
+            if len(reps) > _TENSOR_LIMIT:
+                raise OrderOverflow("associator table", _TENSOR_LIMIT, len(reps))
+            t, ldiv = self.table, self.ldiv_table()
+            pairs = t[np.ix_(reps, reps)]  # r_b r_c
+            out = np.empty((len(reps),) * 3, dtype=t.dtype)
+            for a, x in enumerate(reps):
+                out[a] = ldiv[t[x].take(pairs), t.take(t[x, reps], axis=0).take(reps, axis=1)]
+            out.setflags(write=False)
+            self._assoc = out
         return self._assoc
 
     def inner_mapping_table(self):
@@ -186,41 +211,36 @@ class CayleyLoop:
         the associator tensor, so the two can cross-check each other.
         """
         if self._inner is None:
-            self._inner = self._tensor("inner mapping table", self._inner_index)
+            if self.n > _TENSOR_LIMIT:
+                raise OrderOverflow("inner mapping table", _TENSOR_LIMIT, self.n)
+            t, ldiv = self.table, self.ldiv_table()
+            out = np.empty((self.n,) * 3, dtype=t.dtype)
+            for x in range(self.n):
+                out[x] = ldiv[t[x][:, None], t[x][t]]  # [y, z] = ldiv[x y, x (y z)]
+            out.setflags(write=False)
+            self._inner = out
         return self._inner
 
-    def _tensor(self, what, index):
-        """A read-only n^3 tensor T, T[x, rows] = ldiv gathered at index(x, rows, t_rows)."""
-        self._require_tensor(what)
-        out, ldiv = np.empty((self.n,) * 3, dtype=self.table.dtype), self.ldiv_table().ravel()
-        for rows, t_rows in cast_blocks(self.table):
-            for x in range(self.n):
-                out[x, rows] = ldiv.take(index(x, rows, t_rows))
-        out.setflags(write=False)
-        return out
-
     def inner_identity_violation(self):
-        """Least (x, y, z) with I[x, y, z] != z * A[z, y, x], or None.
+        """Least (x, y, z) with I[x, y, z] != z * (z, y, x), or None.
 
-        In a CML L(x, y) sends z to z(z, y, x); this scan, cached per loop,
-        certifies the associator tensor against inner-map rows built apart from it.
+        In a CML L(x, y) sends z to z(z, y, x); this exhaustive scan, cached per
+        loop, certifies A_q and its cosets against inner-map rows built apart.
         """
         if self._inner_check is None:
-            flat, ldiv = self.table.ravel(), self.ldiv_table().ravel()
-            assoc = self.associator_table()
-            zoff = np.arange(self.n) * self.n
+            t, n = self.table, self.n
+            flat, ldiv = t.ravel(), self.ldiv_table().ravel()
+            assoc, proj = self.associator_table(), self.central_cosets()[1].astype(np.intp)
+            zoff = np.arange(n) * n
 
             def bad(x, rows, t_rows):
-                # flat index of z * A[z, y, x] at [y, z], C-ordered for the take
-                zyx = np.add(zoff, assoc[:, rows, x].T, order="C")
-                return ldiv.take(self._inner_index(x, rows, t_rows)) != flat.take(zyx)
+                # flat indices of I[x, y, z] = ldiv[x y, x (y z)] and z * A_q[z', y', x'] at [y, z]
+                inner = t[x].astype(np.intp).take(t_rows) + t[x, rows].astype(np.intp)[:, None] * n
+                zyx = assoc[:, :, proj[x]].T.take(proj[rows], axis=0).take(proj, axis=1) + zoff
+                return ldiv.take(inner) != flat.take(zyx)
 
             self._inner_check = tuple(_least_violations(self.table, (bad,)))
         return self._inner_check[0]
-
-    def _require_tensor(self, what):
-        if self.n > _TENSOR_LIMIT:
-            raise OrderOverflow(what, _TENSOR_LIMIT, self.n)
 
     # -- misc ----------------------------------------------------------------
 
@@ -466,6 +486,15 @@ def direct_product(a, b, max_order=None, name=None):
     return CayleyLoop(table, name=label)
 
 
+def _cosets(table, members):
+    """(reps, proj) for the normal subloop with member indices ``members``: reps[a]
+    is the least member of coset a, increasing in a; proj[x] is x's coset, read-only."""
+    reps, proj = np.unique(table[:, members].min(axis=1), return_inverse=True)
+    proj = proj.astype(table.dtype)
+    proj.setflags(write=False)
+    return reps, proj
+
+
 def quotient(loop, subloop):
     """Quotient loop by a normal subloop, with the coset projection.
 
@@ -479,17 +508,5 @@ def quotient(loop, subloop):
     h = coerce_subloop(loop, subloop)
     if not is_normal(loop, h):
         raise NotNormal(normality_witness(loop, h))
-    t = loop.table
-    members = np.array(sorted(h.elements), dtype=np.int64)
-    cos = np.full(loop.n, -1, dtype=np.int64)
-    reps = []
-    for x in range(loop.n):
-        if cos[x] == -1:
-            cos[np.asarray(t[x, members], dtype=np.int64)] = len(reps)
-            reps.append(x)
-    reps = np.array(reps, dtype=np.int64)
-    qtable = cos[np.asarray(t[np.ix_(reps, reps)], dtype=np.int64)]
-    q = CayleyLoop(qtable, name=f"{loop.name}/{len(members)}")
-    proj = cos.astype(t.dtype)
-    proj.setflags(write=False)
-    return q, proj
+    reps, proj = _cosets(loop.table, list(h.members))
+    return CayleyLoop(proj[loop.table[np.ix_(reps, reps)]], name=f"{loop.name}/{h.size}"), proj

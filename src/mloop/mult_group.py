@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCommutative, NotNormal, NotSubgroup
-from .loop_core import CayleyLoop, quotient
+from .loop_core import CayleyLoop, _cosets, quotient
 from .perm_group import (
     PermGroup,
     Permutation,
@@ -65,7 +65,7 @@ def h_star(bundle, H):
     H = coerce_subloop(loop, H)
     if not is_normal(loop, H):
         raise NotNormal(normality_witness(loop, H))
-    _, proj = quotient(loop, H)
+    proj = _cosets(loop.table, list(H.members))[1]
     elements = bundle.M.element_array()
     keep = (compose(proj[None], elements) == proj).all(axis=1)
     return PermGroup(loop.n, _generators(bundle.M, keep))

@@ -321,12 +321,14 @@ def _inverse_at(G, points):
 
 
 def _close(G, mask, gens):
-    """The mask closed under right multiplication by the rows ``gens``."""
+    """The mask closed under right multiplication by the rows ``gens``, gathering
+    the frontier's products in blocks of at most GATHER_BLOCK base images."""
     frontier = np.flatnonzero(mask)
     while len(frontier):
-        found = G._index(G.element_array()[frontier[:, None, None], gens[:, G.base]])
-        frontier = np.unique(found[~mask[found]])
-        mask[frontier] = True
+        known = mask.copy()
+        for b in blocks(len(frontier), len(gens) * len(G.base)):
+            mask[G._index(G.element_array()[frontier[b, None, None], gens[:, G.base]])] = True
+        frontier = np.flatnonzero(mask & ~known)
     return mask
 
 
@@ -464,7 +466,8 @@ def frattini_subgroup(G):
     elements = G.element_array()
     inside = np.ones(len(elements), dtype=bool)
     for p in _prime_factors(G.order()):
-        inside &= _close(G, _derived(G)[0].copy(), elements[np.unique(_powers(G, p))])
+        mask, gens = _derived(G)
+        inside &= _grow(G, mask.copy(), gens, elements[np.unique(_powers(G, p))])[0]
     return PermGroup(G.degree, _generators(G, inside))
 
 

@@ -3,7 +3,8 @@
 Subloops are element sets of a parent CayleyLoop.  Closures and the full
 lattice run on numpy boolean masks; the lattice is the join-closure of the
 cyclic subloops, which is provably complete (every subloop is the join of
-the cyclic subloops of its elements).
+the cyclic subloops of its elements).  Normality and L' read the loop's
+associator tensor A_q on L/Z(L), one row per centre coset.
 
 Joins in the lattice stop early once their result is known.  For a subloop
 S and atoms <x_a>, <x_b> outside it, with J_a = S v <x_a> already built:
@@ -27,7 +28,6 @@ from .errors import (
     ParseError,
 )
 from .loop_core import _first_index, quotient
-from .perm_rows import cast_blocks
 
 LATTICE_GUARD_DEFAULT = 128
 NON_GENERATOR_TRIALS = 60
@@ -169,9 +169,11 @@ def join(a, b):
 
 
 def _stay_rows(loop, h, k):
-    """The normality kernel: (H, K, rows), yielding for each h_i in H the matrix
-    S, S[j, l] iff (h_i, k_j, k_l) stays inside H.  H is normal in K iff every
-    S is all true (CML only); rows come lazily, one row of the tensor at a time.
+    """The normality kernel: (H, K, kpos, rows).  Associators are constant on the
+    cosets of Z(L), so rows yields, per coset meeting H in the order of its least
+    member h in H, (h, S) with S[b, c] iff (h, r_b, r_c) stays inside H, over the
+    cosets r_b, r_c meeting K; kpos[j] is the index of k_j's coset.  H is normal
+    in K iff every S is all true (CML only); rows come lazily.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
@@ -181,23 +183,20 @@ def _stay_rows(loop, h, k):
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
-    assoc, inside = loop.associator_table(), h.mask()
-
-    def stays():
-        for x in h.members:
-            row = assoc[x] if k.is_full else assoc[x].take(k.members, 0).take(k.members, 1)
-            yield inside.take(row)
-
-    return h, k, stays()
+    assoc, inside, proj = loop.associator_table(), h.mask(), loop.central_cosets()[1]
+    cosets, kpos = np.unique(proj[list(k.members)], return_inverse=True)
+    firsts = np.sort(np.unique(proj[list(h.members)], return_index=True)[1])
+    on_k = np.ix_(cosets, cosets)
+    return h, k, kpos, ((h.members[i], inside[assoc[proj[h.members[i]]][on_k]]) for i in firsts)
 
 
 def _normality_matrix(loop, h, k):
     """(H, K, N), N[j, l] iff (h, k_j, k_l) stays inside H for every h in H."""
-    h, k, stays = _stay_rows(loop, h, k)
-    pairs = np.ones((k.size, k.size), dtype=bool)
-    for s in stays:
-        pairs &= s
-    return h, k, pairs
+    h, k, kpos, stays = _stay_rows(loop, h, k)
+    pairs = True
+    for _, s in stays:
+        pairs = pairs & s
+    return h, k, pairs[np.ix_(kpos, kpos)]
 
 
 def is_normal(loop, h, k=None):
@@ -205,15 +204,15 @@ def is_normal(loop, h, k=None):
 
     Certified per loop to agree with invariance under the inner maps of K.
     """
-    return all(s.all() for s in _stay_rows(loop, h, k)[2])
+    return all(s.all() for _, s in _stay_rows(loop, h, k)[3])
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h, k, stays = _stay_rows(loop, h, k)
-    for x, s in zip(h.members, stays):
+    h, k, kpos, stays = _stay_rows(loop, h, k)
+    for x, s in stays:
         if not s.all():
-            j, l = _first_index(~s)
+            j, l = _first_index(~s[np.ix_(kpos, kpos)])
             return (x, k.members[j], k.members[l])
     return None
 
@@ -301,23 +300,12 @@ def _maximal_members(subloops):
 
 def center(loop):
     """Elements commuting with everything and associating in first position."""
-    t = loop.table
-    central = (t == t.T).all(axis=1)
-    for rows, t_rows in cast_blocks(t):
-        for x in central.nonzero()[0]:
-            # (xy)z vs x(yz); x leaves at its first failing block
-            central[x] = np.array_equal(t.take(t[x, rows], axis=0), t[x].take(t_rows))
-    return Subloop(loop, np.flatnonzero(central))
+    return Subloop(loop, np.flatnonzero(loop.central_mask()))
 
 
 def associator_subloop(loop):
-    """Subloop generated by all associators (a, b, c)."""
-    # mark the pairs (a(bc), (ab)c) that occur; each gives the associator ldiv[pair]
-    pairs = np.zeros(loop.n * loop.n, dtype=bool)
-    for rows, t_rows in cast_blocks(loop.table):
-        for x in range(loop.n):
-            pairs[loop._associator_index(x, rows, t_rows)] = True
-    return generate_subloop(loop, np.unique(loop.ldiv_table().ravel()[pairs]))
+    """Subloop generated by all associators (a, b, c), read off the tensor A_q."""
+    return generate_subloop(loop, np.unique(loop.associator_table()))
 
 
 def cube_subloop(loop):

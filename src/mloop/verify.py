@@ -102,15 +102,14 @@ def _check_inner_mapping_identity(ctx):
 
 
 def _check_associator_symmetries(ctx):
+    # The laws hold on L^3 iff on coset triples; reps of the least failing one are least in L^3.
     loop = ctx.loop
     assoc = loop.associator_table()
+    reps, proj = loop.central_cosets()
     inv = loop.inverse_array()
-    n = loop.n
-    idx = np.arange(n)
-    cyc = np.transpose(assoc, (1, 2, 0))  # (x,y,z) -> assoc[y,z,x]
-    swapped = np.transpose(assoc, (1, 0, 2))  # (x,y,z) -> assoc[y,x,z]
-    # (x,y,z) -> assoc[inv(y), x, z]
-    inv_first = assoc[inv[None, :, None], idx[:, None, None], idx[None, None, :]]
+    cyc = np.transpose(assoc, (1, 2, 0))  # (a,b,c) -> assoc[b,c,a]
+    swapped = np.transpose(assoc, (1, 0, 2))  # (a,b,c) -> assoc[b,a,c]
+    inv_first = np.transpose(assoc[proj[inv[reps]]], (1, 0, 2))  # (a,b,c) -> assoc[inv(b),a,c]
     laws = [
         ("cyclic", assoc != cyc),
         ("swap_inverts", assoc != inv[swapped]),
@@ -119,30 +118,33 @@ def _check_associator_symmetries(ctx):
     failures = {}
     for label, bad in laws:
         if bad.any():
-            failures[label] = list(_first_index(bad))
+            failures[label] = [int(reps[i]) for i in _first_index(bad)]
     return not failures, failures or None
 
 
 def _check_product_expansion(ctx):
-    # Exact: (u, v) enters every term only through the column A[:, u, v], so equal columns agree.
+    # Exact: (u, v) enters every term only through the column A[:, u, v], so equal columns
+    # agree; A_q's column (b, c) stands for the |Z|^2 pairs (u, v) over b x c, least (r_b, r_c).
     loop = ctx.loop
     t = loop.table
     assoc = loop.associator_table()
-    n = loop.n
-    cols = assoc.reshape(n, n * n).T  # row u*n + v is the column A[:, u, v]
-    classes = {}  # column bytes -> [least u*n + v, multiplicity]
-    for rows in blocks(n * n, n):
+    reps, proj = loop.central_cosets()
+    n, m = loop.n, len(reps)
+    cols = assoc.reshape(m, m * m).T  # row b*m + c is the column A_q[:, b, c]
+    classes = {}  # column bytes -> [least b*m + c, multiplicity]
+    for rows in blocks(m * m, m):
         for k, key in enumerate(row_keys(cols[rows]), rows.start):
             classes.setdefault(key, [k, 0])[1] += 1
     x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+    px, py = proj[x], proj[y]
     violations, first = 0, None
     for k, count in classes.values():
-        col = cols[k]
+        col = cols[k][proj]  # (x, u, v) over x in L
         a, c = col[x], col[y]  # (x, u, v) and (y, u, v)
-        bad = col[t] != t[t[a, assoc[a, x, y]], t[c, assoc[c, y, x]]]
+        bad = col[t] != t[t[a, assoc[proj[a], px, py]], t[c, assoc[proj[c], py, px]]]
         if bad.any():
-            violations += count * int(bad.sum())
-            found = _first_index(bad) + divmod(k, n)
+            violations += count * (n // m) ** 2 * int(bad.sum())
+            found = _first_index(bad) + tuple(int(r) for r in reps[list(divmod(k, m))])
             first = found if first is None else min(first, found)
     ok = violations == 0
     return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}

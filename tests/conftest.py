@@ -11,7 +11,7 @@ import mloop
 from mloop import loop_core, mult_group, structure
 from mloop.errors import NotNilpotent, NotSubgroup
 from mloop.perm_group import PermGroup, _rows
-from mloop.perm_rows import compose, fresh, inverse
+from mloop.perm_rows import cast_blocks, compose, fresh, inverse
 
 # Directory holding the imported `mloop` package (`src/` in a checkout).
 MLOOP_SOURCE_ROOT = str(Path(mloop.__file__).resolve().parent.parent)
@@ -166,15 +166,70 @@ def naive_associators(loop):
             for a, b, c in itertools.product(range(loop.n), repeat=3)}
 
 
+def swapped_cyclic(n, swaps, seed):
+    """Z_n with up to `swaps` seeded intercalates {r, r + n/2} x {c, c + n/2}
+    swapped, r, c not in {0, n/2}: a loop which, for the seeds the tests use, is
+    neither associative nor Moufang and has far more distinct associator
+    columns than z81's 27."""
+    rng = np.random.default_rng(seed)
+    h = n // 2
+    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    for _ in range(swaps):
+        r, c = rng.integers(1, h, size=2)
+        block = np.ix_([r, r + h], [c, c + h])
+        if t[r, c] == t[r + h, c + h] and t[r, c + h] == t[r + h, c]:  # still an intercalate
+            t[block] = t[block][::-1]
+    return loop_core.CayleyLoop(t, name=f"swapped{n}")
+
+
+def associator_tensor(loop):
+    """The n^3 tensor A[x, y, z] = ldiv[x (y z), (x y) z], built straight from the
+    table in y-row blocks with x inner.
+
+    A route independent of the centre and of its coset tensor A_q.
+    """
+    t, n = loop.table, loop.n
+    ldiv = loop.ldiv_table().ravel()
+    out = np.empty((n, n, n), dtype=t.dtype)
+    for rows, t_rows in cast_blocks(t):
+        for x in range(n):
+            idx = (t[x].astype(np.intp) * n).take(t_rows) + t.take(t[x, rows], axis=0)
+            out[x, rows] = ldiv.take(idx)
+    return out
+
+
+def lifted_associators(loop):
+    """The loop's coset tensor A_q read back on L^3: A_q[x', y', z'] at (x, y, z)."""
+    proj = loop.central_cosets()[1]
+    return loop.associator_table()[np.ix_(proj, proj, proj)]
+
+
+def full_tensor_symmetries(loop):
+    """(ok, witness) of the three associator laws, each with its least failing
+    (x, y, z) over all of L^3, on A_q lifted to L^3.
+
+    A route independent of the coset triples of `verify`'s check.
+    """
+    assoc, inv = lifted_associators(loop), loop.inverse_array()
+    laws = {
+        "cyclic": assoc != assoc.transpose(1, 2, 0),  # A[x, y, z] vs A[y, z, x]
+        "swap_inverts": assoc != inv[assoc.transpose(1, 0, 2)],  # vs A[y, x, z]^-1
+        "inverse_argument": assoc != assoc[inv].transpose(1, 0, 2),  # vs A[y^-1, x, z]
+    }
+    failures = {label: list(loop_core._first_index(bad)) for label, bad in laws.items() if bad.any()}
+    return not failures, failures or None
+
+
 def quadruple_product_expansion(loop):
     """(ok, witness) of the product-associator expansion
     (xy, u, v) = [a (a, x, y)] [c (c, y, x)], a = (x, u, v), c = (y, u, v),
-    gathered over all (y, u, v) for each x: one verdict per quadruple.
+    gathered over all (y, u, v) for each x: one verdict per quadruple, with
+    the associators read off A_q lifted to L^3.
 
     A route independent of the column classes of `verify`'s check.
     """
     t = loop.table
-    assoc = loop.associator_table()
+    assoc = lifted_associators(loop)
     n = loop.n
     y_col = np.arange(n)[:, None, None]
     violations = 0

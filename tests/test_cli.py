@@ -87,19 +87,28 @@ def test_invariants_rejects_noncml(tmp_path):
 
 
 def test_invariants_guards_fail_before_multiplication_group(monkeypatch, capsys):
-    """A loop above the n^3-tensor limit of 300 is rejected by that guard
-    before the first loop-side scan, and so before M(L) is built."""
+    """A loop above the max-order guard is rejected before the first
+    loop-side scan, and so before M(L) is built."""
     from mloop import cli, mult_group
 
     def never(loop):
-        raise AssertionError("an n^3 computation ran before the tensor guard")
+        raise AssertionError("a scan ran before the max-order guard")
 
     monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
     monkeypatch.setattr(mult_group, "multiplication_group", never)
     monkeypatch.setattr(cli.st, "center", never)
-    assert cli.main(["invariants", "--gen", "abelian:301"]) == 2
+    assert cli.main(["invariants", "--gen", "abelian:1025"]) == 2
     err = capsys.readouterr().err
-    assert "OrderOverflow: associator table guard: 301 exceeds limit 300" in err
+    assert "OrderOverflow: max-order guard: 1025 exceeds limit 1024" in err
+
+
+def test_invariants_above_order_300(monkeypatch, capsys):
+    """The associator tensor lives on L/Z(L), so order 301 (m = 1) runs."""
+    from mloop import cli
+
+    monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
+    assert cli.main(["invariants", "--gen", "abelian:301"]) == 0
+    assert "mult_group_order:    301" in capsys.readouterr().out
 
 
 def test_normalizer_trace():

@@ -1,11 +1,14 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NONCML6, S3_TABLE, associator_tensor, lifted_associators, swapped_cyclic
 from mloop.errors import (
     BadDimension,
     CrossLoop,
@@ -21,10 +24,11 @@ from mloop.loop_core import (
     diagnose,
     direct_product,
     gen_abelian,
+    gen_zassenhaus81,
     parse_loop,
     quotient,
 )
-from mloop.structure import center, generate_subloop
+from mloop.structure import center, generate_subloop, is_normal
 
 
 def test_zassenhaus_diagnostics(z81):
@@ -132,12 +136,43 @@ def test_element_objects(z81):
 
 def test_assoc_matches_definition_and_tensor(z81):
     tensor = z81.associator_table()
+    assert tensor.shape == (27, 27, 27)
+    proj = z81.central_cosets()[1]
     rng = random.Random(3)
     for _ in range(40):
         a, b, c = (rng.randrange(81) for _ in range(3))
         k = z81.assoc(a, b, c)
         assert z81.mul(z81.mul(a, z81.mul(b, c)), k) == z81.mul(z81.mul(a, b), c)
-        assert int(tensor[a, b, c]) == k
+        assert int(tensor[proj[a], proj[b], proj[c]]) == k
+
+
+def tier1_loops():
+    """Every loop of order at most 300 that the tests build, by name."""
+    z81 = gen_zassenhaus81()
+    return {
+        "sym3": CayleyLoop(S3_TABLE, name="sym3"),
+        "noncml6": CayleyLoop(NONCML6, name="noncml6"),
+        **{f"abelian:{m}": gen_abelian(m) for m in ((1,), (4,), (6,), (2, 3), (3, 3), (3, 3, 3))},
+        "swapped24": swapped_cyclic(24, 10, 24),
+        "swapped48": swapped_cyclic(48, 20, 48),
+        "zassenhaus81": z81,
+        "z81xZ2": direct_product(z81, gen_abelian((2,))),
+        "Z2xz81": direct_product(gen_abelian((2,)), z81),
+        "z81xZ3": direct_product(z81, gen_abelian((3,))),
+    }
+
+
+@pytest.mark.parametrize("name", list(tier1_loops()))
+def test_coset_tensor_lifts_to_the_full_associator_tensor(name):
+    """A_q read back through the central cosets is the n^3 tensor built
+    straight from the table, and its representatives are the least members
+    of their cosets of Z(L), in increasing order."""
+    loop = tier1_loops()[name]
+    reps, proj = loop.central_cosets()
+    assert np.array_equal(reps, np.unique(proj, return_index=True)[1])
+    assert np.array_equal(lifted_associators(loop), associator_tensor(loop))
+    commutative = np.array_equal(loop.table, loop.table.T)
+    assert len(reps) == (loop.n // center(loop).size if commutative else loop.n)
 
 
 def test_inner_mapping_tensor(z81):
@@ -222,11 +257,32 @@ def test_quotient_requires_normal(z81):
 
 
 def test_tensor_guard():
-    big = gen_abelian((17, 19))
-    with pytest.raises(OrderOverflow):
+    """The associator guard bounds m = |L/Z(L)|, and a non-commutative table
+    takes Z trivial; the inner-mapping tensor stays bounded by n."""
+    big = direct_product(CayleyLoop(S3_TABLE, name="sym3"), gen_abelian((51,)))
+    with pytest.raises(OrderOverflow, match="associator table guard: 306 exceeds limit 300"):
         big.associator_table()
-    with pytest.raises(OrderOverflow):
+    with pytest.raises(OrderOverflow, match="inner mapping table guard: 306 exceeds limit 300"):
         big.inner_mapping_table()
+    abelian = gen_abelian((17, 19))
+    assert abelian.associator_table().shape == (1, 1, 1)
+    with pytest.raises(OrderOverflow, match="inner mapping table guard: 323 exceeds limit 300"):
+        abelian.inner_mapping_table()
+
+
+def test_loop_is_freed_by_refcount_alone():
+    """A loop's caches hold arrays only, never a Subloop (which holds its
+    parent), so a loop dies with its last reference, without the cyclic GC."""
+    loop = gen_zassenhaus81()
+    loop.associator_table()
+    assert is_normal(loop, center(loop))
+    ref = weakref.ref(loop)
+    gc.disable()
+    try:
+        del loop
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3))

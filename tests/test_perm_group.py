@@ -17,6 +17,7 @@ from conftest import (
     sift_reduced_rows,
 )
 from mloop import perm_group as pg
+from mloop import perm_rows
 from mloop import verify
 from mloop.errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
@@ -459,3 +460,24 @@ def test_index_certifies_non_members(z81_bundle):
         normalizer_of_subgroup(m, group_from_generators([swap]))
     with pytest.raises(NotSubgroup):
         normalizer_of_subgroup(cyclic(3), group_from_generators([Permutation((1, 0, 2))]))
+
+
+def test_mask_subgroups_unchanged_by_small_gather_blocks(monkeypatch, z81_bundle):
+    """``_close`` gathers base images in frontier blocks of at most
+    GATHER_BLOCK entries; with blocks of a few frontier rows, Phi(M) (grown
+    from the p-th powers), M', Z(M), the central series, a normalizer and a
+    normal closure keep their generators and element sets."""
+
+    def subgroups(m):
+        g = PermGroup(m.degree, m.gen_array)  # fresh caches
+        h = PermGroup(m.degree, g.element_array()[5:6])
+        return [frattini_subgroup(g), derived_subgroup(g), center_of_group(g),
+                *upper_central_series_group(g), normalizer_of_subgroup(g, h),
+                normal_closure(g, z81_bundle.I.gen_array)]
+
+    def summary(groups):
+        return [(s.gen_array.tolist(), sorted(s.element_keys())) for s in groups]
+
+    want = summary(subgroups(z81_bundle.M))
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 256)
+    assert summary(subgroups(z81_bundle.M)) == want

@@ -7,7 +7,14 @@ hold a few rows or one, as they do for real above order 512.
 import numpy as np
 import pytest
 
-from conftest import NONCML6, S3_TABLE, naive_associators, naive_center, naive_violations
+from conftest import (
+    NONCML6,
+    S3_TABLE,
+    lifted_associators,
+    naive_associators,
+    naive_center,
+    naive_violations,
+)
 from mloop import perm_rows
 from mloop.loop_core import CayleyLoop, diagnose, gen_abelian, gen_zassenhaus81
 from mloop.structure import associator_subloop, center, generate_subloop
@@ -71,20 +78,22 @@ def test_center_and_associators_match_naive(monkeypatch, block):
         assert list(center(loop).members) == naive_center(loop), loop.name
         values = naive_associators(loop)
         want = np.array(list(values.values())).reshape((loop.n,) * 3)
-        assert np.array_equal(loop.associator_table(), want), loop.name
+        assert np.array_equal(lifted_associators(loop), want), loop.name
         assert associator_subloop(loop) == generate_subloop(loop, set(values.values()))
 
 
 def test_certificate_reports_least_triple_across_blocks(monkeypatch):
-    """Three wrong cells: A[z, y, x] breaks the inner-mapping identity at
-    (x, y, z).  Block y = 9 fails at x = 75, the later block y = 60 at
-    x = 40 and the last one, y = 70, at x = 70; the certificate reports
-    (40, 60, 5)."""
+    """Three wrong cells of A_q: A_q[z', y', x'] breaks the inner-mapping
+    identity at every (x, y, z) over those cosets of Z = {0, 1, 2}, whose
+    least members are 3x', 3y', 3z'.  Block y = 9 fails at x = 75, the later
+    block y = 60 at x = 39 and the last one, y = 69, at x = 69; the
+    certificate reports (39, 60, 3)."""
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 1)
     loop = gen_zassenhaus81()
+    assert list(loop.central_cosets()[0]) == list(range(0, 81, 3))
     assoc = loop.associator_table().copy()
-    for z, y, x in ((27, 9, 75), (5, 60, 40), (3, 70, 70)):
+    for z, y, x in ((9, 3, 25), (1, 20, 13), (1, 23, 23)):
         assoc[z, y, x] = (assoc[z, y, x] + 1) % loop.n
     assoc.setflags(write=False)
     loop._assoc = assoc
-    assert loop.inner_identity_violation() == (40, 60, 5)
+    assert loop.inner_identity_violation() == (39, 60, 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NONCML6, S3_TABLE, naive_lattice
+from conftest import NONCML6, S3_TABLE, associator_tensor, naive_lattice
 from mloop.errors import (
     NotASubloop,
     NotCML,
@@ -222,15 +222,34 @@ def test_is_normal(z81, e27):
         assert is_normal(e27, s)
 
 
+def test_normality_witness_is_least_in_h_when_cosets_interleave():
+    """In Z3 x z81 the cosets of Z = {0, 1, 2, 81, 82, 83, 162, 163, 164}
+    interleave, so coset order is not the order of H's least members: in
+    H = <135> = {0, 135, 189}, 189 lies in the coset of 27 and 135 in the later
+    coset of 54.  The witness is still the least escaping triple over
+    H x L x L, read off the n^3 tensor built straight from the table."""
+    loop = direct_product(gen_abelian((3,)), gen_zassenhaus81())
+    h = generate_subloop(loop, [135])
+    assert h.members == (0, 135, 189)
+    proj = loop.central_cosets()[1]
+    assert (proj[189], proj[135]) == (9, 18)
+    escapes = ~h.mask()[associator_tensor(loop)[list(h.members)]]
+    i, y, x = (int(v) for v in np.unravel_index(int(np.argmax(escapes)), escapes.shape))
+    assert normality_witness(loop, h) == (h.members[i], y, x)
+    assert h.members[i] == 135
+
+
 def test_corrupted_associator_fails_the_certificate():
-    """One wrong cell A[27, 9, 75] of the associator tensor breaks the
-    inner-mapping certificate: every normality test raises, and the identity
-    check reports the one failing triple (x, y, z) = (75, 9, 27), which lies
-    past the first row block of the scan."""
+    """One wrong cell A_q[9, 3, 25] of the coset tensor, the cosets of 27, 9
+    and 75, breaks the inner-mapping certificate: every normality test
+    raises, and the identity check reports the least failing triple
+    (x, y, z) = (75, 9, 27), which lies past the first row block of the scan."""
     loop = gen_zassenhaus81()
+    proj = loop.central_cosets()[1]
+    assert (proj[27], proj[9], proj[75]) == (9, 3, 25)
     assoc = loop.associator_table().copy()
-    assert assoc[27, 9, 75] != 0
-    assoc[27, 9, 75] = 0
+    assert assoc[9, 3, 25] != 0
+    assoc[9, 3, 25] = 0
     assoc.setflags(write=False)
     loop._assoc = assoc
     with pytest.raises(AssertionError, match=r"identity fails at \(75, 9, 27\)"):

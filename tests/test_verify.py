@@ -4,7 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import NONCML6, S3_TABLE, quadruple_product_expansion, run_cli
+from conftest import (
+    NONCML6,
+    S3_TABLE,
+    full_tensor_symmetries,
+    quadruple_product_expansion,
+    run_cli,
+    swapped_cyclic,
+)
 
 from mloop import cli
 from mloop import perm_group as pg
@@ -12,7 +19,14 @@ from mloop import perm_rows
 from mloop import structure as st
 from mloop.errors import OrderOverflow
 from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
-from mloop.verify import CHECK_REGISTRY, SUITE_NAMES, LoopContext, _check_product_expansion, run_suite
+from mloop.verify import (
+    CHECK_REGISTRY,
+    SUITE_NAMES,
+    LoopContext,
+    _check_associator_symmetries,
+    _check_product_expansion,
+    run_suite,
+)
 
 # The builders of the shared artifacts: L', the maximal subloops, Z(L),
 # M' (the normal closure mask inside perm_group._derived) and Phi(M).
@@ -101,33 +115,17 @@ def test_identities_on_abelian():
 
 def test_identities_at_order_243():
     """z81 x Z3: the expansion check visits its 243^4 quadruples through the
-    few distinct columns of the 243^3 associator tensor."""
+    few distinct columns of its 27^3 coset tensor A_q."""
     report = run_suite(direct_product(gen_zassenhaus81(), gen_abelian((3,))), "identities")
     assert [c.status for c in report.checks] == ["pass", "pass", "pass"]
 
 
-def swapped_cyclic(n, swaps, seed):
-    """Z_n with up to `swaps` seeded intercalates {r, r + n/2} x {c, c + n/2}
-    swapped, r, c not in {0, n/2}: a loop which, for the seeds below, is
-    neither associative nor Moufang and has far more distinct associator
-    columns than z81's 27."""
-    rng = np.random.default_rng(seed)
-    h = n // 2
-    t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    for _ in range(swaps):
-        r, c = rng.integers(1, h, size=2)
-        block = np.ix_([r, r + h], [c, c + h])
-        if t[r, c] == t[r + h, c + h] and t[r, c + h] == t[r + h, c]:  # still an intercalate
-            t[block] = t[block][::-1]
-    return CayleyLoop(t, name=f"swapped{n}")
-
-
 def corrupted_z81(seed, cells):
-    """z81 with `cells` seeded cells of a copy of its associator tensor changed."""
+    """z81 with `cells` seeded cells of a copy of its coset tensor A_q changed."""
     loop = gen_zassenhaus81()
     rng = np.random.default_rng(seed)
     assoc = loop.associator_table().copy()
-    for w, u, v in rng.integers(0, 81, size=(cells, 3)):
+    for w, u, v in rng.integers(0, len(assoc), size=(cells, 3)):
         assoc[w, u, v] = (assoc[w, u, v] + rng.integers(1, 81)) % 81
     assoc.setflags(write=False)
     loop._assoc = assoc
@@ -153,6 +151,14 @@ def test_product_expansion_matches_quadruple_reference(monkeypatch, case):
     for block in (perm_rows.GATHER_BLOCK, 7 * loop.n):
         monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
         assert _check_product_expansion(LoopContext(loop)) == expected
+
+
+@pytest.mark.parametrize("case", list(EXPANSION_CASES))
+def test_symmetry_witnesses_match_full_tensor_reference(case):
+    """The laws checked on coset triples of A_q give the verdicts and least
+    (x, y, z) of the same laws checked over all of L^3."""
+    loop = EXPANSION_CASES[case]()
+    assert _check_associator_symmetries(LoopContext(loop)) == full_tensor_symmetries(loop)
 
 
 def test_theorem2_witness(z81):
