@@ -146,28 +146,25 @@ def test_assoc_matches_definition_and_tensor(z81):
         assert int(tensor[proj[a], proj[b], proj[c]]) == k
 
 
-def tier1_loops():
-    """Every loop of order at most 300 that the tests build, by name."""
-    z81 = gen_zassenhaus81()
-    return {
-        "sym3": CayleyLoop(S3_TABLE, name="sym3"),
-        "noncml6": CayleyLoop(NONCML6, name="noncml6"),
-        **{f"abelian:{m}": gen_abelian(m) for m in ((1,), (4,), (6,), (2, 3), (3, 3), (3, 3, 3))},
-        "swapped24": swapped_cyclic(24, 10, 24),
-        "swapped48": swapped_cyclic(48, 20, 48),
-        "zassenhaus81": z81,
-        "z81xZ2": direct_product(z81, gen_abelian((2,))),
-        "Z2xz81": direct_product(gen_abelian((2,)), z81),
-        "z81xZ3": direct_product(z81, gen_abelian((3,))),
-    }
+TIER1_LOOPS = {
+    "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
+    "noncml6": lambda: CayleyLoop(NONCML6, name="noncml6"),
+    **{f"abelian:{m}": (lambda m=m: gen_abelian(m)) for m in ((1,), (4,), (6,), (2, 3), (3, 3), (3, 3, 3))},
+    "swapped24": lambda: swapped_cyclic(24, 10, 24),
+    "swapped48": lambda: swapped_cyclic(48, 20, 48),
+    "zassenhaus81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "Z2xz81": lambda: direct_product(gen_abelian((2,)), gen_zassenhaus81()),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+}  # loops of order at most 300 from across the tests
 
 
-@pytest.mark.parametrize("name", list(tier1_loops()))
+@pytest.mark.parametrize("name", list(TIER1_LOOPS))
 def test_coset_tensor_lifts_to_the_full_associator_tensor(name):
     """A_q read back through the central cosets is the n^3 tensor built
     straight from the table, and its representatives are the least members
     of their cosets of Z(L), in increasing order."""
-    loop = tier1_loops()[name]
+    loop = TIER1_LOOPS[name]()
     reps, proj = loop.central_cosets()
     assert np.array_equal(reps, np.unique(proj, return_index=True)[1])
     assert np.array_equal(lifted_associators(loop), associator_tensor(loop))
