@@ -149,7 +149,7 @@ def test_assoc_matches_definition_and_tensor(z81):
 TIER1_LOOPS = {
     "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
     "noncml6": lambda: CayleyLoop(NONCML6, name="noncml6"),
-    **{f"abelian:{m}": (lambda m=m: gen_abelian(m)) for m in ((1,), (4,), (6,), (2, 3), (3, 3), (3, 3, 3))},
+    **{"abelian:" + ",".join(map(str, m)): (lambda m=m: gen_abelian(m)) for m in ((1,), (4,), (6,), (2, 3), (3, 3), (3, 3, 3))},
     "swapped24": lambda: swapped_cyclic(24, 10, 24),
     "swapped48": lambda: swapped_cyclic(48, 20, 48),
     "zassenhaus81": gen_zassenhaus81,
