@@ -1,13 +1,13 @@
 """Cayley-table loops.
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
-identity pinned at index 0.  Every n^3 scan (associativity, the Moufang law
-x^2(yz) = (xy)(xz), the centre, the inner-map certificate) runs y-row blocks
-outer, each cast to intp once, and x inner: (xy)z is then the table with its
-rows permuted by L_x, and x(yz) a ``take`` from row x.  The associator lives
-on L/Z(L): (xc, y, z) = (x, y, z) for c central and nuclear, and likewise in
-each slot (Bruck, A Survey of Binary Systems, 1958), so (x, y, z) is
-A_q[x', y', z'] over the cosets x' of Z(L), an (m, m, m) tensor, m = |L/Z(L)|.
+identity pinned at index 0.  The triple scans (the centre, the inner-map
+certificate, the laws of ``diagnose``) run growing y-row blocks outer, each
+cast to intp once, and x inner: (xy)z is the table with its rows permuted by
+L_x, and x(yz) a ``take`` from row x.  The associator lives on L/Z(L):
+(xc, y, z) = (x, y, z) for c central and nuclear, in each slot (Bruck, A Survey
+of Binary Systems, 1958), so it is an (m, m, m) tensor A_q, m = |L/Z(L)|.
+``diagnose`` reads the associative and Moufang laws of a loop on L/Z(L) too.
 """
 
 from dataclasses import dataclass
@@ -43,20 +43,22 @@ def _first_index(bad):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def _least_violations(table, laws):
-    """Per law, the least (x, y, z) with law(x, rows, t_rows)[y - rows.start, z], or None.
+def _least_violations(table, laws, reps):
+    """Per law, the least (x, y, z) in reps^3 with law(x, ys, yz)[j, k], or None.
 
+    ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp.
     Once a y-block finds a law failing at x*, later blocks test it only at x < x*.
     """
-    found, bound = [None] * len(laws), [len(table)] * len(laws)
-    for rows, t_rows in cast_blocks(table):
-        for x in range(max(bound)):
+    found, bound = [None] * len(laws), [len(reps)] * len(laws)
+    for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
+        ys = reps[rows]
+        for a in range(max(bound)):
             for i, law in enumerate(laws):
-                if x < bound[i]:
-                    bad = law(x, rows, t_rows)
+                if a < bound[i]:
+                    bad = law(reps[a], ys, yz)
                     if bad.any():
-                        y, z = _first_index(bad)
-                        found[i], bound[i] = (x, rows.start + y, z), x
+                        b, c = _first_index(bad)
+                        found[i], bound[i] = (int(reps[a]), int(ys[b]), int(reps[c])), a
     return found
 
 
@@ -233,13 +235,13 @@ class CayleyLoop:
             assoc, proj = self.associator_table(), self.central_cosets()[1].astype(np.intp)
             zoff = np.arange(n) * n
 
-            def bad(x, rows, t_rows):
+            def bad(x, ys, yz):
                 # flat indices of I[x, y, z] = ldiv[x y, x (y z)] and z * A_q[z', y', x'] at [y, z]
-                inner = t[x].astype(np.intp).take(t_rows) + t[x, rows].astype(np.intp)[:, None] * n
-                zyx = assoc[:, :, proj[x]].T.take(proj[rows], axis=0).take(proj, axis=1) + zoff
+                inner = t[x].astype(np.intp).take(yz) + t[x, ys].astype(np.intp)[:, None] * n
+                zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0).take(proj, axis=1) + zoff
                 return ldiv.take(inner) != flat.take(zyx)
 
-            self._inner_check = tuple(_least_violations(self.table, (bad,)))
+            self._inner_check = tuple(_least_violations(t, (bad,), np.arange(n)))
         return self._inner_check[0]
 
     # -- misc ----------------------------------------------------------------
@@ -254,7 +256,7 @@ class CayleyLoop:
 
     def diagnostics(self):
         if self._diag is None:
-            self._diag = diagnose(self.table)
+            self._diag = diagnose(self)
         return self._diag
 
     def exponent(self):
@@ -352,33 +354,39 @@ def _has_identity(arr):
 def diagnose(loop_or_table):
     """Run the structural scans and return a LoopDiagnostics.
 
-    Accepts a CayleyLoop or a raw square table; raw tables let callers
-    inspect material that the validating constructor would reject.
+    Accepts a CayleyLoop or a raw square table, which may hold material that
+    the validating constructor rejects.  A loop's two laws are read on reps^3,
+    reps the least members of the cosets of Z(L); a raw table's on all n^3
+    triples.  This is exact.  In a commutative
+    loop the left nucleus is the nucleus, so Z is central and nuclear (and a
+    non-commutative table takes Z trivial).  x, y or z times c in Z multiplies
+    both sides of (xy)z = x(yz) and of x^2(yz) = (xy)(xz) by one power of c, so
+    each law holds or fails on whole coset triples.  reps[a] is the least member
+    of coset a and increases with a, so the least violating (x, y, z) in L^3 is
+    (r_a, r_b, r_c) for the least violating coset triple (a, b, c).
     """
     if isinstance(loop_or_table, CayleyLoop):
-        t = loop_or_table.table
+        t, reps = loop_or_table.table, loop_or_table.central_cosets()[0]
     else:
         t = _raw_table(loop_or_table)
-    is_latin = _latin_violation(t) is None
-    has_identity = _has_identity(t)
+        reps = np.arange(len(t))
     is_commutative = bool(np.array_equal(t, t.T))
-    def non_associative(x, rows, t_rows):  # (xy)z vs x(yz)
-        return t.take(t[x, rows], axis=0) != t[x].take(t_rows)
+    tz = t[:, reps]  # [x, c] = x r_c
 
-    def non_moufang(x, rows, t_rows):  # x^2 (yz) vs (xy)(xz)
-        return t[t[x, x]].take(t_rows) != t.take(t[x, rows], axis=0).take(t[x], axis=1)
+    def non_associative(x, ys, yz):  # (xy)z vs x(yz)
+        return tz.take(t[x, ys], axis=0) != t[x].take(yz)
 
-    first_assoc, first_cml = _least_violations(t, (non_associative, non_moufang))
-    is_associative = first_assoc is None
-    is_cml = is_commutative and first_cml is None
-    violation = first_cml if first_cml is not None else first_assoc
+    def non_moufang(x, ys, yz):  # x^2 (yz) vs (xy)(xz)
+        return t[t[x, x]].take(yz) != t.take(t[x, ys], axis=0).take(tz[x], axis=1)
+
+    first_assoc, first_cml = _least_violations(t, (non_associative, non_moufang), reps)
     return LoopDiagnostics(
-        is_latin=is_latin,
-        has_identity=has_identity,
+        is_latin=_latin_violation(t) is None,
+        has_identity=_has_identity(t),
         is_commutative=is_commutative,
-        is_cml=is_cml,
-        is_associative=is_associative,
-        first_violation=violation,
+        is_cml=is_commutative and first_cml is None,
+        is_associative=first_assoc is None,
+        first_violation=first_cml if first_cml is not None else first_assoc,
     )
 
 

@@ -170,6 +170,7 @@ class PermGroup:
         self._elements = None
         self._reduced = None
         self._derived = None
+        self._derived_group = None
 
     @property
     def generators(self):
@@ -440,8 +441,10 @@ def normal_closure(G, seeds):
 
 
 def derived_subgroup(G):
-    """Normal closure of the commutators of a generating set."""
-    return PermGroup(G.degree, _derived(G)[1])
+    """Normal closure of the commutators of a generating set (built once per G)."""
+    if G._derived_group is None:
+        G._derived_group = PermGroup(G.degree, _derived(G)[1])
+    return G._derived_group
 
 
 def upper_central_series_group(G):

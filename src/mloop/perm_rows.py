@@ -3,8 +3,9 @@
 A permutation of degree n is the row of its n point images, and k of them
 form a (k, n) array.  The product p * q (q applied first) is the gather
 p[q].  Gathers run in row blocks of at most GATHER_BLOCK entries.  A loop
-table's row x is L_x, and every n^3 table scan runs y-row blocks outer, each
-cast to intp once (``cast_blocks``), and x inner, each product a ``take``.
+table's row x is L_x, and every table scan runs y-row blocks of 1, 2, 4, ...
+rows up to that cap outer, each cast to intp once (``cast_blocks``), and x
+inner, each product a ``take``; an x dropped at its first failing row costs few.
 """
 
 import numpy as np
@@ -19,9 +20,12 @@ def blocks(rows, width):
 
 
 def cast_blocks(table):
-    """(rows, table[rows] as intp) over row blocks; no full-table intp copy is made."""
-    for b in blocks(len(table), table.shape[1]):
-        yield b, table[b].astype(np.intp)
+    """(rows, table[rows] as intp) over row blocks of 1, 2, 4, ... rows, at most
+    GATHER_BLOCK entries each; no full-table intp copy is made."""
+    cap, lo, step = max(1, GATHER_BLOCK // max(1, table.shape[1])), 0, 1
+    while lo < len(table):
+        yield slice(lo, lo + step), table[lo:lo + step].astype(np.intp)
+        lo, step = lo + step, min(2 * step, cap)
 
 
 def compose(p, q):

@@ -21,6 +21,14 @@ def test_check_zassenhaus():
     assert "first_violation: (3, 9, 27)" in res.stdout
 
 
+def test_check_at_order_972():
+    """|Z(L)| = 36: the laws are read on the 27 coset representatives."""
+    res = run_cli("check", "--gen", "product:zassenhaus81xabelian:12")
+    assert res.returncode == 0
+    assert "loop: product:zassenhaus81xabelian:12 (order 972)" in res.stdout
+    assert "first_violation: (36, 108, 324)" in res.stdout
+
+
 def test_check_abelian():
     res = run_cli("check", "--gen", "abelian:3,3")
     assert res.returncode == 0

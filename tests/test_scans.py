@@ -1,7 +1,9 @@
-"""The n^3 table scans against pure-Python references, over one and many y-blocks.
+"""The table scans against pure-Python references and the exhaustive n^3
+routes, over one and many y-blocks.
 
-`perm_rows.GATHER_BLOCK` is patched small so that the scans' y-row blocks
-hold a few rows or one, as they do for real above order 512.
+`perm_rows.GATHER_BLOCK` is patched small so that the scans' growing y-row
+blocks are capped at a few rows or one, as the cap does for real above
+order 512.
 """
 
 import numpy as np
@@ -10,13 +12,21 @@ import pytest
 from conftest import (
     NONCML6,
     S3_TABLE,
+    associator_tensor,
     lifted_associators,
     naive_associators,
     naive_center,
     naive_violations,
+    swapped_cyclic,
 )
 from mloop import perm_rows
-from mloop.loop_core import CayleyLoop, diagnose, gen_abelian, gen_zassenhaus81
+from mloop.loop_core import (
+    CayleyLoop,
+    diagnose,
+    direct_product,
+    gen_abelian,
+    gen_zassenhaus81,
+)
 from mloop.structure import associator_subloop, center, generate_subloop
 
 # the default (one y-block below order 513), a few rows per block, one row per block
@@ -97,3 +107,68 @@ def test_certificate_reports_least_triple_across_blocks(monkeypatch):
     assoc.setflags(write=False)
     loop._assoc = assoc
     assert loop.inner_identity_violation() == (39, 60, 3)
+
+
+def coset_law_loops():
+    """Loops whose two laws ``diagnose`` reads on L/Z(L): commutative and not
+    Moufang with a nontrivial centre, non-commutative (m = n), and CMLs and
+    abelian groups of orders 16 to 243.  In swapped16, 4 and 12 commute with
+    everything and associate in first position without being nuclear, so its
+    scan is exact only because a non-commutative table takes Z trivial."""
+    z2, z3, z81 = gen_abelian((2,)), gen_abelian((3,)), gen_zassenhaus81()
+    noncml6, swapped16 = CayleyLoop(NONCML6, name="noncml6"), swapped_cyclic(16, 2, 5)
+    swapped24 = swapped_cyclic(24, 10, 24)
+    pairs = [(noncml6, z3), (z3, noncml6), (z2, noncml6), (CayleyLoop(S3_TABLE, name="sym3"), z3),
+             (swapped16, z3), (swapped24, z3), (z3, swapped24), (z81, z2), (z2, z81), (z81, z3),
+             (z3, z81)]
+    return [gen_abelian((4, 4)), swapped16, z81] + [direct_product(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_diagnose_on_cosets_matches_raw_table(monkeypatch, block):
+    """The laws read on coset representatives give the fields of the exhaustive
+    n^3 scan of the bare table, and below order 19 those of the pure-Python
+    triple loops."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    non_moufang = {}
+    for loop in coset_law_loops():
+        d = diagnose(loop)
+        assert d == diagnose(loop.table), loop.name
+        if loop.n <= 18:
+            assoc, moufang = naive_violations(loop.table)
+            law = moufang or assoc
+            assert d.first_violation == (law[0] if law else None), loop.name
+            assert (d.is_associative, d.is_cml) == (not assoc, d.is_commutative and not moufang)
+        if d.is_commutative and not d.is_cml:
+            assert len(loop.central_cosets()[0]) < loop.n, loop.name
+            non_moufang[loop.name] = d.first_violation
+    assert non_moufang == {"noncml6xabelian:3": (6, 0, 12), "abelian:3xnoncml6": (2, 0, 4),
+                           "abelian:2xnoncml6": (2, 0, 4)}
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_central_mask_matches_full_associator_tensor(monkeypatch, block):
+    """Z(L) is the set of x whose row commutes and whose slice of the n^3
+    associator tensor, built straight from the table, is all identity."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    z2, z3, z81 = gen_abelian((2,)), gen_abelian((3,)), gen_zassenhaus81()
+    for loop in (direct_product(z81, z2), direct_product(z3, z81), direct_product(z81, z3)):
+        t = loop.table
+        want = (t == t.T).all(axis=1) & ~associator_tensor(loop).any(axis=(1, 2))
+        assert np.array_equal(loop.central_mask(), want), loop.name
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64, 100, perm_rows.GATHER_BLOCK])
+def test_cast_blocks_grow_to_the_gather_cap(monkeypatch, block):
+    """Row blocks of 1, 2, 4, ... rows, at most GATHER_BLOCK entries each (and
+    at least one row), cover 0..n-1 in order, each cast to intp."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    for n in range(1, 71):
+        for width in (n, 3):
+            table = np.arange(n * width, dtype=np.int16).reshape(n, width)
+            cap, lo = max(1, block // width), 0
+            for k, (rows, t_rows) in enumerate(perm_rows.cast_blocks(table)):
+                assert (rows.start, rows.stop) == (lo, lo + min(2 ** k, cap))
+                assert t_rows.dtype == np.intp and np.array_equal(t_rows, table[lo:rows.stop])
+                lo = min(rows.stop, n)
+            assert lo == n
