@@ -169,25 +169,27 @@ class CayleyLoop:
     # -- the centre and cached tensors ---------------------------------------
 
     def central_mask(self):
-        """Mask of Z(L): elements commuting with everything and associating in first position."""
+        """Mask of Z(L): the x that commute with everything and lie in the nucleus.
+        With x commuting, the middle and right nucleus laws both read x(yz) = y(xz);
+        a commutative table implies that from (xy)z = x(yz) and scans only the latter."""
         if self._central is None:
             t = self.table
             central = (t == t.T).all(axis=1)
+            commutative = central.all()
             for rows, t_rows in cast_blocks(t):
                 for x in central.nonzero()[0]:
-                    # (xy)z vs x(yz); x leaves at its first failing block
-                    central[x] = np.array_equal(t.take(t[x, rows], axis=0), t[x].take(t_rows))
+                    # (xy)z vs x(yz), then x(yz) vs y(xz); x leaves at its first failing block
+                    xyz = t[x].take(t_rows)
+                    central[x] = np.array_equal(t.take(t[x, rows], axis=0), xyz) and (
+                        commutative or np.array_equal(xyz, t_rows.take(t[x], axis=1)))
             central.setflags(write=False)
             self._central = central
         return self._central
 
     def central_cosets(self):
-        """(reps, proj) of the cosets of Z(L), taken trivial for a non-commutative
-        table, where the first-position test does not prove an element nuclear."""
+        """(reps, proj) of the cosets of Z(L)."""
         if self._cosets is None:
-            t = self.table
-            members = np.flatnonzero(self.central_mask()) if np.array_equal(t, t.T) else [0]
-            self._cosets = _cosets(t, members)
+            self._cosets = _cosets(self.table, np.flatnonzero(self.central_mask()))
         return self._cosets
 
     def associator_table(self):
@@ -357,13 +359,12 @@ def diagnose(loop_or_table):
     Accepts a CayleyLoop or a raw square table, which may hold material that
     the validating constructor rejects.  A loop's two laws are read on reps^3,
     reps the least members of the cosets of Z(L); a raw table's on all n^3
-    triples.  This is exact.  In a commutative
-    loop the left nucleus is the nucleus, so Z is central and nuclear (and a
-    non-commutative table takes Z trivial).  x, y or z times c in Z multiplies
-    both sides of (xy)z = x(yz) and of x^2(yz) = (xy)(xz) by one power of c, so
-    each law holds or fails on whole coset triples.  reps[a] is the least member
-    of coset a and increases with a, so the least violating (x, y, z) in L^3 is
-    (r_a, r_b, r_c) for the least violating coset triple (a, b, c).
+    triples.  This is exact.  Z is central and nuclear (``central_mask``), so
+    x, y or z times c in Z multiplies both sides of (xy)z = x(yz) and of
+    x^2(yz) = (xy)(xz) by one power of c, and each law holds or fails on whole
+    coset triples.  reps[a] is the least member of coset a and increases with
+    a, so the least violating (x, y, z) in L^3 is (r_a, r_b, r_c) for the least
+    violating coset triple (a, b, c).
     """
     if isinstance(loop_or_table, CayleyLoop):
         t, reps = loop_or_table.table, loop_or_table.central_cosets()[0]

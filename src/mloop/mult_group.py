@@ -48,9 +48,11 @@ def multiplication_group(loop):
         )
     n, t, ld = loop.n, loop.table, loop.ldiv_table()
     M = PermGroup(n, t)
-    # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)]
-    seen = set()
-    inner = [fresh(ld[t[x][:, None], t[x][t]], seen) for x in range(n)]
+    # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)].
+    # L(c) commutes with each L(y) for c in Z(L), so L(xc, y) = L(x, y) = L(x, yc): the
+    # first occurrence of each map in (x, y) order is a pair of least coset members.
+    reps, seen = loop.central_cosets()[0], set()
+    inner = [fresh(ld[t[x, reps][:, None], t[x][t[reps]]], seen) for x in reps]
     I = PermGroup(n, np.concatenate(inner))
     assert M.order() == n * I.order(), (
         "inner mapping group is not the full point-0 stabilizer: "

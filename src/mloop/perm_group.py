@@ -483,14 +483,12 @@ def frattini_subgroup_oracle(G):
     order = G.order()
     if order > FRATTINI_ORACLE_GUARD:
         raise OrderOverflow("frattini-oracle", FRATTINI_ORACLE_GUARD, order)
-    elements = G.enumerate_elements()
-    index = {p.images: i for i, p in enumerate(elements)}
-    assert index[Permutation.identity(G.degree).images] == 0
-    table = [[index[(a * b).images] for b in elements] for a in elements]
-    cayley = CayleyLoop(table, name="cayley")
+    elements = G.element_array()
+    # [a, b] = a * b, found by its base images a(b(base))
+    cayley = CayleyLoop(G._index(elements[:, elements[:, G.base]]), name="cayley")
     lattice = all_subloops(cayley, lattice_guard=FRATTINI_ORACLE_GUARD)
     common = _meet(cayley, _maximal_members(lattice))
-    return PermGroup(G.degree, G.element_array()[list(common.members)])
+    return PermGroup(G.degree, elements[list(common.members)])
 
 
 def normalizer_of_subgroup(G, H):

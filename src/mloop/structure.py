@@ -14,7 +14,7 @@ uses closure alone (no Moufang law, commutativity or Lagrange property), so
 it holds for any loop table, group tables included.
 """
 
-import random
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -30,7 +30,6 @@ from .errors import (
 from .loop_core import _first_index, quotient
 
 LATTICE_GUARD_DEFAULT = 128
-NON_GENERATOR_TRIALS = 60
 
 
 class Subloop:
@@ -163,6 +162,13 @@ def join(a, b):
     if a.parent is not b.parent:
         raise NotNested("subloops of different parents")
     return Subloop(a.parent, np.flatnonzero(_close(a.parent.table, a.mask(), b.mask())))
+
+
+def _join_elements(s, elements):
+    """The join of the subloop s with the subloop generated by ``elements``."""
+    seed = np.zeros(s.parent.n, dtype=bool)
+    seed[list(elements)] = True
+    return Subloop(s.parent, np.flatnonzero(_close(s.parent.table, s.mask(), seed)))
 
 
 # -- normality ---------------------------------------------------------------
@@ -299,7 +305,7 @@ def _maximal_members(subloops):
 
 
 def center(loop):
-    """Elements commuting with everything and associating in first position."""
+    """Z(L): the elements commuting with everything and lying in the nucleus."""
     return Subloop(loop, np.flatnonzero(loop.central_mask()))
 
 
@@ -348,28 +354,43 @@ def upper_central_series(loop):
 
 
 def maximal_subloops(loop):
-    """Maximal proper subloops, via hyperplanes of the abelian quotient.
-
-    Every maximal subloop of a finite CML contains the associator subloop,
-    so maximal subloops correspond to maximal subgroups of the abelian
-    quotient A = L / L'; those are the index-p subgroups for the primes p
-    dividing |A|, found by linear algebra over GF(p).
-    """
+    """Maximal proper subloops, as the preimages of the hyperplanes of L / L'L^p."""
     _require_cml(loop)
     return _maximal_over(loop, associator_subloop(loop))
 
 
 def _maximal_over(loop, derived):
-    """maximal_subloops, given the associator subloop L' of the loop."""
-    quot, proj = quotient(loop, derived)
+    """maximal_subloops, given the associator subloop L' of the loop, by joins in L.
+
+    In a finite CML every maximal subloop M is normal of prime index p and
+    contains L'L^p (Bruck, A Survey of Binary Systems, 1958), so L / L'L^p is
+    elementary abelian and the M of index p are the preimages of its
+    hyperplanes, p over the primes dividing |L / L'|.  With F = L'L^p and a
+    basis b_1..b_r of L mod F, the hyperplane with leading index i and weights
+    w_j for j > i is the kernel of b_i -> 1, b_j -> 0 below i, b_j -> w_j
+    above i; it is spanned by the b_j below i and b_j b_i^(p - w_j) above i,
+    so its preimage is F joined with those elements.  Each must have index p.
+    """
+    _require_cml(loop)
+    t, n = loop.table, loop.n
     out = []
-    for p in _prime_factors(quot.n):
-        powered = Subloop(
-            quot, np.unique([quot.power(x, p) for x in range(quot.n)])
-        )
-        vec, vproj = quotient(quot, powered)
-        for hyper in _hyperplanes(vec, p):
-            out.append(Subloop(loop, np.flatnonzero(hyper.mask()[vproj][proj])))
+    for p in _prime_factors(n // derived.size):
+        powers = np.arange(n)
+        for _ in range(p - 1):
+            powers = t[np.arange(n), powers]
+        f = _join_elements(derived, powers)
+        basis, span = [], f
+        for x in range(n):
+            if x not in span:
+                basis.append(x)
+                span = _join_elements(span, [x])
+        for i, lead in enumerate(basis):
+            above = basis[i + 1:]
+            for weights in itertools.product(range(p), repeat=len(above)):
+                gens = basis[:i] + [t[b, loop.power(lead, p - w)] for b, w in zip(above, weights)]
+                m = _join_elements(f, gens)
+                assert m.size * p == n, f"a hyperplane of L / L'L^{p} has index {n // m.size}"
+                out.append(m)
     uniq = {s.elements: s for s in out}
     return sorted(uniq.values(), key=lambda s: s.members)
 
@@ -386,40 +407,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _hyperplanes(vec, p):
-    """Index-p subgroups of an elementary abelian p-group given as a loop."""
-    basis = []
-    span = trivial_subloop(vec)
-    for x in range(1, vec.n):
-        if x not in span:
-            basis.append(x)
-            span = join(span, generate_subloop(vec, [x]))
-    r = len(basis)
-    if r == 0:
-        return
-    # coordinates of every element in the chosen basis
-    coord_arr = np.zeros((vec.n, r), dtype=np.int64)
-    elems = [0]
-    for k, b in enumerate(basis):
-        for e in list(elems):
-            acc = e
-            for c in range(1, p):
-                acc = vec.mul(acc, b)
-                coord_arr[acc] = coord_arr[e]
-                coord_arr[acc, k] = c
-                elems.append(acc)
-    # functionals up to scalar: first nonzero weight equals 1
-    for lead in range(r):
-        tail = r - lead - 1
-        for rest in range(p**tail):
-            weights = np.zeros(r, dtype=np.int64)
-            weights[lead] = 1
-            for k in range(tail):
-                weights[lead + 1 + k] = (rest // (p ** (tail - 1 - k))) % p
-            vals = (coord_arr @ weights) % p
-            yield Subloop(vec, np.flatnonzero(vals == 0))
 
 
 def frattini_subloop(loop):
@@ -448,25 +435,13 @@ def is_divisible(loop):
     return True
 
 
-def non_generator_witness(loop, x, seed, maximals):
-    """Sampled refutation that x is a non-generator.
+def non_generator_witness(loop, x, maximals):
+    """Members of the first M in ``maximals`` with x not in M and <M, x> = L, or None.
 
-    Returns a subset S with <S + x> = L but <S> != L, or None if no
-    sampled subset refutes it.  For x outside the Frattini subloop, one of
-    the loop's maximal subloops ``maximals`` avoids x and is a guaranteed
-    witness; NON_GENERATOR_TRIALS random subsets cannot prove the converse,
-    only refute.
+    Exact when ``maximals`` lists every maximal subloop: a proper S with
+    <S, x> = L lies in some maximal M, L being finite, and then <M, x> = L
+    too.  So x is a non-generator iff this returns None.
     """
-    x = int(x)
-    for m in maximals:
-        if x not in m:
-            return m.members
-    rng = random.Random(seed)
-    pool = list(range(1, loop.n))
-    for _ in range(NON_GENERATOR_TRIALS):
-        size = rng.randint(0, min(len(pool), 5))
-        s = rng.sample(pool, size)
-        with_x = generate_subloop(loop, s + [x])
-        if with_x.is_full and not generate_subloop(loop, s).is_full:
-            return tuple(sorted(s))
-    return None
+    seed = np.arange(loop.n) == int(x)
+    return next((m.members for m in maximals
+                 if not m.mask()[int(x)] and _close(loop.table, m.mask(), seed).all()), None)

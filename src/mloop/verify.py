@@ -303,19 +303,13 @@ def _check_theorem2(ctx):
 def _check_frattini(ctx):
     loop = ctx.loop
     lattice_maximals = st._maximal_members(ctx.lattice)
-    maximals_ok = {s.elements for s in ctx.maximals} == {
-        s.elements for s in lattice_maximals
-    }
+    maximals_ok = set(ctx.maximals) == set(lattice_maximals)
     frattini_ok = ctx.frattini == st._meet(loop, lattice_maximals)
 
-    non_gen_ok = True
-    first_bad = None
-    for x in range(loop.n):
-        witness_set = st.non_generator_witness(loop, x, ctx.seed, ctx.maximals)
-        if (witness_set is None) != (x in ctx.frattini):
-            non_gen_ok = False
-            first_bad = x
-            break
+    # exact: x is a non-generator iff no lattice maximum M has <M, x> = L
+    first_bad = next((x for x in range(loop.n) if (x in ctx.frattini)
+                      != (st.non_generator_witness(loop, x, lattice_maximals) is None)), None)
+    non_gen_ok = first_bad is None
 
     group_note = "skipped"
     group_ok = True

@@ -132,6 +132,68 @@ def naive_lattice(loop):
                   key=lambda members: (len(members), members))
 
 
+def hyperplane_maximals(loop):
+    """Member tuples of the maximal subloops, sorted, through quotient loops: for
+    each prime p dividing |L/L'|, the preimages of the hyperplanes of
+    V = (L/L') / (L/L')^p, each read off the coordinates of V in a basis.
+
+    A route independent of the joins in L of `structure.maximal_subloops`.
+    """
+    quot, proj = loop_core.quotient(loop, structure.associator_subloop(loop))
+    out = set()
+    for p in structure._prime_factors(quot.n):
+        powered = structure.Subloop(quot, np.unique([quot.power(x, p) for x in range(quot.n)]))
+        vec, vproj = loop_core.quotient(quot, powered)
+        for hyper in hyperplanes(vec, p):
+            out.add(tuple(int(i) for i in np.flatnonzero(hyper.mask()[vproj][proj])))
+    return sorted(out)
+
+
+def hyperplanes(vec, p):
+    """Index-p subgroups of an elementary abelian p-group given as a loop."""
+    basis = []
+    span = structure.trivial_subloop(vec)
+    for x in range(1, vec.n):
+        if x not in span:
+            basis.append(x)
+            span = structure.join(span, structure.generate_subloop(vec, [x]))
+    r = len(basis)
+    if r == 0:
+        return
+    # coordinates of every element in the chosen basis
+    coord_arr = np.zeros((vec.n, r), dtype=np.int64)
+    elems = [0]
+    for k, b in enumerate(basis):
+        for e in list(elems):
+            acc = e
+            for c in range(1, p):
+                acc = vec.mul(acc, b)
+                coord_arr[acc] = coord_arr[e]
+                coord_arr[acc, k] = c
+                elems.append(acc)
+    # functionals up to scalar: first nonzero weight equals 1
+    for lead in range(r):
+        tail = r - lead - 1
+        for rest in range(p**tail):
+            weights = np.zeros(r, dtype=np.int64)
+            weights[lead] = 1
+            for k in range(tail):
+                weights[lead + 1 + k] = (rest // (p ** (tail - 1 - k))) % p
+            vals = (coord_arr @ weights) % p
+            yield structure.Subloop(vec, np.flatnonzero(vals == 0))
+
+
+def inner_map_rows(loop):
+    """The distinct non-identity inner maps L(xy)^-1 L(x) L(y) over all n^2 pairs,
+    in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)].
+
+    A route independent of the centre's cosets, which `multiplication_group` reads.
+    """
+    t, ld = loop.table, loop.ldiv_table()
+    seen = {np.arange(loop.n, dtype=t.dtype).tobytes()}
+    return np.concatenate([fresh(ld[t[x][:, None], t[x][t]], seen) for x in range(loop.n)])
+
+
 def naive_violations(table):
     """(triples breaking (xy)z = x(yz), triples breaking x^2(yz) = (xy)(xz)), each
     list in lexicographic order, by pure-Python triple loops.
@@ -150,12 +212,14 @@ def naive_violations(table):
 
 
 def naive_center(loop):
-    """Members of the centre: x commuting with every y and with (xy)z = x(yz) for all y, z."""
+    """Members of the centre: x commuting with every y and in all three nuclei,
+    (xy)z = x(yz), (yx)z = y(xz) and (yz)x = y(zx) for all y, z."""
     t = loop.table.tolist()
     r = range(loop.n)
     return [x for x in r
             if all(t[x][y] == t[y][x] for y in r)
-            and all(t[t[x][y]][z] == t[x][t[y][z]] for y in r for z in r)]
+            and all(t[t[x][y]][z] == t[x][t[y][z]] and t[t[y][x]][z] == t[y][t[x][z]]
+                    and t[t[y][z]][x] == t[y][t[z][x]] for y in r for z in r)]
 
 
 def naive_associators(loop):

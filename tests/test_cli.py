@@ -94,6 +94,17 @@ def test_invariants_rejects_noncml(tmp_path):
     assert "not a commutative Moufang loop" in res.stderr
 
 
+@pytest.mark.parametrize("suite", ["frattini", "lemma4"])
+def test_frattini_suites_reject_noncml(tmp_path, suite):
+    """The maximal subloops need a CML: a commutative non-Moufang table stops
+    with NotCML, not with a later error from the group side."""
+    path = tmp_path / "noncml.txt"
+    path.write_text("\n".join(["6"] + [" ".join(map(str, row)) for row in NONCML6]) + "\n")
+    res = run_cli("verify", "--input", str(path), "--suite", suite)
+    assert res.returncode == 2
+    assert "NotCML" in res.stderr
+
+
 def test_invariants_guards_fail_before_multiplication_group(monkeypatch, capsys):
     """A loop above the max-order guard is rejected before the first
     loop-side scan, and so before M(L) is built."""

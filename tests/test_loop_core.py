@@ -168,8 +168,7 @@ def test_coset_tensor_lifts_to_the_full_associator_tensor(name):
     reps, proj = loop.central_cosets()
     assert np.array_equal(reps, np.unique(proj, return_index=True)[1])
     assert np.array_equal(lifted_associators(loop), associator_tensor(loop))
-    commutative = np.array_equal(loop.table, loop.table.T)
-    assert len(reps) == (loop.n // center(loop).size if commutative else loop.n)
+    assert len(reps) == loop.n // center(loop).size
 
 
 def test_inner_mapping_tensor(z81):
@@ -254,13 +253,16 @@ def test_quotient_requires_normal(z81):
 
 
 def test_tensor_guard():
-    """The associator guard bounds m = |L/Z(L)|, and a non-commutative table
-    takes Z trivial; the inner-mapping tensor stays bounded by n."""
-    big = direct_product(CayleyLoop(S3_TABLE, name="sym3"), gen_abelian((51,)))
-    with pytest.raises(OrderOverflow, match="associator table guard: 306 exceeds limit 300"):
-        big.associator_table()
+    """The associator guard bounds m = |L/Z(L)|, also on a non-commutative table;
+    the inner-mapping tensor stays bounded by n."""
+    sym3 = CayleyLoop(S3_TABLE, name="sym3")
+    big = direct_product(sym3, gen_abelian((51,)))
+    assert big.associator_table().shape == (6, 6, 6)  # Z(S3 x Z51) = Z51
     with pytest.raises(OrderOverflow, match="inner mapping table guard: 306 exceeds limit 300"):
         big.inner_mapping_table()
+    s3_4 = direct_product(direct_product(direct_product(sym3, sym3), sym3), sym3, max_order=1296)
+    with pytest.raises(OrderOverflow, match="associator table guard: 1296 exceeds limit 300"):
+        s3_4.associator_table()  # Z(S3^4) is trivial
     abelian = gen_abelian((17, 19))
     assert abelian.associator_table().shape == (1, 1, 1)
     with pytest.raises(OrderOverflow, match="inner mapping table guard: 323 exceeds limit 300"):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import NONCML6, inner_map_rows
 from mloop.errors import NotCommutative, NotNormal
-from mloop.loop_core import gen_abelian
+from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
 from mloop.mult_group import (
     h_star,
     multiplication_group,
@@ -38,6 +39,29 @@ def test_zassenhaus_bundle(z81, z81_bundle):
     assert z81_bundle.M.order() == 81 * z81_bundle.I.order()
     for x in (0, 1, 27, 80):
         assert translation(z81, x).images == tuple(int(v) for v in z81.table[x])
+
+
+INNER_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
+    "abelian:4,4": lambda: gen_abelian((4, 4)),
+    "abelian:3,3,3": lambda: gen_abelian((3, 3, 3)),
+    "noncml6xZ3": lambda: direct_product(CayleyLoop(NONCML6, name="noncml6"), gen_abelian((3,))),
+    "Z2xnoncml6": lambda: direct_product(gen_abelian((2,)), CayleyLoop(NONCML6, name="noncml6")),
+}
+
+
+@pytest.mark.parametrize("name", INNER_LOOPS)
+def test_inner_generators_from_centre_coset_pairs(name):
+    """The inner maps built on pairs of least centre-coset members are the
+    first occurrences, in the same order, of those over all n^2 pairs; the two
+    noncml6 products are commutative but not Moufang, with |Z| = 3 and 2."""
+    loop = INNER_LOOPS[name]()
+    assert len(loop.central_cosets()[0]) < loop.n
+    gens = multiplication_group(loop).I.gen_array
+    assert np.array_equal(gens, inner_map_rows(loop))
 
 
 def test_left_equals_right_translation(z81):

@@ -83,13 +83,22 @@ def test_later_block_at_smaller_x_wins(monkeypatch, z81):
 @pytest.mark.parametrize("block", BLOCKS)
 def test_center_and_associators_match_naive(monkeypatch, block):
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
-    loops = [CayleyLoop(S3_TABLE), CayleyLoop(NONCML6), gen_zassenhaus81(), gen_abelian((2, 3))]
+    loops = [CayleyLoop(S3_TABLE), CayleyLoop(NONCML6), gen_zassenhaus81(), gen_abelian((2, 3)),
+             swapped_cyclic(16, 2, 5)]
     for loop in loops:
         assert list(center(loop).members) == naive_center(loop), loop.name
         values = naive_associators(loop)
         want = np.array(list(values.values())).reshape((loop.n,) * 3)
         assert np.array_equal(lifted_associators(loop), want), loop.name
         assert associator_subloop(loop) == generate_subloop(loop, set(values.values()))
+
+
+def test_center_is_nuclear_on_a_non_commutative_table():
+    """In swapped16, 4 and 12 commute with everything and associate in first
+    position, but are not in the middle or right nucleus."""
+    loop = swapped_cyclic(16, 2, 5)
+    assert center(loop).members == (0, 8)
+    assert list(loop.central_cosets()[0]) == list(range(8))
 
 
 def test_certificate_reports_least_triple_across_blocks(monkeypatch):
@@ -114,7 +123,7 @@ def coset_law_loops():
     Moufang with a nontrivial centre, non-commutative (m = n), and CMLs and
     abelian groups of orders 16 to 243.  In swapped16, 4 and 12 commute with
     everything and associate in first position without being nuclear, so its
-    scan is exact only because a non-commutative table takes Z trivial."""
+    scan is exact only because the centre scan tests the whole nucleus."""
     z2, z3, z81 = gen_abelian((2,)), gen_abelian((3,)), gen_zassenhaus81()
     noncml6, swapped16 = CayleyLoop(NONCML6, name="noncml6"), swapped_cyclic(16, 2, 5)
     swapped24 = swapped_cyclic(24, 10, 24)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NONCML6, S3_TABLE, associator_tensor, naive_lattice
+from conftest import NONCML6, S3_TABLE, associator_tensor, hyperplane_maximals, naive_lattice
 from mloop.errors import (
     NotASubloop,
     NotCML,
@@ -21,6 +21,7 @@ from mloop.loop_core import (
 from mloop.structure import (
     Subloop,
     _cyclic_masks,
+    _maximal_members,
     all_subloops,
     associator_subloop,
     center,
@@ -200,6 +201,42 @@ def test_maximals_match_lattice(z81, z81_lattice):
     assert from_lattice == {m.members for m in maximal_subloops(z81)}
 
 
+MAXIMAL_LOOPS = {
+    "abelian:2,3": (lambda: gen_abelian((2, 3)), 128),
+    "abelian:4,4": (lambda: gen_abelian((4, 4)), 128),
+    "abelian:9,3": (lambda: gen_abelian((9, 3)), 128),
+    "abelian:2,2,2,3": (lambda: gen_abelian((2, 2, 2, 3)), 128),
+    "abelian:8": (lambda: gen_abelian((8,)), 128),
+    "z81xZ2": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))), 162),
+}  # z81 is test_maximals_match_lattice
+
+
+@pytest.mark.parametrize("name", MAXIMAL_LOOPS)
+def test_maximal_subloops_match_lattice_maxima(name):
+    """The joins give the maximal members of the exhaustive lattice: with two
+    primes, and with cyclic factors of order 4, 8 and 9, where F = L'L^p is
+    more than L'."""
+    make, guard = MAXIMAL_LOOPS[name]
+    loop = make()
+    want = sorted(s.members for s in _maximal_members(all_subloops(loop, lattice_guard=guard)))
+    assert [m.members for m in maximal_subloops(loop)] == want
+
+
+QUOTIENT_LOOPS = {
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
+    "abelian:3,3,3,3,3": lambda: gen_abelian((3,) * 5),
+    "z81xZ3xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", QUOTIENT_LOOPS)
+def test_maximal_subloops_match_hyperplanes_of_quotients(name):
+    """The joins in L give the member lists, in order, of the quotient-loop route."""
+    loop = QUOTIENT_LOOPS[name]()
+    assert [m.members for m in maximal_subloops(loop)] == hyperplane_maximals(loop)
+
+
 def test_frattini(z81):
     assert frattini_subloop(z81).members == (0, 1, 2)
     assert frattini_subloop(gen_abelian((4,))).members == (0, 2)
@@ -301,11 +338,27 @@ def test_normality_requires_cml(s3_loop):
 def test_non_generator_witness(z81):
     maxima = maximal_subloops(z81)
     for x in (0, 1, 2):  # the Frattini subloop
-        assert non_generator_witness(z81, x, 0, maxima) is None
-    w = non_generator_witness(z81, 27, 0, maxima)
+        assert non_generator_witness(z81, x, maxima) is None
+    w = non_generator_witness(z81, 27, maxima)
     assert w is not None
     assert not generate_subloop(z81, w).is_full
     assert generate_subloop(z81, w + (27,)).is_full
+    # <1, 3> avoids 27, but <1, 3, 27> has order 27: no witness
+    assert non_generator_witness(z81, 27, [generate_subloop(z81, [1, 3])]) is None
+
+
+@pytest.mark.parametrize("moduli", [(2, 3), (4, 4), None], ids=["abelian:2,3", "abelian:4,4", "zassenhaus81"])
+def test_non_generator_witness_is_exact(moduli):
+    """Over every maximal subloop, x has no witness iff x is in Phi(L); each
+    witness is a proper subloop that x joins to the whole loop."""
+    loop = gen_zassenhaus81() if moduli is None else gen_abelian(moduli)
+    maxima, phi = maximal_subloops(loop), frattini_subloop(loop)
+    for x in range(loop.n):
+        w = non_generator_witness(loop, x, maxima)
+        assert (w is None) == (x in phi), x
+        if w is not None:
+            s = Subloop(loop, w)
+            assert not s.is_full and join(s, generate_subloop(loop, [x])).is_full
 
 
 def test_is_divisible():
