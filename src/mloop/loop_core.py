@@ -1,10 +1,10 @@
 """Cayley-table loops.
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
-identity pinned at index 0.  The triple scans (the centre, the inner-map
-certificate, the laws of ``diagnose``) run growing y-row blocks outer, each
+identity pinned at index 0.  The triple scans run y-row blocks outer, each
 cast to intp once, and x inner: (xy)z is the table with its rows permuted by
-L_x, and x(yz) a ``take`` from row x.  The associator lives on L/Z(L):
+L_x, and x(yz) a ``take`` from row x.  The blocks grow from one row, save in
+the inner-map certificate, which reads every row of a valid loop.  The associator lives on L/Z(L):
 (xc, y, z) = (x, y, z) for c central and nuclear, in each slot (Bruck, A Survey
 of Binary Systems, 1958), so it is an (m, m, m) tensor A_q, m = |L/Z(L)|.
 ``diagnose`` reads the associative and Moufang laws of a loop on L/Z(L) too.
@@ -43,14 +43,14 @@ def _first_index(bad):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def _least_violations(table, laws, reps):
+def _least_violations(table, laws, reps, grow=True):
     """Per law, the least (x, y, z) in reps^3 with law(x, ys, yz)[j, k], or None.
 
     ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp.
     Once a y-block finds a law failing at x*, later blocks test it only at x < x*.
     """
     found, bound = [None] * len(laws), [len(reps)] * len(laws)
-    for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
+    for rows, yz in cast_blocks(table[np.ix_(reps, reps)], grow):
         ys = reps[rows]
         for a in range(max(bound)):
             for i, law in enumerate(laws):
@@ -230,6 +230,7 @@ class CayleyLoop:
 
         In a CML L(x, y) sends z to z(z, y, x); this exhaustive scan, cached per
         loop, certifies A_q and its cosets against inner-map rows built apart.
+        On a valid loop it reads every row, so its y-blocks have a fixed size.
         """
         if self._inner_check is None:
             t, n = self.table, self.n
@@ -243,7 +244,7 @@ class CayleyLoop:
                 zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0).take(proj, axis=1) + zoff
                 return ldiv.take(inner) != flat.take(zyx)
 
-            self._inner_check = tuple(_least_violations(t, (bad,), np.arange(n)))
+            self._inner_check = tuple(_least_violations(t, (bad,), np.arange(n), grow=False))
         return self._inner_check[0]
 
     # -- misc ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import ChainStalled, OracleDisagreement
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
+    _join_elements,
     _normality_matrix,
     _require_cml,
     all_subloops,
@@ -53,39 +54,39 @@ class NormalizerTrace:
         }
 
 
+def _cosets_of(kpos, sel, count):
+    """Mask of the ``count`` cosets meeting K that hold a member of K picked by ``sel``."""
+    out = np.zeros(count, dtype=bool)
+    out[kpos[sel]] = True
+    return out
+
+
 def normalizer(loop, k, h):
     """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
 
-    Both stages read H's normality matrix N over K (structure._normality_matrix):
-    P = {x : N[D, x] all true} and D = {y : N[y, P] all true}.
+    Both stages read H's normality matrix C over the cosets of Z(L) that meet
+    K (structure._normality_matrix).  (h, y, x) is constant on those cosets,
+    so each stage is the set of members of K in a set of cosets: with D seeded
+    by the cosets meeting H, P = {b : C[D, b] all true} and D = {a : C[a, P]
+    all true}, and kpos maps each stage back to K's members.
     """
-    h, k, pairs = _normality_matrix(loop, h, k)
+    h, k, kpos, pairs = _normality_matrix(loop, h, k)
     km = np.array(k.members, dtype=np.int64)
     p_stages: List[Tuple[int, ...]] = []
     d_stages: List[Tuple[int, ...]] = []
-    d_sel = h.mask()[km]
-    cap = k.size + 2
+    d_sel, cap = _cosets_of(kpos, h.mask()[km], len(pairs)), k.size + 2
     for _ in range(cap):
         p_sel = pairs[d_sel].all(axis=0)
         d_sel = pairs[:, p_sel].all(axis=1)
-        p_stages.append(tuple(int(i) for i in km[p_sel]))
-        d_stages.append(tuple(int(i) for i in km[d_sel]))
-        if len(p_stages) >= 2 and (
-            p_stages[-1] == p_stages[-2] and d_stages[-1] == d_stages[-2]
-        ):
+        p_stages.append(tuple(km[p_sel[kpos]].tolist()))
+        d_stages.append(tuple(km[d_sel[kpos]].tolist()))
+        if len(p_stages) >= 2 and p_stages[-1] == p_stages[-2] and d_stages[-1] == d_stages[-2]:
             break
     else:
-        raise ChainStalled(
-            f"P/D alternation exceeded {cap} rounds for H of order {h.size}"
-        )
+        raise ChainStalled(f"P/D alternation exceeded {cap} rounds for H of order {h.size}")
     assert pairs[d_sel][:, d_sel].all(), "H must be normal in the stabilized D-set"
-    result = Subloop(loop, d_stages[-1])
-    return NormalizerTrace(
-        p_stages=tuple(p_stages),
-        d_stages=tuple(d_stages),
-        result=result,
-        iterations=len(p_stages),
-    )
+    return NormalizerTrace(p_stages=tuple(p_stages), d_stages=tuple(d_stages),
+                           result=Subloop(loop, d_stages[-1]), iterations=len(p_stages))
 
 
 def maximality_gaps(loop, k, h, trace):
@@ -96,11 +97,11 @@ def maximality_gaps(loop, k, h, trace):
     a nonempty list is a counterexample to reading the fixpoint as "the"
     normalizer.
     """
-    h, k, pairs = _normality_matrix(loop, h, k)
+    h, k, kpos, pairs = _normality_matrix(loop, h, k)
     gaps = []
     for x in k.members:
         if x not in trace.result:
-            sel = generate_subloop(loop, list(h.members) + [x]).mask()[k.mask()]
+            sel = _cosets_of(kpos, _join_elements(h, [x]).mask()[k.mask()], len(pairs))
             if pairs[sel][:, sel].all():
                 gaps.append(int(x))
     return gaps
@@ -114,10 +115,11 @@ def normalizer_oracle(loop, k, h):
     since it falsifies the uniqueness this oracle is meant to certify.
     Each candidate is tested as a submatrix of H's normality matrix.  The
     runs revisit the same (S, x) pairs, so each join <S, x> is built and
-    tested once (``grown_by`` holds it if H is normal in it, else None).
+    tested once (``grown_by`` holds it if H is normal in it, else None), one
+    closure from S and the cyclic subloop <x>, which is built once per x.
     """
-    h, k, pairs = _normality_matrix(loop, h, k)
-    grown_by = {}
+    h, k, kpos, pairs = _normality_matrix(loop, h, k)
+    grown_by, cyclic = {}, {}
     outcome = None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
@@ -132,8 +134,10 @@ def normalizer_oracle(loop, k, h):
                     continue
                 key = (s.members, x)
                 if key not in grown_by:
-                    grown = join(s, generate_subloop(loop, [x]))
-                    sel = grown.mask()[k.mask()]
+                    if x not in cyclic:
+                        cyclic[x] = generate_subloop(loop, [x])
+                    grown = join(s, cyclic[x])
+                    sel = _cosets_of(kpos, grown.mask()[k.mask()], len(pairs))
                     grown_by[key] = grown if pairs[sel][:, sel].all() else None
                 if grown_by[key] is not None:
                     s = grown_by[key]

@@ -1,17 +1,21 @@
 """Subloop structure: generation, normality, lattices, central series, Frattini.
 
 Subloops are element sets of a parent CayleyLoop.  Closures and the full
-lattice run on numpy boolean masks; the lattice is the join-closure of the
-cyclic subloops, which is provably complete (every subloop is the join of
-the cyclic subloops of its elements).  Normality and L' read the loop's
+lattice run on numpy boolean masks; the lattice is grown from the cyclic
+subloops, which is provably complete (every subloop is the join of the
+cyclic subloops of its elements).  Normality and L' read the loop's
 associator tensor A_q on L/Z(L), one row per centre coset.
 
-Joins in the lattice stop early once their result is known.  For a subloop
-S and atoms <x_a>, <x_b> outside it, with J_a = S v <x_a> already built:
-if x_b is in J_a, then S v <x_b> is inside J_a, and once the closure of S
-and <x_b> reaches x_a it contains J_a too, so S v <x_b> = J_a.  The proof
-uses closure alone (no Moufang law, commutativity or Lagrange property), so
-it holds for any loop table, group tables included.
+The lattice is built by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998), with closure as its only
+operation.  Each subloop S has one greedy generating sequence g_1 < g_2 < ...,
+g_{i+1} the least member of S outside <g_1 .. g_i>, and each g_i is an atom
+generator, the least x with <x> = <g_i>.  S is extended by the atom generators
+x past its last g and outside S, and T = S v <x> is kept iff x is the least
+member of T outside S, that is iff T's greedy sequence is S's followed by x.
+So each subloop is produced once, from its greedy prefix, and a closure stops
+at the first y < x outside S.  The argument uses closure alone (no Moufang
+law, commutativity or Lagrange property), so it holds for group tables too.
 """
 
 import itertools
@@ -36,8 +40,8 @@ class Subloop:
     """A validated subloop: closed under product, contains the identity.
 
     Finite product-closure forces identity and inverse closure, but the
-    constructor checks all three anyway and raises NotASubloop with the
-    first offending pair.
+    constructor checks all three anyway, save closure on the whole loop, which
+    its Latin table gives, and raises NotASubloop with the first offending pair.
     """
 
     def __init__(self, parent, elements):
@@ -50,16 +54,15 @@ class Subloop:
         if 0 not in elems:
             raise NotASubloop("missing identity element 0")
         members = np.array(elems, dtype=np.int64)
-        prods = np.asarray(parent.table[np.ix_(members, members)], dtype=np.int64)
         inside = np.zeros(parent.n, dtype=bool)
         inside[members] = True
-        if not inside[prods].all():
-            i, j = np.unravel_index(int(np.argmin(inside[prods])), prods.shape)
-            raise NotASubloop(
-                f"not closed: {elems[i]} * {elems[j]} = {int(prods[i, j])} escapes"
-            )
-        if not inside[np.asarray(parent.inverse_array(), dtype=np.int64)[members]].all():
-            raise NotASubloop("not closed under inverses")
+        if len(elems) < parent.n:
+            prods = np.asarray(parent.table[np.ix_(members, members)], dtype=np.int64)
+            if not inside[prods].all():
+                i, j = np.unravel_index(int(np.argmin(inside[prods])), prods.shape)
+                raise NotASubloop(f"not closed: {elems[i]} * {elems[j]} = {int(prods[i, j])} escapes")
+            if not inside[np.asarray(parent.inverse_array(), dtype=np.int64)[members]].all():
+                raise NotASubloop("not closed under inverses")
         self.elements = frozenset(elems)
         self.members = tuple(elems)
         self._mask = inside
@@ -197,12 +200,13 @@ def _stay_rows(loop, h, k):
 
 
 def _normality_matrix(loop, h, k):
-    """(H, K, N), N[j, l] iff (h, k_j, k_l) stays inside H for every h in H."""
+    """(H, K, kpos, C), C[b, c] iff (h, r_b, r_c) stays inside H for every h in H,
+    over the cosets r_b, r_c meeting K; k_j lies in coset kpos[j]."""
     h, k, kpos, stays = _stay_rows(loop, h, k)
     pairs = True
     for _, s in stays:
         pairs = pairs & s
-    return h, k, pairs[np.ix_(kpos, kpos)]
+    return h, k, kpos, pairs
 
 
 def is_normal(loop, h, k=None):
@@ -253,46 +257,34 @@ def _sorted_masks(masks):
 
 
 def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
-    """Every subloop, as the join-closure of the cyclic subloops.
+    """Every subloop, sorted by (order, members), by canonical augmentation.
 
-    Each subloop S taken off the worklist is joined with every atom <x_b>
-    outside it, in atom order, and ``joins`` keeps the joins of S found so
-    far.  A join stops early once its result is known: if x_b lies in an
-    earlier join J_a = S v <x_a>, then S v <x_b> is inside J_a, so as soon
-    as the closure of S and <x_b> reaches x_a it contains J_a, and
-    S v <x_b> = J_a.  The argument uses closure alone, so it holds for any
-    loop table, Moufang, commutative or not.
+    The worklist holds each subloop S with the last generator g of its greedy
+    sequence.  S v <x> is built for the atom generators x > g outside S, and
+    kept iff x is its least member outside S, so each subloop is produced once,
+    from its greedy prefix (see the module docstring for the argument).
     """
     if loop.n > lattice_guard:
         raise OrderOverflow("lattice", lattice_guard, loop.n)
     table = loop.table
     gens, masks = _cyclic_masks(loop)
-    found = {m.tobytes(): m for m in masks}
-    atom_gens, atom_masks = gens[1:], masks[1:]
-    joins = np.empty((len(atom_masks), loop.n), dtype=bool)
-    worklist = list(masks)
+    gens, atoms = gens[1:], masks[1:]
+    out, worklist = [masks[0]], [(masks[0], 0)]
     while worklist:
-        current = worklist.pop()
-        if current.all():
-            continue
-        # rows not yet joined (or of atoms inside S) hold S itself, which no x_b is in
-        joins[:] = current
-        for b, (xb, atom) in enumerate(zip(atom_gens, atom_masks)):
-            if current[xb]:
-                continue
-            earlier = joins[:, xb].nonzero()[0]
-            stop = atom_gens[earlier]
-            merged = _close(table, current, atom, stop)
-            reached = merged[stop].nonzero()[0]
-            if reached.size:
-                joins[b] = joins[earlier[reached[0]]]
-                continue
-            joins[b] = merged
-            key = merged.tobytes()
-            if key not in found:
-                found[key] = merged
-                worklist.append(merged)
-    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(found.values())]
+        current, last = worklist.pop()
+        outside, members = ~current, current.nonzero()[0]
+        todo = (gens > last) & outside[gens]
+        # x s and s x lie in S v <x>: one below x and outside S rules x out
+        xs = gens[todo]
+        prods = np.concatenate([table[np.ix_(xs, members)], table[np.ix_(members, xs)].T], axis=1)
+        todo[todo] = ~((prods < xs[:, None]) & outside[prods]).any(axis=1)
+        for a in todo.nonzero()[0]:
+            stop = outside[:gens[a]].nonzero()[0]
+            merged = _close(table, current, atoms[a], stop)
+            if not merged[stop].any():
+                out.append(merged)
+                worklist.append((merged, gens[a]))
+    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(out)]
 
 
 def _maximal_members(subloops):

@@ -10,6 +10,7 @@ import pytest
 import mloop
 from mloop import loop_core, mult_group, structure
 from mloop.errors import NotNilpotent, NotSubgroup
+from mloop.normalizer import NormalizerTrace
 from mloop.perm_group import PermGroup, _rows
 from mloop.perm_rows import cast_blocks, compose, fresh, inverse
 
@@ -103,13 +104,19 @@ def normalizing_maxima(loop, lattice, h):
     return [k for k in over if not any(k.elements < t.elements for t in over)]
 
 
+def _member_tuples(masks):
+    """Member tuples of boolean masks, sorted by (order, members)."""
+    return sorted((tuple(int(i) for i in np.flatnonzero(m)) for m in masks),
+                  key=lambda members: (len(members), members))
+
+
 def naive_lattice(loop):
     """Member tuples of every subloop, sorted by (order, members), by the plain
     join-closure: each subloop found is joined with every cyclic subloop
     through `structure._close`, with no early stop.
 
-    A route independent of `all_subloops`' early-stopping joins and of the
-    atom generators it records.
+    A route independent of the greedy generating sequences of `all_subloops`
+    and of the atom generators it records.
     """
     base = np.zeros(loop.n, dtype=bool)
     base[0] = True
@@ -128,8 +135,93 @@ def naive_lattice(loop):
             if merged.tobytes() not in found:
                 found[merged.tobytes()] = merged
                 worklist.append(merged)
-    return sorted((tuple(int(i) for i in np.flatnonzero(m)) for m in found.values()),
-                  key=lambda members: (len(members), members))
+    return _member_tuples(found.values())
+
+
+def early_stop_lattice(loop):
+    """Member tuples of every subloop, sorted by (order, members), by the
+    early-stopping join-closure.  Each subloop S is joined with every atom
+    <x_b> outside it, in atom order; if x_b lies in an earlier join
+    J_a = S v <x_a>, then S v <x_b> is inside J_a, so once the closure of S
+    and <x_b> reaches x_a it contains J_a, and S v <x_b> = J_a.  The
+    argument uses closure alone, so it holds for any loop table.
+
+    A route independent of the greedy generating sequences of `all_subloops`.
+    """
+    gens, masks = structure._cyclic_masks(loop)
+    found = {m.tobytes(): m for m in masks}
+    atom_gens, atom_masks = gens[1:], masks[1:]
+    joins = np.empty((len(atom_masks), loop.n), dtype=bool)
+    worklist = list(masks)
+    while worklist:
+        current = worklist.pop()
+        if current.all():
+            continue
+        # rows not yet joined (or of atoms inside S) hold S itself, which no x_b is in
+        joins[:] = current
+        for b, (xb, atom) in enumerate(zip(atom_gens, atom_masks)):
+            if current[xb]:
+                continue
+            earlier = joins[:, xb].nonzero()[0]
+            stop = atom_gens[earlier]
+            merged = structure._close(loop.table, current, atom, stop)
+            reached = merged[stop].nonzero()[0]
+            if reached.size:
+                joins[b] = joins[earlier[reached[0]]]
+                continue
+            joins[b] = merged
+            if merged.tobytes() not in found:
+                found[merged.tobytes()] = merged
+                worklist.append(merged)
+    return _member_tuples(found.values())
+
+
+def group_cayley_loop(group):
+    """A permutation group's Cayley table over its enumerated elements, built
+    as `perm_group.frattini_subgroup_oracle` builds it for the lattice."""
+    elements = group.element_array()
+    return loop_core.CayleyLoop(group._index(elements[:, elements[:, group.base]]), name="cayley")
+
+
+def element_fixpoint(loop, k, h):
+    """The P/D fixpoint as a NormalizerTrace, on H's normality matrix N over
+    the members of K: D starts as H, then P = {x : N[D, x] all true} and
+    D = {y : N[y, P] all true} until the pair repeats.
+
+    A route independent of the coset stages of `normalizer.normalizer`: the
+    (|K| x |K|) matrix is the coset matrix read at each member's coset.
+    """
+    h, k, kpos, cosets = structure._normality_matrix(loop, h, k)
+    pairs = cosets[np.ix_(kpos, kpos)]
+    km = np.array(k.members, dtype=np.int64)
+    p_stages, d_stages = [], []
+    d_sel = h.mask()[km]
+    for _ in range(k.size + 2):
+        p_sel = pairs[d_sel].all(axis=0)
+        d_sel = pairs[:, p_sel].all(axis=1)
+        p_stages.append(tuple(int(i) for i in km[p_sel]))
+        d_stages.append(tuple(int(i) for i in km[d_sel]))
+        if len(p_stages) >= 2 and p_stages[-1] == p_stages[-2] and d_stages[-1] == d_stages[-2]:
+            return NormalizerTrace(p_stages=tuple(p_stages), d_stages=tuple(d_stages),
+                                   result=structure.Subloop(loop, d_stages[-1]),
+                                   iterations=len(p_stages))
+    raise AssertionError(f"the P/D alternation did not settle for H of order {h.size}")
+
+
+def least_escape(tensor, h, k):
+    """Least (h, y, x) over H x K x K with tensor[h, y, x] outside H, or None,
+    for the n^3 associator tensor of `associator_tensor`.
+
+    A route independent of the centre cosets of `structure.normality_witness`.
+    """
+    km = list(k.members)
+    inside = h.mask()
+    for x in h.members:
+        escapes = ~inside[tensor[x][np.ix_(km, km)]]
+        if escapes.any():
+            j, l = loop_core._first_index(escapes)
+            return (x, km[j], km[l])
+    return None
 
 
 def hyperplane_maximals(loop):

@@ -2,8 +2,9 @@ import importlib
 
 import pytest
 
-from conftest import normalizing_maxima
+from conftest import associator_tensor, element_fixpoint, least_escape, normalizing_maxima
 from mloop.errors import NotCML, NotNested, OracleDisagreement
+from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.normalizer import (
     ascending_subnormal_system,
     maximality_gaps,
@@ -13,12 +14,49 @@ from mloop.normalizer import (
     normalizer_oracle,
 )
 from mloop.structure import (
+    all_subloops,
     center,
     full_subloop,
     generate_subloop,
     is_normal,
+    normality_witness,
     trivial_subloop,
 )
+
+FIXPOINT_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "Z2xz81": lambda: direct_product(gen_abelian((2,)), gen_zassenhaus81()),
+}
+
+
+@pytest.mark.parametrize("name", FIXPOINT_LOOPS)
+def test_coset_fixpoint_matches_element_fixpoint(name):
+    """On every proper subloop H, and on every H < K for a spread of proper K,
+    the fixpoint run on coset matrices gives the stage traces of the run on
+    (|K| x |K|) element matrices, and normality_witness the least escaping
+    triple of the n^3 tensor.  The spread holds K that meet only some centre
+    cosets (each a group, in which every H is normal) and, in the products,
+    the non-associative K = z81, which meets every coset."""
+    loop = FIXPOINT_LOOPS[name]()
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    tensor = associator_tensor(loop)
+    whole = lattice[-1]
+    for h in lattice[:-1]:
+        assert normalizer(loop, None, h) == element_fixpoint(loop, None, h), h.members
+        assert normality_witness(loop, h) == least_escape(tensor, h, whole), h.members
+    reps, proj = loop.central_cosets()
+    partial = escaping = 0
+    spread = {k.members: k for k in lattice[1:-1:9] + [k for k in lattice if k.size == 81]}
+    for k in spread.values():
+        partial += len(set(proj[list(k.members)])) < len(reps)
+        for h in lattice:
+            if h.elements < k.elements:
+                assert normalizer(loop, k, h) == element_fixpoint(loop, k, h), (h.members, k.members)
+                witness = normality_witness(loop, h, k)
+                assert witness == least_escape(tensor, h, k), (h.members, k.members)
+                escaping += witness is not None
+    assert partial >= 20 and escaping == 156
 
 
 def test_trace_golden_noncentral_order3(z81):

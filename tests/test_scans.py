@@ -108,6 +108,11 @@ def test_certificate_reports_least_triple_across_blocks(monkeypatch):
     block y = 60 at x = 39 and the last one, y = 69, at x = 69; the
     certificate reports (39, 60, 3)."""
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 1)
+    assert three_wrong_cells().inner_identity_violation() == (39, 60, 3)
+
+
+def three_wrong_cells():
+    """zassenhaus81 with A_q[9, 3, 25], A_q[1, 20, 13] and A_q[1, 23, 23] changed."""
     loop = gen_zassenhaus81()
     assert list(loop.central_cosets()[0]) == list(range(0, 81, 3))
     assoc = loop.associator_table().copy()
@@ -115,7 +120,16 @@ def test_certificate_reports_least_triple_across_blocks(monkeypatch):
         assoc[z, y, x] = (assoc[z, y, x] + 1) % loop.n
     assoc.setflags(write=False)
     loop._assoc = assoc
-    assert loop.inner_identity_violation() == (39, 60, 3)
+    return loop
+
+
+@pytest.mark.parametrize("block", [81 * 8 * 10, perm_rows.GATHER_BLOCK])
+def test_certificate_reports_least_triple_in_fixed_blocks(monkeypatch, block):
+    """The certificate's fixed blocks of 10 rows put y = 9 and y = 60 in
+    different blocks, and the default's one block holds every row; both
+    report the least triple (39, 60, 3)."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    assert three_wrong_cells().inner_identity_violation() == (39, 60, 3)
 
 
 def coset_law_loops():
@@ -178,6 +192,22 @@ def test_cast_blocks_grow_to_the_gather_cap(monkeypatch, block):
             cap, lo = max(1, block // width), 0
             for k, (rows, t_rows) in enumerate(perm_rows.cast_blocks(table)):
                 assert (rows.start, rows.stop) == (lo, lo + min(2 ** k, cap))
+                assert t_rows.dtype == np.intp and np.array_equal(t_rows, table[lo:rows.stop])
+                lo = min(rows.stop, n)
+            assert lo == n
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64, 100, perm_rows.GATHER_BLOCK])
+def test_cast_blocks_without_growth_keep_an_eighth_of_the_cap(monkeypatch, block):
+    """The certificate's schedule: every block but the last has max(1, cap // 8)
+    rows, cap = max(1, GATHER_BLOCK // width), and the blocks cover 0..n-1."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    for n in range(1, 71):
+        for width in (n, 3):
+            table = np.arange(n * width, dtype=np.int16).reshape(n, width)
+            step, lo = max(1, max(1, block // width) // 8), 0
+            for rows, t_rows in perm_rows.cast_blocks(table, grow=False):
+                assert (rows.start, rows.stop) == (lo, lo + step)
                 assert t_rows.dtype == np.intp and np.array_equal(t_rows, table[lo:rows.stop])
                 lo = min(rows.stop, n)
             assert lo == n

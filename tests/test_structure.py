@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NONCML6, S3_TABLE, associator_tensor, hyperplane_maximals, naive_lattice
+from conftest import (
+    NONCML6,
+    S3_TABLE,
+    associator_tensor,
+    early_stop_lattice,
+    group_cayley_loop,
+    hyperplane_maximals,
+    naive_lattice,
+)
 from mloop.errors import (
     NotASubloop,
     NotCML,
@@ -18,6 +26,8 @@ from mloop.loop_core import (
     gen_zassenhaus81,
     quotient,
 )
+from mloop.mult_group import multiplication_group
+from mloop.perm_group import PermGroup
 from mloop.structure import (
     Subloop,
     _cyclic_masks,
@@ -119,18 +129,33 @@ LATTICE_LOOPS = {
     "abelian:4,4": lambda: gen_abelian((4, 4)),
     "abelian:3,3,3": lambda: gen_abelian((3, 3, 3)),
     "zassenhaus81": gen_zassenhaus81,
+    # the group tables that perm_group.frattini_subgroup_oracle hands to the lattice
+    "cayley:M(abelian:4,4)": lambda: group_cayley_loop(multiplication_group(gen_abelian((4, 4))).M),
+    "cayley:dihedral8": lambda: group_cayley_loop(
+        PermGroup(4, np.array([[1, 2, 3, 0], [3, 2, 1, 0]]))),
 }
 
 
 @pytest.mark.parametrize("name", LATTICE_LOOPS)
 def test_lattice_matches_naive_join_closure(name):
-    """The early-stopping joins find the same subloops, in the same order, as
-    joining every subloop with every cyclic subloop to the end.  sym3 is not
-    commutative and noncml6 is not Moufang: the stop rule rests on closure
-    alone.  abelian:4,4 has cyclic subloops nested in others, where a stop on
-    x_b instead of x_a would return a join that is too large."""
+    """Canonical augmentation finds the same subloops, in the same order, as
+    the early-stopping joins and as joining every subloop with every cyclic
+    subloop to the end.  sym3 and dihedral8 are not commutative and noncml6
+    is not Moufang: the greedy-prefix rule rests on closure alone.
+    abelian:4,4 has cyclic subloops nested in others, so an atom x can hold
+    members below x that lie outside S.  No set of found subloops is kept, so
+    a subloop reached from two greedy prefixes would be listed twice."""
     loop = LATTICE_LOOPS[name]()
-    assert [s.members for s in all_subloops(loop)] == naive_lattice(loop)
+    lattice = [s.members for s in all_subloops(loop)]
+    assert len(set(lattice)) == len(lattice)
+    assert lattice == early_stop_lattice(loop) == naive_lattice(loop)
+
+
+def test_lattice_of_z81xZ2_matches_early_stop_joins():
+    loop = direct_product(gen_zassenhaus81(), gen_abelian((2,)))
+    lattice = [s.members for s in all_subloops(loop, lattice_guard=162)]
+    assert len(set(lattice)) == len(lattice) == 370
+    assert lattice == early_stop_lattice(loop)
 
 
 @pytest.mark.parametrize("name", ["zassenhaus81", "sym3", "abelian:9"])
