@@ -506,12 +506,10 @@ def _cosets(table, members):
 
 
 def quotient(loop, subloop):
-    """Quotient loop by a normal subloop, with the coset projection.
-
-    Returns (Q, proj) where proj is a read-only index array in the table's
-    dtype and proj[x] is the index in Q of the coset of x.
-    Coset representatives are the least member of each coset and the
-    identity coset always lands at index 0.
+    """Quotient loop by a normal subloop, with the coset projection; in ``src`` only
+    lemma 1 builds one.  Returns (Q, proj): proj is a read-only index array in the
+    table's dtype, proj[x] the index in Q of x's coset.  Coset representatives are
+    the least member of each coset, so the identity coset lands at index 0.
     """
     from .structure import coerce_subloop, is_normal, normality_witness
 

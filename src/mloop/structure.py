@@ -3,8 +3,8 @@
 Subloops are element sets of a parent CayleyLoop.  Closures and the full
 lattice run on numpy boolean masks; the lattice is grown from the cyclic
 subloops, which is provably complete (every subloop is the join of the
-cyclic subloops of its elements).  Normality and L' read the loop's
-associator tensor A_q on L/Z(L), one row per centre coset.
+cyclic subloops of its elements).  Normality, L' and the upper central series
+read the loop's associator tensor A_q on L/Z(L), one row per centre coset.
 
 The lattice is built by canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998), with closure as its only
@@ -31,7 +31,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import _first_index, quotient
+from .loop_core import _first_index
 
 LATTICE_GUARD_DEFAULT = 128
 
@@ -333,12 +333,13 @@ class CentralSeries:
 
 
 def upper_central_series(loop):
-    """Iterated centers via quotients: Z_{i+1}/Z_i = Z(L/Z_i)."""
+    """Z_{i+1}/Z_i = Z(L/Z_i), read off A_q.  L/Z_i is a CML, so its centre is its nucleus
+    {x : (x, y, z) in Z_i for all y, z}; associators are constant on the cosets of Z(L)."""
     _require_cml(loop)
     terms = [trivial_subloop(loop)]
     while not terms[-1].is_full:
-        q, proj = quotient(loop, terms[-1])
-        lifted = Subloop(loop, np.flatnonzero(center(q).mask()[proj]))
+        nuclear = terms[-1].mask()[loop.associator_table()].all(axis=(1, 2))
+        lifted = Subloop(loop, np.flatnonzero(nuclear[loop.central_cosets()[1]]))
         if lifted == terms[-1]:
             break
         terms.append(lifted)

@@ -241,6 +241,22 @@ def hyperplane_maximals(loop):
     return sorted(out)
 
 
+def quotient_central_series(loop):
+    """The upper central series through quotient loops: Z_{i+1} is the preimage of
+    the centre of L/Z_i, a `loop_core.quotient` whose centre is scanned on its table.
+
+    A route independent of the A_q masks of `structure.upper_central_series`.
+    """
+    terms = [structure.trivial_subloop(loop)]
+    while not terms[-1].is_full:
+        quot, proj = loop_core.quotient(loop, terms[-1])
+        lifted = structure.Subloop(loop, np.flatnonzero(structure.center(quot).mask()[proj]))
+        if lifted == terms[-1]:
+            break
+        terms.append(lifted)
+    return structure.CentralSeries(terms=tuple(terms))
+
+
 def hyperplanes(vec, p):
     """Index-p subgroups of an elementary abelian p-group given as a loop."""
     basis = []

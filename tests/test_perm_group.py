@@ -68,6 +68,15 @@ def test_permutation_algebra():
         p * Permutation((0, 1, 2, 3))
 
 
+def test_generator_arrays_must_be_bijections():
+    """Integer rows are checked as Permutations are: a repeated image (whose
+    Schreier generators never reach the identity), a row of the wrong degree
+    and an image out of range are all refused."""
+    for rows in ([[0, 0, 1, 2]], [[1, 0, 2]], [[1, 2, 3, 4]]):
+        with pytest.raises(DegreeMismatch):
+            PermGroup(4, np.array(rows))
+
+
 def test_schreier_chain_small_groups():
     g = s3()
     assert g.order() == 6

@@ -11,6 +11,7 @@ from conftest import (
     group_cayley_loop,
     hyperplane_maximals,
     naive_lattice,
+    quotient_central_series,
 )
 from mloop.errors import (
     NotASubloop,
@@ -188,9 +189,11 @@ def test_center_derived_cubes(z81, e27):
     assert cube_subloop(e27).is_trivial
 
 
-def test_cube_subloop_requires_cml(noncml6):
+@pytest.mark.parametrize("build", [cube_subloop, upper_central_series])
+def test_cube_subloop_requires_cml(noncml6, build):
+    """The cubes form a subloop, and the series' centres are nuclei, only in a CML."""
     with pytest.raises(NotCML):
-        cube_subloop(noncml6)
+        build(noncml6)
 
 
 def test_upper_central_series(z81, e27):
@@ -199,6 +202,35 @@ def test_upper_central_series(z81, e27):
     assert series.nilpotency_class == 2
     assert series.reaches_top
     assert upper_central_series(e27).nilpotency_class == 1
+
+
+SERIES_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "abelian:1": lambda: gen_abelian((1,)),
+    "abelian:4,4": lambda: gen_abelian((4, 4)),
+    "abelian:9,3": lambda: gen_abelian((9, 3)),
+    "abelian:2,2,2,3": lambda: gen_abelian((2, 2, 2, 3)),
+    "abelian:3,3,3": lambda: gen_abelian((3, 3, 3)),
+    "abelian:3,3,3,3,3": lambda: gen_abelian((3,) * 5),
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "Z2xz81": lambda: direct_product(gen_abelian((2,)), gen_zassenhaus81()),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
+    "z81xZ4": lambda: direct_product(gen_zassenhaus81(), gen_abelian((4,))),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_LOOPS)
+def test_upper_central_series_matches_quotient_route(name):
+    """The A_q masks give the terms of the quotient-and-centre route: on the
+    trivial loop, on abelian loops (m = 1), and on z81 with a cyclic factor on
+    either side, where the centre cosets interleave when the factor comes first."""
+    loop = SERIES_LOOPS[name]()
+    ours, theirs = upper_central_series(loop), quotient_central_series(loop)
+    assert [t.members for t in ours.terms] == [t.members for t in theirs.terms]
+    assert ours.nilpotency_class == theirs.nilpotency_class
+    if loop.n > 1:
+        assert ours.terms[1] == center(loop)
 
 
 def test_maximal_subloops(z81):

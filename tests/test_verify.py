@@ -220,6 +220,14 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     assert counts == dict.fromkeys(counts, 1)
 
 
+def test_series_leaves_the_certificate_unbuilt():
+    """The series reads A_q and asks no normality question, so the n^3
+    inner-map certificate cannot come back into `invariants` through it."""
+    ctx = LoopContext(gen_zassenhaus81())
+    assert [t.size for t in ctx.series.terms] == [1, 3, 81]
+    assert ctx.loop._inner_check is None
+
+
 def test_all_builds_eleven_chains(z81_all):
     # M and I of z81 and of the lemma1 quotient; lemma1's H*; Z(M); M', built
     # once on M and shared by the context and the lemma7 bridge; Phi(M);
