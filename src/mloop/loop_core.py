@@ -1,13 +1,17 @@
 """Cayley-table loops.
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
-identity pinned at index 0.  The triple scans run y-row blocks outer, each
-cast to intp once, and x inner: (xy)z is the table with its rows permuted by
-L_x, and x(yz) a ``take`` from row x.  The blocks grow from one row, save in
-the inner-map certificate, which reads every row of a valid loop.  The associator lives on L/Z(L):
-(xc, y, z) = (x, y, z) for c central and nuclear, in each slot (Bruck, A Survey
-of Binary Systems, 1958), so it is an (m, m, m) tensor A_q, m = |L/Z(L)|.
-``diagnose`` reads the associative and Moufang laws of a loop on L/Z(L) too.
+identity pinned at index 0.  The triple scans run growing y-row blocks outer,
+each cast to intp once, and x inner: (xy)z is the table with its rows permuted
+by L_x, and x(yz) a ``take`` from row x.
+
+The coset lemma: c in Z = Z(L) is central and nuclear, so (xc)y = (xy)c = x(yc)
+and (ac)\\(bc) = a\\b (Bruck, A Survey of Binary Systems, 1958), and the associator
+is an (m, m, m) tensor A_q on L/Z.  A law whose sides move by one power of c with
+x, y or z holds or fails on whole coset triples, so its least violating (x, y, z)
+is (r_a, r_b, r_c) for the least violating coset triple, reps[a] the least member
+of coset a, increasing in a.  ``diagnose``, the inner-map certificate (which
+checks Z first) and verify's identity checks read their laws on reps^3.
 """
 
 from dataclasses import dataclass
@@ -43,14 +47,14 @@ def _first_index(bad):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
-def _least_violations(table, laws, reps, grow=True):
+def _least_violations(table, laws, reps):
     """Per law, the least (x, y, z) in reps^3 with law(x, ys, yz)[j, k], or None.
 
     ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp.
     Once a y-block finds a law failing at x*, later blocks test it only at x < x*.
     """
     found, bound = [None] * len(laws), [len(reps)] * len(laws)
-    for rows, yz in cast_blocks(table[np.ix_(reps, reps)], grow):
+    for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
         ys = reps[rows]
         for a in range(max(bound)):
             for i, law in enumerate(laws):
@@ -60,6 +64,29 @@ def _least_violations(table, laws, reps, grow=True):
                         b, c = _first_index(bad)
                         found[i], bound[i] = (int(reps[a]), int(ys[b]), int(reps[c])), a
     return found
+
+
+def _central_violation(table, central):
+    """Least (c, y, z) for the first greedy generator c of the claimed Z that fails, or None.
+
+    A route apart from ``central_mask``'s scan: each c outside the span of the earlier
+    ones must commute with every y, satisfy (cy)z = c(yz), (yc)z = y(cz) and
+    (yz)c = y(zc), and keep Z closed under * c (else row y, y in Z and cy not, fails).
+    The centre is a subloop, so Z, the span of such generators, is one inside it.
+    """
+    t = table.astype(np.intp)
+    span = np.arange(len(t)) == 0
+    for c in np.flatnonzero(central):
+        if span[c]:
+            continue
+        left, right = t[c], t[:, c]
+        bad = (t[left] != left.take(t)) | (t[right] != t[:, left]) | (right.take(t) != t[:, right])
+        bad |= ((left != right) | (central & ~central[left]))[:, None]
+        if bad.any():
+            return (int(c),) + _first_index(bad)
+        while not span[left[span]].all():
+            span[left[span]] = True
+    return None
 
 
 @dataclass(frozen=True)
@@ -226,25 +253,28 @@ class CayleyLoop:
         return self._inner
 
     def inner_identity_violation(self):
-        """Least (x, y, z) with I[x, y, z] != z * (z, y, x), or None.
+        """Least (x, y, z) with I[x, y, z] != z * (z, y, x), or None; but first the
+        least (c, y, z) at which ``_central_violation`` finds the claimed Z wrong.
 
-        In a CML L(x, y) sends z to z(z, y, x); this exhaustive scan, cached per
-        loop, certifies A_q and its cosets against inner-map rows built apart.
-        On a valid loop it reads every row, so its y-blocks have a fixed size.
+        In a CML L(x, y) sends z to z(z, y, x); this scan, cached per loop, certifies
+        A_q and its cosets against inner-map rows built apart.  It reads reps^3 by the
+        coset lemma: for c in Z, I[xc, y, z] = I[x, yc, z] = I[x, y, z] and
+        I[x, y, zc] = I[x, y, z] * c, and z * (z, y, x) moves the same way.
         """
         if self._inner_check is None:
             t, n = self.table, self.n
             flat, ldiv = t.ravel(), self.ldiv_table().ravel()
-            assoc, proj = self.associator_table(), self.central_cosets()[1].astype(np.intp)
-            zoff = np.arange(n) * n
+            reps, proj = self.central_cosets()
+            assoc, zoff = self.associator_table(), reps.astype(np.intp) * n
 
             def bad(x, ys, yz):
                 # flat indices of I[x, y, z] = ldiv[x y, x (y z)] and z * A_q[z', y', x'] at [y, z]
                 inner = t[x].astype(np.intp).take(yz) + t[x, ys].astype(np.intp)[:, None] * n
-                zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0).take(proj, axis=1) + zoff
+                zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0) + zoff
                 return ldiv.take(inner) != flat.take(zyx)
 
-            self._inner_check = tuple(_least_violations(t, (bad,), np.arange(n), grow=False))
+            self._inner_check = (_central_violation(t, self.central_mask())
+                                 or _least_violations(t, (bad,), reps)[0],)
         return self._inner_check[0]
 
     # -- misc ----------------------------------------------------------------
@@ -358,14 +388,8 @@ def diagnose(loop_or_table):
     """Run the structural scans and return a LoopDiagnostics.
 
     Accepts a CayleyLoop or a raw square table, which may hold material that
-    the validating constructor rejects.  A loop's two laws are read on reps^3,
-    reps the least members of the cosets of Z(L); a raw table's on all n^3
-    triples.  This is exact.  Z is central and nuclear (``central_mask``), so
-    x, y or z times c in Z multiplies both sides of (xy)z = x(yz) and of
-    x^2(yz) = (xy)(xz) by one power of c, and each law holds or fails on whole
-    coset triples.  reps[a] is the least member of coset a and increases with
-    a, so the least violating (x, y, z) in L^3 is (r_a, r_b, r_c) for the least
-    violating coset triple (a, b, c).
+    the validating constructor rejects.  A loop's two laws are read on reps^3
+    by the coset lemma (module docstring), a raw table's on all n^3 triples.
     """
     if isinstance(loop_or_table, CayleyLoop):
         t, reps = loop_or_table.table, loop_or_table.central_cosets()[0]

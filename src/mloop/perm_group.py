@@ -131,16 +131,15 @@ def perm_from_cycles(n, cycles):
 
 
 def _rows(degree, perms):
-    """(k, degree) image rows of Permutations, or of an integer array of such rows."""
-    if isinstance(perms, np.ndarray):
-        bad = perms.ndim != 2 or perms.shape[1] != degree
-        if bad or (np.sort(perms, axis=1) != np.arange(degree)).any():
-            raise DegreeMismatch(f"rows of shape {perms.shape} are not bijections of 0..{degree - 1}")
-    else:
-        perms = [p.images for p in perms]
+    """(k, degree) image rows of Permutations or image sequences, or of an integer array."""
+    if not isinstance(perms, np.ndarray):
+        perms = [getattr(p, "images", p) for p in perms]
         if any(len(p) != degree for p in perms):
             raise DegreeMismatch(f"a permutation's degree is not the group degree {degree}")
-        perms = np.array(perms).reshape(len(perms), degree)
+        perms = np.array(perms, dtype=np.int64).reshape(len(perms), degree)
+    bad = perms.ndim != 2 or perms.shape[1] != degree
+    if bad or (np.sort(perms, axis=1) != np.arange(degree)).any():
+        raise DegreeMismatch(f"rows of shape {perms.shape} are not bijections of 0..{degree - 1}")
     return perms.astype(_index_dtype(degree), copy=False)
 
 

@@ -6,7 +6,6 @@ p[q].  Gathers run in row blocks of at most GATHER_BLOCK entries.  A loop
 table's row x is L_x, and the table scans run y-row blocks of 1, 2, 4, ...
 rows up to that cap outer, each cast to intp once (``cast_blocks``), and x
 inner, each product a ``take``; an x dropped at its first failing row costs few.
-A scan that reads every row takes fixed blocks of an eighth of the cap.
 """
 
 import numpy as np
@@ -20,15 +19,13 @@ def blocks(rows, width):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def cast_blocks(table, grow=True):
+def cast_blocks(table):
     """(rows, table[rows] as intp) over row blocks of 1, 2, 4, ... rows, at most
-    GATHER_BLOCK entries each, or, unless ``grow``, of an eighth of that many
-    (2^15 by default, whose gathers stay in cache); no full intp copy is made."""
-    cap, lo = max(1, GATHER_BLOCK // max(1, table.shape[1])), 0
-    step = 1 if grow else max(1, cap // 8)
+    GATHER_BLOCK entries each; no full intp copy is made."""
+    cap, lo, step = max(1, GATHER_BLOCK // max(1, table.shape[1])), 0, 1
     while lo < len(table):
         yield slice(lo, lo + step), table[lo:lo + step].astype(np.intp)
-        lo, step = lo + step, min(2 * step, cap) if grow else step
+        lo, step = lo + step, min(2 * step, cap)
 
 
 def compose(p, q):

@@ -102,7 +102,7 @@ def _check_inner_mapping_identity(ctx):
 
 
 def _check_associator_symmetries(ctx):
-    # The laws hold on L^3 iff on coset triples; reps of the least failing one are least in L^3.
+    # Read on coset triples, exact by the coset lemma of the loop_core module docstring.
     loop = ctx.loop
     assoc = loop.associator_table()
     reps, proj = loop.central_cosets()
@@ -125,6 +125,7 @@ def _check_associator_symmetries(ctx):
 def _check_product_expansion(ctx):
     # Exact: (u, v) enters every term only through the column A[:, u, v], so equal columns
     # agree; A_q's column (b, c) stands for the |Z|^2 pairs (u, v) over b x c, least (r_b, r_c).
+    # x and y run over reps by the coset lemma of the loop_core module docstring.
     loop = ctx.loop
     t = loop.table
     assoc = loop.associator_table()
@@ -135,16 +136,16 @@ def _check_product_expansion(ctx):
     for rows in blocks(m * m, m):
         for k, key in enumerate(row_keys(cols[rows]), rows.start):
             classes.setdefault(key, [k, 0])[1] += 1
-    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
-    px, py = proj[x], proj[y]
+    px, py = np.arange(m)[:, None], np.arange(m)[None, :]
+    pxy = proj[t[np.ix_(reps, reps)]]  # the coset of r_a r_b
     violations, first = 0, None
     for k, count in classes.values():
-        col = cols[k][proj]  # (x, u, v) over x in L
-        a, c = col[x], col[y]  # (x, u, v) and (y, u, v)
-        bad = col[t] != t[t[a, assoc[proj[a], px, py]], t[c, assoc[proj[c], py, px]]]
+        col = cols[k]  # (x, u, v) at x's coset
+        a, c = col[px], col[py]  # (x, u, v) and (y, u, v)
+        bad = col[pxy] != t[t[a, assoc[proj[a], px, py]], t[c, assoc[proj[c], py, px]]]
         if bad.any():
-            violations += count * (n // m) ** 2 * int(bad.sum())
-            found = _first_index(bad) + tuple(int(r) for r in reps[list(divmod(k, m))])
+            violations += count * (n // m) ** 4 * int(bad.sum())
+            found = tuple(int(r) for r in reps[list(_first_index(bad) + divmod(k, m))])
             first = found if first is None else min(first, found)
     ok = violations == 0
     return ok, None if ok else {"violations": violations, "first_xyuv": list(first)}

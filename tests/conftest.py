@@ -392,6 +392,46 @@ def full_tensor_symmetries(loop):
     return not failures, failures or None
 
 
+def full_inner_identity_violation(loop):
+    """Least (x, y, z) over all of L^3 with I[x, y, z] != z * (z, y, x), or None:
+    row x of the inner-map tensor, I[x, y, z] = ldiv[x y, x (y z)], against
+    z * A_q[z', y', x'], one (n, n) gather per x.
+
+    A route independent of the coset representatives, the y-blocks and the
+    centre check of `CayleyLoop.inner_identity_violation`.
+    """
+    t, ldiv = loop.table, loop.ldiv_table()
+    assoc, proj = loop.associator_table(), loop.central_cosets()[1]
+    z = np.arange(loop.n)[None, :]
+    for x in range(loop.n):
+        bad = ldiv[t[x][:, None], t[x][t]] != t[z, assoc[proj[z], proj[:, None], proj[x]]]
+        if bad.any():
+            return (x,) + loop_core._first_index(bad)
+    return None
+
+
+def corrupted_z81(seed, cells):
+    """z81 with `cells` seeded cells of a copy of its coset tensor A_q changed."""
+    loop = loop_core.gen_zassenhaus81()
+    rng = np.random.default_rng(seed)
+    assoc = loop.associator_table().copy()
+    for w, u, v in rng.integers(0, len(assoc), size=(cells, 3)):
+        assoc[w, u, v] = (assoc[w, u, v] + rng.integers(1, 81)) % 81
+    assoc.setflags(write=False)
+    loop._assoc = assoc
+    return loop
+
+
+EXPANSION_CASES = {
+    "sym3": lambda: loop_core.CayleyLoop(S3_TABLE, name="sym3"),
+    "noncml6": lambda: loop_core.CayleyLoop(NONCML6, name="noncml6"),
+    "abelian:2,3": lambda: loop_core.gen_abelian((2, 3)),
+    "swapped24": lambda: swapped_cyclic(24, 10, 24),
+    "swapped48": lambda: swapped_cyclic(48, 20, 48),
+    **{f"z81-{cells}-cells": (lambda cells=cells: corrupted_z81(cells, cells)) for cells in (1, 2, 3, 4)},
+}
+
+
 def quadruple_product_expansion(loop):
     """(ok, witness) of the product-associator expansion
     (xy, u, v) = [a (a, x, y)] [c (c, y, x)], a = (x, u, v), c = (y, u, v),

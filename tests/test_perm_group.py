@@ -77,6 +77,16 @@ def test_generator_arrays_must_be_bijections():
             PermGroup(4, np.array(rows))
 
 
+def test_generators_may_be_plain_image_rows():
+    """Lists and tuples of image rows are read as Permutations are, and go
+    through the same bijection check as integer arrays."""
+    for rows in ([[1, 0, 2, 3]], [(1, 0, 2, 3)], ((1, 0, 2, 3),)):
+        assert PermGroup(4, rows).order() == 2
+    with pytest.raises(DegreeMismatch):
+        PermGroup(4, [[0, 0, 1, 2]])
+    assert PermGroup(4, [Permutation((1, 0, 2, 3)), Permutation((0, 2, 3, 1))]).order() == 24
+
+
 def test_schreier_chain_small_groups():
     g = s3()
     assert g.order() == 6

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    EXPANSION_CASES,
     NONCML6,
     S3_TABLE,
     associator_tensor,
+    full_inner_identity_violation,
     lifted_associators,
     naive_associators,
     naive_center,
@@ -101,13 +103,15 @@ def test_center_is_nuclear_on_a_non_commutative_table():
     assert list(loop.central_cosets()[0]) == list(range(8))
 
 
-def test_certificate_reports_least_triple_across_blocks(monkeypatch):
+@pytest.mark.parametrize("block", [1, 81 * 8 * 10, perm_rows.GATHER_BLOCK])
+def test_certificate_reports_least_triple_across_blocks(monkeypatch, block):
     """Three wrong cells of A_q: A_q[z', y', x'] breaks the inner-mapping
     identity at every (x, y, z) over those cosets of Z = {0, 1, 2}, whose
-    least members are 3x', 3y', 3z'.  Block y = 9 fails at x = 75, the later
-    block y = 60 at x = 39 and the last one, y = 69, at x = 69; the
-    certificate reports (39, 60, 3)."""
-    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 1)
+    least members are 3x', 3y', 3z'.  With one y per block, block y = 9 fails
+    at x = 75, the later block y = 60 at x = 39 and the last one, y = 69, at
+    x = 69; with growing blocks y = 9 and y = 60 still fall in different
+    blocks.  Each schedule reports (39, 60, 3)."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
     assert three_wrong_cells().inner_identity_violation() == (39, 60, 3)
 
 
@@ -123,15 +127,6 @@ def three_wrong_cells():
     return loop
 
 
-@pytest.mark.parametrize("block", [81 * 8 * 10, perm_rows.GATHER_BLOCK])
-def test_certificate_reports_least_triple_in_fixed_blocks(monkeypatch, block):
-    """The certificate's fixed blocks of 10 rows put y = 9 and y = 60 in
-    different blocks, and the default's one block holds every row; both
-    report the least triple (39, 60, 3)."""
-    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
-    assert three_wrong_cells().inner_identity_violation() == (39, 60, 3)
-
-
 def coset_law_loops():
     """Loops whose two laws ``diagnose`` reads on L/Z(L): commutative and not
     Moufang with a nontrivial centre, non-commutative (m = n), and CMLs and
@@ -145,6 +140,20 @@ def coset_law_loops():
              (swapped16, z3), (swapped24, z3), (z3, swapped24), (z81, z2), (z2, z81), (z81, z3),
              (z3, z81)]
     return [gen_abelian((4, 4)), swapped16, z81] + [direct_product(a, b) for a, b in pairs]
+
+
+def test_certificate_matches_the_full_scan():
+    """The certificate, read on reps^3 after its check of Z, gives the least
+    failing (x, y, z) of the inner-map identity over all of L^3, or None: on
+    loops that break the identity (non-Moufang, non-commutative), on loops
+    that keep it, and on z81 with wrong cells in A_q."""
+    loops = coset_law_loops() + [case() for case in EXPANSION_CASES.values()] + [three_wrong_cells()]
+    failing = 0
+    for loop in loops:
+        found = loop.inner_identity_violation()
+        assert found == full_inner_identity_violation(loop), loop.name
+        failing += found is not None
+    assert (len(loops), failing) == (24, 11)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -192,22 +201,6 @@ def test_cast_blocks_grow_to_the_gather_cap(monkeypatch, block):
             cap, lo = max(1, block // width), 0
             for k, (rows, t_rows) in enumerate(perm_rows.cast_blocks(table)):
                 assert (rows.start, rows.stop) == (lo, lo + min(2 ** k, cap))
-                assert t_rows.dtype == np.intp and np.array_equal(t_rows, table[lo:rows.stop])
-                lo = min(rows.stop, n)
-            assert lo == n
-
-
-@pytest.mark.parametrize("block", [1, 3, 7, 64, 100, perm_rows.GATHER_BLOCK])
-def test_cast_blocks_without_growth_keep_an_eighth_of_the_cap(monkeypatch, block):
-    """The certificate's schedule: every block but the last has max(1, cap // 8)
-    rows, cap = max(1, GATHER_BLOCK // width), and the blocks cover 0..n-1."""
-    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
-    for n in range(1, 71):
-        for width in (n, 3):
-            table = np.arange(n * width, dtype=np.int16).reshape(n, width)
-            step, lo = max(1, max(1, block // width) // 8), 0
-            for rows, t_rows in perm_rows.cast_blocks(table, grow=False):
-                assert (rows.start, rows.stop) == (lo, lo + step)
                 assert t_rows.dtype == np.intp and np.array_equal(t_rows, table[lo:rows.stop])
                 lo = min(rows.stop, n)
             assert lo == n

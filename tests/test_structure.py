@@ -12,6 +12,7 @@ from conftest import (
     hyperplane_maximals,
     naive_lattice,
     quotient_central_series,
+    swapped_cyclic,
 )
 from mloop.errors import (
     NotASubloop,
@@ -351,6 +352,41 @@ def test_corrupted_associator_fails_the_certificate():
     (check,) = [c for c in run_suite(loop, "identities").checks
                 if c.name == "inner_mapping_identity"]
     assert (check.status, check.witness) == ("fail", {"xyz": [75, 9, 27]})
+
+
+WRONG_CENTRES = {
+    "z81-not-closed": (gen_zassenhaus81, (0, 1, 2, 27), (1, 27, 0)),
+    "z81-closed": (gen_zassenhaus81, (0, 1, 2, 27, 28, 29, 54, 55, 56), (27, 3, 9)),
+    "z81-inside-z-not-closed": (gen_zassenhaus81, (0, 1), (1, 1, 0)),
+    "swapped16-not-nuclear": (lambda: swapped_cyclic(16, 2, 5), (0, 4, 8, 12), (4, 1, 2)),
+    "sym3-not-commuting": (lambda: CayleyLoop(S3_TABLE, name="sym3"), (0, 1), (1, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_CENTRES))
+def test_wrong_centre_fails_the_certificate(case):
+    """A wrong centre, set before its cosets are built, fails the certificate's
+    check of Z, where the reps^3 scan alone finds no violation or the wrong
+    one.  In z81 (Z = {0, 1, 2}): Z plus 27 is not closed under * 1
+    (1 * 27 = 28), in the subloop <1, 27> the generator 27 is not in the
+    nucleus, and {0, 1} is not closed under * 1.  In swapped16 (Z = {0, 8}),
+    4 commutes and associates in first position only; in sym3, 1 does not
+    commute.  The identity check fails, and in the CML z81 every normality test
+    raises, on the claimed centre where it is a subloop."""
+    make, members, xyz = WRONG_CENTRES[case]
+    loop = make()
+    loop._central = np.isin(np.arange(loop.n), members)
+    closed = generate_subloop(loop, members).members == members
+    if not closed:
+        with pytest.raises(NotASubloop):
+            center(loop)
+    if make is gen_zassenhaus81:
+        with pytest.raises(AssertionError, match=rf"identity fails at \({xyz[0]}, {xyz[1]}, {xyz[2]}\)"):
+            is_normal(loop, center(loop) if closed else trivial_subloop(loop))
+    assert loop.inner_identity_violation() == xyz
+    (check,) = [c for c in run_suite(loop, "identities").checks
+                if c.name == "inner_mapping_identity"]
+    assert (check.status, check.witness) == ("fail", {"xyz": list(xyz)})
 
 
 def test_certificate_streams_inner_map_rows(monkeypatch):

@@ -1,16 +1,13 @@
 import json
 import sys
 
-import numpy as np
 import pytest
 
 from conftest import (
-    NONCML6,
-    S3_TABLE,
+    EXPANSION_CASES,
     full_tensor_symmetries,
     quadruple_product_expansion,
     run_cli,
-    swapped_cyclic,
 )
 
 from mloop import cli
@@ -18,7 +15,7 @@ from mloop import perm_group as pg
 from mloop import perm_rows
 from mloop import structure as st
 from mloop.errors import OrderOverflow
-from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
+from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.verify import (
     CHECK_REGISTRY,
     SUITE_NAMES,
@@ -118,28 +115,6 @@ def test_identities_at_order_243():
     few distinct columns of its 27^3 coset tensor A_q."""
     report = run_suite(direct_product(gen_zassenhaus81(), gen_abelian((3,))), "identities")
     assert [c.status for c in report.checks] == ["pass", "pass", "pass"]
-
-
-def corrupted_z81(seed, cells):
-    """z81 with `cells` seeded cells of a copy of its coset tensor A_q changed."""
-    loop = gen_zassenhaus81()
-    rng = np.random.default_rng(seed)
-    assoc = loop.associator_table().copy()
-    for w, u, v in rng.integers(0, len(assoc), size=(cells, 3)):
-        assoc[w, u, v] = (assoc[w, u, v] + rng.integers(1, 81)) % 81
-    assoc.setflags(write=False)
-    loop._assoc = assoc
-    return loop
-
-
-EXPANSION_CASES = {
-    "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
-    "noncml6": lambda: CayleyLoop(NONCML6, name="noncml6"),
-    "abelian:2,3": lambda: gen_abelian((2, 3)),
-    "swapped24": lambda: swapped_cyclic(24, 10, 24),
-    "swapped48": lambda: swapped_cyclic(48, 20, 48),
-    **{f"z81-{cells}-cells": (lambda cells=cells: corrupted_z81(cells, cells)) for cells in (1, 2, 3, 4)},
-}
 
 
 @pytest.mark.parametrize("case", list(EXPANSION_CASES))
