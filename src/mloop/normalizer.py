@@ -9,9 +9,9 @@ Stages are computed literally in the written argument orders:
 
 until the pair (P, D) repeats.  The P-chain descends and the D-chain
 ascends; the stabilized D-set is always a subloop in which H is normal
-(both asserted).  The two chains need not meet: see normalizer_oracle's
-docstring and the prop3/theorem2 checks for where that distinction shows
-up on concrete loops.
+(both checked by raises that ``python -O`` keeps).  The two chains need not
+meet: see normalizer_oracle's docstring and the prop3/theorem2 checks for
+where that distinction shows up on concrete loops.
 """
 
 import random
@@ -84,9 +84,18 @@ def normalizer(loop, k, h):
             break
     else:
         raise ChainStalled(f"P/D alternation exceeded {cap} rounds for H of order {h.size}")
-    assert pairs[d_sel][:, d_sel].all(), "H must be normal in the stabilized D-set"
+    if not pairs[d_sel][:, d_sel].all():
+        raise AssertionError("H must be normal in the stabilized D-set")
     return NormalizerTrace(p_stages=tuple(p_stages), d_stages=tuple(d_stages),
                            result=Subloop(loop, d_stages[-1]), iterations=len(p_stages))
+
+
+def _may_join(pairs, sel):
+    """Pre-test for the joins <S, x>, given H normal in S and the cosets sel meeting S:
+    false at x's coset c_x only if H is not normal in <S, x>.  H normal in T forces
+    C[b, c] for all cosets b, c meeting T (structure._stay_rows), <S, x> meets the
+    cosets of S and c_x, and C holds on sel already, so row and column c_x decide."""
+    return pairs[:, sel].all(axis=1) & pairs[sel].all(axis=0) & pairs.diagonal()
 
 
 def maximality_gaps(loop, k, h, trace):
@@ -95,13 +104,15 @@ def maximality_gaps(loop, k, h, trace):
 
     An empty list certifies the maximality contrapositive for this input;
     a nonempty list is a counterexample to reading the fixpoint as "the"
-    normalizer.
+    normalizer.  <H, x> is built only for x that pass _may_join.
     """
     h, k, kpos, pairs = _normality_matrix(loop, h, k)
+    inside_k, count = k.mask(), len(pairs)
+    may = _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))[kpos]
     gaps = []
-    for x in k.members:
-        if x not in trace.result:
-            sel = _cosets_of(kpos, _join_elements(h, [x]).mask()[k.mask()], len(pairs))
+    for x, ok in zip(k.members, may.tolist()):
+        if ok and x not in trace.result:
+            sel = _cosets_of(kpos, _join_elements(h, [x]).mask()[inside_k], count)
             if pairs[sel][:, sel].all():
                 gaps.append(int(x))
     return gaps
@@ -113,34 +124,40 @@ def normalizer_oracle(loop, k, h):
     Every run must land on the same subloop; a disagreement (two runs
     saturating at different subloops) is raised rather than averaged,
     since it falsifies the uniqueness this oracle is meant to certify.
-    Each candidate is tested as a submatrix of H's normality matrix.  The
-    runs revisit the same (S, x) pairs, so each join <S, x> is built and
-    tested once (``grown_by`` holds it if H is normal in it, else None), one
-    closure from S and the cyclic subloop <x>, which is built once per x.
+    Each (S, x) pair the runs meet is decided once (``grown_by`` holds <S, x>
+    and S's pre-test if H is normal in it, else None).  H is normal in the
+    current S (H or an accepted join), so a pair whose row or column c_x of
+    H's normality matrix C fails on the cosets of S and x is rejected with no
+    closure (_may_join).  Otherwise <S, x> = S v <x>, with <x> built once per
+    x, is kept iff C holds on the cosets it meets.
     """
     h, k, kpos, pairs = _normality_matrix(loop, h, k)
-    grown_by, cyclic = {}, {}
-    outcome = None
+    inside_k, count, coset_of = k.mask(), len(pairs), dict(zip(k.members, kpos.tolist()))
+    start = h, _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))
+    grown_by, cyclic, outcome = {}, {}, None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
-        s = h
+        s, may = start
         changed = True
         while changed:
             changed = False
-            candidates = [x for x in k.members if x not in s]
+            candidates = [x for x in k.members if x not in s.elements]
             rng.shuffle(candidates)
             for x in candidates:
-                if x in s:
+                if x in s.elements:
                     continue
                 key = (s.members, x)
                 if key not in grown_by:
-                    if x not in cyclic:
-                        cyclic[x] = generate_subloop(loop, [x])
-                    grown = join(s, cyclic[x])
-                    sel = _cosets_of(kpos, grown.mask()[k.mask()], len(pairs))
-                    grown_by[key] = grown if pairs[sel][:, sel].all() else None
+                    grown_by[key] = None
+                    if may[coset_of[x]]:
+                        if x not in cyclic:
+                            cyclic[x] = generate_subloop(loop, [x])
+                        grown = join(s, cyclic[x])
+                        sel = _cosets_of(kpos, grown.mask()[inside_k], count)
+                        if pairs[sel][:, sel].all():
+                            grown_by[key] = grown, _may_join(pairs, sel)
                 if grown_by[key] is not None:
-                    s = grown_by[key]
+                    s, may = grown_by[key]
                     changed = True
         if outcome is None:
             outcome = s
@@ -193,5 +210,6 @@ def ascending_subnormal_system(loop, h):
         if term.elements != terms[-1].elements:
             terms.append(term)
     for a, b in zip(terms, terms[1:]):
-        assert is_normal(loop, a, b), "subnormal step failed normality"
+        if not is_normal(loop, a, b):
+            raise AssertionError("subnormal step failed normality")
     return SubnormalSystem(terms=tuple(terms))

@@ -178,11 +178,12 @@ def _join_elements(s, elements):
 
 
 def _stay_rows(loop, h, k):
-    """The normality kernel: (H, K, kpos, rows).  Associators are constant on the
-    cosets of Z(L), so rows yields, per coset meeting H in the order of its least
-    member h in H, (h, S) with S[b, c] iff (h, r_b, r_c) stays inside H, over the
-    cosets r_b, r_c meeting K; kpos[j] is the index of k_j's coset.  H is normal
-    in K iff every S is all true (CML only); rows come lazily.
+    """The normality kernel: (H, K, kpos, hs, S).  Associators are constant on the
+    cosets of Z(L), so S is one (f, c, c) gather: S[i, b, c] iff (hs[i], r_b, r_c)
+    stays inside H, over the cosets r_b, r_c meeting K, where hs lists the least
+    member of H in each coset it meets; kpos[j] is the index of k_j's coset.  H is
+    normal in K iff S is all true (CML only), so one false S[:, b, c] with b, c
+    meeting some T <= K proves H is not normal in T.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
@@ -192,21 +193,18 @@ def _stay_rows(loop, h, k):
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
-    assoc, inside, proj = loop.associator_table(), h.mask(), loop.central_cosets()[1]
+    assoc, proj = loop.associator_table(), loop.central_cosets()[1]
     cosets, kpos = np.unique(proj[list(k.members)], return_inverse=True)
-    firsts = np.sort(np.unique(proj[list(h.members)], return_index=True)[1])
-    on_k = np.ix_(cosets, cosets)
-    return h, k, kpos, ((h.members[i], inside[assoc[proj[h.members[i]]][on_k]]) for i in firsts)
+    members = np.array(h.members, dtype=np.int64)
+    hs = members[np.sort(np.unique(proj[members], return_index=True)[1])]
+    return h, k, kpos, hs, h.mask()[assoc[np.ix_(proj[hs], cosets, cosets)]]
 
 
 def _normality_matrix(loop, h, k):
     """(H, K, kpos, C), C[b, c] iff (h, r_b, r_c) stays inside H for every h in H,
     over the cosets r_b, r_c meeting K; k_j lies in coset kpos[j]."""
-    h, k, kpos, stays = _stay_rows(loop, h, k)
-    pairs = True
-    for _, s in stays:
-        pairs = pairs & s
-    return h, k, kpos, pairs
+    h, k, kpos, _, stays = _stay_rows(loop, h, k)
+    return h, k, kpos, stays.all(axis=0)
 
 
 def is_normal(loop, h, k=None):
@@ -214,17 +212,17 @@ def is_normal(loop, h, k=None):
 
     Certified per loop to agree with invariance under the inner maps of K.
     """
-    return all(s.all() for _, s in _stay_rows(loop, h, k)[3])
+    return bool(_stay_rows(loop, h, k)[4].all())
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h, k, kpos, stays = _stay_rows(loop, h, k)
-    for x, s in stays:
-        if not s.all():
-            j, l = _first_index(~s[np.ix_(kpos, kpos)])
-            return (x, k.members[j], k.members[l])
-    return None
+    h, k, kpos, hs, stays = _stay_rows(loop, h, k)
+    failing = (~stays.all(axis=(1, 2))).nonzero()[0]
+    if not failing.size:
+        return None
+    j, l = _first_index(~stays[failing[0]][np.ix_(kpos, kpos)])
+    return (int(hs[failing[0]]), k.members[j], k.members[l])
 
 
 # -- the subloop lattice -----------------------------------------------------

@@ -47,6 +47,10 @@ class LoopContext:
         return st.all_subloops(self.loop, lattice_guard=self.lattice_guard)
 
     @cached_property
+    def whole(self):
+        return st.full_subloop(self.loop)
+
+    @cached_property
     def center(self):
         return st.center(self.loop)
 
@@ -89,7 +93,7 @@ class LoopContext:
     def fixpoint_result(self, subloop):
         key = subloop.members
         if key not in self._traces:
-            self._traces[key] = _run_fixpoint(self.loop, None, subloop)
+            self._traces[key] = _run_fixpoint(self.loop, self.whole, subloop)
         return self._traces[key]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 
 import mloop
 from mloop import loop_core, mult_group, structure
-from mloop.errors import NotNilpotent, NotSubgroup
-from mloop.normalizer import NormalizerTrace
+from mloop.errors import NotNilpotent, NotSubgroup, OracleDisagreement
+from mloop.normalizer import ORACLE_SEEDS, NormalizerTrace
 from mloop.perm_group import PermGroup, _rows
 from mloop.perm_rows import cast_blocks, compose, fresh, inverse
 
@@ -102,6 +103,46 @@ def normalizing_maxima(loop, lattice, h):
     """
     over = [k for k in lattice if h <= k and structure.is_normal(loop, h, k)]
     return [k for k in over if not any(k.elements < t.elements for t in over)]
+
+
+def join_oracle(loop, k, h, joins=None):
+    """Greedy saturation from H under the seeded orders of ORACLE_SEEDS, as
+    `normalizer.normalizer_oracle` runs it but with no coset pre-test: every
+    (S, x) pair the runs meet is joined, as S v <x>, and kept iff H's normality
+    matrix holds on the cosets it meets; each pair is decided once per call.
+    Returns the common subloop or raises OracleDisagreement.  S v <x> depends
+    on neither H nor K, so callers on one loop may share the ``joins`` dict
+    {(S members, x): S v <x>} between calls.
+    """
+    h, k, kpos, pairs = structure._normality_matrix(loop, h, k)
+    joins = {} if joins is None else joins
+    km, grown_by, outcome = list(k.members), {}, None
+    for seed in ORACLE_SEEDS:
+        rng = random.Random(seed)
+        s, changed = h, True
+        while changed:
+            changed = False
+            candidates = [x for x in k.members if x not in s]
+            rng.shuffle(candidates)
+            for x in candidates:
+                if x in s:
+                    continue
+                key = (s.members, x)
+                if key not in grown_by:
+                    if key not in joins:
+                        if ((0,), x) not in joins:  # <x> is the join of the trivial S and x
+                            joins[(0,), x] = structure.generate_subloop(loop, [x])
+                        joins[key] = structure.join(s, joins[(0,), x])
+                    sel = np.zeros(len(pairs), dtype=bool)
+                    sel[kpos[joins[key].mask()[km]]] = True
+                    grown_by[key] = joins[key] if pairs[np.ix_(sel, sel)].all() else None
+                if grown_by[key] is not None:
+                    s, changed = grown_by[key], True
+        if outcome is None:
+            outcome = s
+        elif s != outcome:
+            raise OracleDisagreement(tuple(outcome.members), tuple(s.members))
+    return outcome
 
 
 def _member_tuples(masks):

@@ -1,11 +1,23 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import associator_tensor, element_fixpoint, least_escape, normalizing_maxima
+from conftest import (
+    MLOOP_SOURCE_ROOT,
+    associator_tensor,
+    element_fixpoint,
+    join_oracle,
+    least_escape,
+    normalizing_maxima,
+)
 from mloop.errors import NotCML, NotNested, OracleDisagreement
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.normalizer import (
+    _cosets_of,
+    _may_join,
     ascending_subnormal_system,
     maximality_gaps,
     normalizer,
@@ -14,11 +26,13 @@ from mloop.normalizer import (
     normalizer_oracle,
 )
 from mloop.structure import (
+    _normality_matrix,
     all_subloops,
     center,
     full_subloop,
     generate_subloop,
     is_normal,
+    join,
     normality_witness,
     trivial_subloop,
 )
@@ -28,6 +42,12 @@ FIXPOINT_LOOPS = {
     "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
     "Z2xz81": lambda: direct_product(gen_abelian((2,)), gen_zassenhaus81()),
 }
+
+
+def _proper_spread(lattice):
+    """A spread of proper K: every ninth subloop, and those of order 81."""
+    spread = {k.members: k for k in lattice[1:-1:9] + [k for k in lattice if k.size == 81]}
+    return list(spread.values())
 
 
 @pytest.mark.parametrize("name", FIXPOINT_LOOPS)
@@ -47,8 +67,7 @@ def test_coset_fixpoint_matches_element_fixpoint(name):
         assert normality_witness(loop, h) == least_escape(tensor, h, whole), h.members
     reps, proj = loop.central_cosets()
     partial = escaping = 0
-    spread = {k.members: k for k in lattice[1:-1:9] + [k for k in lattice if k.size == 81]}
-    for k in spread.values():
+    for k in _proper_spread(lattice):
         partial += len(set(proj[list(k.members)])) < len(reps)
         for h in lattice:
             if h.elements < k.elements:
@@ -57,6 +76,72 @@ def test_coset_fixpoint_matches_element_fixpoint(name):
                 assert witness == least_escape(tensor, h, k), (h.members, k.members)
                 escaping += witness is not None
     assert partial >= 20 and escaping == 156
+
+
+def _oracle_outcome(oracle, loop, k, h, **kwargs):
+    try:
+        return oracle(loop, k, h, **kwargs).members
+    except OracleDisagreement as exc:
+        return ("disagree", exc.first, exc.second)
+
+
+@pytest.mark.parametrize("name", FIXPOINT_LOOPS)
+def test_oracle_matches_join_oracle(name):
+    """The pre-tested oracle gives join_oracle's outcome (the same subloop, or a
+    disagreement between the same two subloops) for every proper H with K = L,
+    and for every H < K over the proper K of the coset-fixpoint test."""
+    loop = FIXPOINT_LOOPS[name]()
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    joins = {}
+    pairs = [(None, h) for h in lattice[:-1]]
+    pairs += [(k, h) for k in _proper_spread(lattice) for h in lattice if h.elements < k.elements]
+    disagree = 0
+    for k, h in pairs:
+        got = _oracle_outcome(normalizer_oracle, loop, k, h)
+        assert got == _oracle_outcome(join_oracle, loop, k, h, joins=joins), (h.members, k)
+        disagree += got[0] == "disagree"
+    assert disagree >= 39
+
+
+@pytest.mark.parametrize("name", ["z81", "z81xZ2"])
+def test_pretest_rejects_only_non_normal_joins(name):
+    """Each x that _may_join rejects at S = H gives <H, x> with H not normal."""
+    loop = FIXPOINT_LOOPS[name]()
+    cyclic = {x: generate_subloop(loop, [x]) for x in range(loop.n)}
+    rejected = 0
+    for h in all_subloops(loop, lattice_guard=loop.n)[:-1]:
+        h, k, kpos, pairs = _normality_matrix(loop, h, None)
+        may, normal_in = _may_join(pairs, _cosets_of(kpos, h.mask(), len(pairs)))[kpos], {}
+        for x in range(loop.n):
+            if x not in h and not may[x]:
+                c = cyclic[x]  # <H, x> = <H> v <x> depends on x only through <x>
+                if c not in normal_in:
+                    normal_in[c] = is_normal(loop, h, join(h, c))
+                assert not normal_in[c], (h.members, x)
+                rejected += 1
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("normalizer._normality_matrix = lambda *a: (*matrix(*a)[:3], np.zeros_like(matrix(*a)[3]))",
+     "H must be normal in the stabilized D-set"),
+    ("normalizer.is_normal = lambda *a: False", "subnormal step failed normality"),
+])
+def test_invariant_checks_survive_optimize(patch, message):
+    """Under python -O, a patched kernel still trips the normalizer's invariant checks."""
+    script = "\n".join([
+        "import importlib",
+        "import numpy as np",
+        "from mloop.loop_core import gen_zassenhaus81",
+        "normalizer = importlib.import_module('mloop.normalizer')",
+        "matrix = normalizer._normality_matrix",
+        patch,
+        "normalizer.ascending_subnormal_system(gen_zassenhaus81(), [0, 27, 54])",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=MLOOP_SOURCE_ROOT))
+    assert proc.returncode == 1
+    assert f"AssertionError: {message}" in proc.stderr
 
 
 def test_trace_golden_noncentral_order3(z81):
