@@ -14,6 +14,7 @@ of coset a, increasing in a.  ``diagnose``, the inner-map certificate (which
 checks Z first) and verify's identity checks read their laws on reps^3.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -468,27 +469,17 @@ def _guard_order(n, max_order):
 
 
 def gen_abelian(moduli, max_order=None, name=None):
-    """Direct sum of cyclic groups, mixed-radix encoded most significant first."""
+    """Direct sum of cyclic groups, folded by direct_product: mixed-radix, most significant first."""
     moduli = list(moduli)
     if any(m < 1 for m in moduli):
         raise BadDimension(f"moduli must be positive: {moduli}")
-    n = 1
+    _guard_order(math.prod(moduli), max_order)
+    product = CayleyLoop([[0]])
     for m in moduli:
-        n *= m
-    _guard_order(n, max_order)
-    if not moduli:
-        moduli = [1]
-    digits = np.zeros((n, len(moduli)), dtype=np.int64)
-    strides = np.ones(len(moduli), dtype=np.int64)
-    for k in range(len(moduli) - 2, -1, -1):
-        strides[k] = strides[k + 1] * moduli[k + 1]
-    idx = np.arange(n)
-    for k, m in enumerate(moduli):
-        digits[:, k] = (idx // strides[k]) % m
-    sums = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli)
-    table = (sums * strides).sum(axis=2)
-    label = name if name is not None else "abelian:" + ",".join(str(m) for m in moduli)
-    return CayleyLoop(table, name=label)
+        idx = np.arange(m)
+        product = direct_product(product, CayleyLoop((idx[:, None] + idx) % m), max_order)
+    label = name if name is not None else "abelian:" + ",".join(str(m) for m in moduli or [1])
+    return CayleyLoop(product.table, name=label)
 
 
 def gen_zassenhaus81():

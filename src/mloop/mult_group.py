@@ -21,6 +21,7 @@ from .perm_group import (
     normal_closure,
 )
 from .perm_rows import compose, fresh, row_set
+from .reporting import verdict
 from .structure import (
     Subloop,
     coerce_subloop,
@@ -107,18 +108,13 @@ def verify_lemma1(bundle, H):
     onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
     kernel = elements[(induced == np.arange(q.n)).all(axis=1)]
     kernel_ok = blocks_ok and row_set(kernel) == star.element_keys()
-    ok = order_ok and blocks_ok and onto_ok and kernel_ok
     witness = {
         "m_order": m_order,
         "h_star_order": star.order(),
         "quotient_m_order": qbundle.M.order(),
     }
-    if not ok:
-        witness["order_ok"] = order_ok
-        witness["blocks_ok"] = blocks_ok
-        witness["onto_ok"] = onto_ok
-        witness["kernel_ok"] = kernel_ok
-    return ok, witness
+    return verdict(witness, order_ok=order_ok, blocks_ok=blocks_ok, onto_ok=onto_ok,
+                   kernel_ok=kernel_ok)
 
 
 def verify_prop1(bundle, center):
@@ -132,13 +128,8 @@ def verify_prop1(bundle, center):
     # L(a) L(b) = L(ab) on central a, b
     hom_ok = bool((t[zs[:, None, None], t[zs][None]] == t[t[np.ix_(zs, zs)]]).all())
     inj_ok = len(np.unique(t[zs, 0])) == zl.size
-    ok = set_ok and hom_ok and inj_ok
     witness = {"loop_center_order": zl.size, "group_center_order": zm.order()}
-    if not ok:
-        witness["set_ok"] = set_ok
-        witness["hom_ok"] = hom_ok
-        witness["inj_ok"] = inj_ok
-    return ok, witness
+    return verdict(witness, set_ok=set_ok, hom_ok=hom_ok, inj_ok=inj_ok)
 
 
 def verify_lemma7(bundle, lprime):

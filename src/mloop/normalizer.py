@@ -112,7 +112,7 @@ def maximality_gaps(loop, k, h, trace):
     gaps = []
     for x, ok in zip(k.members, may.tolist()):
         if ok and x not in trace.result:
-            sel = _cosets_of(kpos, _join_elements(h, [x]).mask()[inside_k], count)
+            sel = _cosets_of(kpos, _join_elements(loop, h.mask(), [x]).mask()[inside_k], count)
             if pairs[sel][:, sel].all():
                 gaps.append(int(x))
     return gaps
@@ -124,40 +124,30 @@ def normalizer_oracle(loop, k, h):
     Every run must land on the same subloop; a disagreement (two runs
     saturating at different subloops) is raised rather than averaged,
     since it falsifies the uniqueness this oracle is meant to certify.
-    Each (S, x) pair the runs meet is decided once (``grown_by`` holds <S, x>
-    and S's pre-test if H is normal in it, else None).  H is normal in the
-    current S (H or an accepted join), so a pair whose row or column c_x of
-    H's normality matrix C fails on the cosets of S and x is rejected with no
-    closure (_may_join).  Otherwise <S, x> = S v <x>, with <x> built once per
-    x, is kept iff C holds on the cosets it meets.
+    H is normal in the current S (H or an accepted join), so an x whose row or
+    column c_x of H's normality matrix C fails on the cosets of S and x is
+    rejected with no closure (_may_join).  Otherwise <S, x> = S v <x> is kept
+    iff C holds on the cosets it meets.
     """
     h, k, kpos, pairs = _normality_matrix(loop, h, k)
     inside_k, count, coset_of = k.mask(), len(pairs), dict(zip(k.members, kpos.tolist()))
-    start = h, _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))
-    grown_by, cyclic, outcome = {}, {}, None
+    may_h = _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))
+    outcome = None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
-        s, may = start
+        s, may = h, may_h
         changed = True
         while changed:
             changed = False
             candidates = [x for x in k.members if x not in s.elements]
             rng.shuffle(candidates)
             for x in candidates:
-                if x in s.elements:
+                if x in s.elements or not may[coset_of[x]]:
                     continue
-                key = (s.members, x)
-                if key not in grown_by:
-                    grown_by[key] = None
-                    if may[coset_of[x]]:
-                        if x not in cyclic:
-                            cyclic[x] = generate_subloop(loop, [x])
-                        grown = join(s, cyclic[x])
-                        sel = _cosets_of(kpos, grown.mask()[inside_k], count)
-                        if pairs[sel][:, sel].all():
-                            grown_by[key] = grown, _may_join(pairs, sel)
-                if grown_by[key] is not None:
-                    s, may = grown_by[key]
+                grown = join(s, generate_subloop(loop, [x]))
+                sel = _cosets_of(kpos, grown.mask()[inside_k], count)
+                if pairs[sel][:, sel].all():
+                    s, may = grown, _may_join(pairs, sel)
                     changed = True
         if outcome is None:
             outcome = s

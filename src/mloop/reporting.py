@@ -1,4 +1,5 @@
-"""Check-result container: one per check in a verify report, read by the CLI."""
+"""Check results: one per check in a verify report, read by the CLI, and the
+verdict helper that the checks and bridges build them from."""
 
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
@@ -17,3 +18,12 @@ class CheckResult:
 
     def as_dict(self):
         return asdict(self)
+
+
+def verdict(witness, **parts):
+    """(ok, witness) for a claim made of the named boolean parts: ok iff all hold.
+    On failure the witness also gets every part's flag, in argument order."""
+    ok = all(parts.values())
+    if not ok:
+        witness.update(parts)
+    return ok, witness

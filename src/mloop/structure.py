@@ -149,29 +149,32 @@ def _close(table, base_mask, new_mask, stop=None):
 
 def generate_subloop(loop, indices):
     """Smallest subloop containing the given element indices."""
-    seed = np.zeros(loop.n, dtype=bool)
-    seed[0] = True
+    indices = [int(i) for i in indices]
     for i in indices:
-        i = int(i)
         if not 0 <= i < loop.n:
             raise ParseError(f"element index {i} out of range 0..{loop.n - 1}")
-        seed[i] = True
-    base = np.zeros(loop.n, dtype=bool)
-    base[0] = True
-    return Subloop(loop, np.flatnonzero(_close(loop.table, base, seed)))
+    return _join_elements(loop, np.arange(loop.n) == 0, indices)
 
 
 def join(a, b):
     if a.parent is not b.parent:
         raise NotNested("subloops of different parents")
-    return Subloop(a.parent, np.flatnonzero(_close(a.parent.table, a.mask(), b.mask())))
+    return _join_elements(a.parent, a.mask(), b.members)
 
 
-def _join_elements(s, elements):
-    """The join of the subloop s with the subloop generated by ``elements``."""
-    seed = np.zeros(s.parent.n, dtype=bool)
+def _join_elements(loop, base, elements):
+    """The subloop generated by the subloop with mask ``base`` and ``elements``."""
+    seed = np.zeros(loop.n, dtype=bool)
     seed[list(elements)] = True
-    return Subloop(s.parent, np.flatnonzero(_close(s.parent.table, s.mask(), seed)))
+    return Subloop(loop, np.flatnonzero(_close(loop.table, base, seed)))
+
+
+def _powers(loop, k):
+    """x -> x^k for every x, left-iterated as CayleyLoop.power (k >= 0)."""
+    out = np.zeros(loop.n, dtype=np.int64)
+    for _ in range(k):
+        out = loop.table[np.arange(loop.n), out]
+    return out
 
 
 # -- normality ---------------------------------------------------------------
@@ -233,13 +236,10 @@ def _cyclic_masks(loop):
 
     gens[i] is the first x with <x> = masks[i], so it generates masks[i].
     """
+    xs = np.arange(loop.n)
     seen = {}
-    base = np.zeros(loop.n, dtype=bool)
-    base[0] = True
     for x in range(loop.n):
-        seed = base.copy()
-        seed[x] = True
-        mask = _close(loop.table, base, seed)
+        mask = _close(loop.table, xs == 0, xs == x)
         seen.setdefault(mask.tobytes(), (x, mask))
     gens, masks = zip(*seen.values())
     return np.array(gens, dtype=np.int64), list(masks)
@@ -286,9 +286,19 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
 
 
 def _maximal_members(subloops):
-    """The proper members of a subloop list not strictly inside another proper member."""
+    """The proper members of a subloop list not strictly inside another proper member.
+
+    Members are walked by decreasing order.  One strictly inside a proper member
+    lies inside a maximal one, which is larger and so already kept, so each is
+    tested against the kept maxima only.
+    """
     proper = [s for s in subloops if not s.is_full]
-    return [s for s in proper if not any(s.elements < t.elements for t in proper)]
+    tops = []
+    for s in sorted(proper, key=lambda s: -s.size):
+        if not any(s.elements < t.elements for t in tops):
+            tops.append(s)
+    kept = set(tops)
+    return [s for s in proper if s in kept]
 
 
 # -- distinguished subloops --------------------------------------------------
@@ -307,7 +317,7 @@ def associator_subloop(loop):
 def cube_subloop(loop):
     """The set of cubes x^3; in a CML this set is itself a subloop."""
     _require_cml(loop)
-    return Subloop(loop, np.unique(loop.table[loop.table.diagonal(), np.arange(loop.n)]))
+    return Subloop(loop, np.unique(_powers(loop, 3)))
 
 
 def _require_cml(loop):
@@ -366,20 +376,17 @@ def _maximal_over(loop, derived):
     t, n = loop.table, loop.n
     out = []
     for p in _prime_factors(n // derived.size):
-        powers = np.arange(n)
-        for _ in range(p - 1):
-            powers = t[np.arange(n), powers]
-        f = _join_elements(derived, powers)
+        f = _join_elements(loop, derived.mask(), _powers(loop, p))
         basis, span = [], f
         for x in range(n):
             if x not in span:
                 basis.append(x)
-                span = _join_elements(span, [x])
+                span = _join_elements(loop, span.mask(), [x])
         for i, lead in enumerate(basis):
             above = basis[i + 1:]
             for weights in itertools.product(range(p), repeat=len(above)):
                 gens = basis[:i] + [t[b, loop.power(lead, p - w)] for b, w in zip(above, weights)]
-                m = _join_elements(f, gens)
+                m = _join_elements(loop, f.mask(), gens)
                 assert m.size * p == n, f"a hyperplane of L / L'L^{p} has index {n // m.size}"
                 out.append(m)
     uniq = {s.elements: s for s in out}
@@ -418,12 +425,7 @@ def _meet(loop, subloops):
 
 def is_divisible(loop):
     """True iff x -> x^p is onto for every prime p dividing the exponent."""
-    exp = loop.exponent()
-    for p in _prime_factors(exp):
-        image = {loop.power(x, p) for x in range(loop.n)}
-        if len(image) != loop.n:
-            return False
-    return True
+    return all(np.unique(_powers(loop, p)).size == loop.n for p in _prime_factors(loop.exponent()))
 
 
 def non_generator_witness(loop, x, maximals):

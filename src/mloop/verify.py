@@ -26,7 +26,7 @@ from .loop_core import _first_index
 from .normalizer import NormalizerTrace
 from .normalizer import normalizer as _run_fixpoint
 from .perm_rows import blocks, row_keys
-from .reporting import CheckResult
+from .reporting import CheckResult, verdict
 
 ARTIFACT_VERSION = "0.1.0"
 PROP3_SAMPLE_COUNT = 200
@@ -163,13 +163,8 @@ def _check_lemma1(ctx):
 
 
 def _check_lemma2(ctx):
-    loop = ctx.loop
-    central = ctx.center.mask()
-    first = None
-    for x in range(loop.n):
-        if not central[loop.power(x, 3)]:
-            first = x
-            break
+    bad = (~ctx.center.mask()[st._powers(ctx.loop, 3)]).nonzero()[0]
+    first = int(bad[0]) if bad.size else None
     contained = all(c in ctx.center for c in ctx.cubes.members)
     ok = first is None and contained
     return ok, None if ok else {"element": first, "cube_order": ctx.cubes.size}
@@ -178,17 +173,13 @@ def _check_lemma2(ctx):
 def _check_lemma4(ctx):
     loop_ok = ctx.derived.elements <= ctx.frattini.elements
     group_ok = ctx.m_derived.element_keys() <= ctx.m_frattini.element_keys()
-    ok = loop_ok and group_ok
     witness = {
         "derived_order": ctx.derived.size,
         "frattini_order": ctx.frattini.size,
         "m_derived_order": ctx.m_derived.order(),
         "m_frattini_order": ctx.m_frattini.order(),
     }
-    if not ok:
-        witness["loop_ok"] = loop_ok
-        witness["group_ok"] = group_ok
-    return ok, witness
+    return verdict(witness, loop_ok=loop_ok, group_ok=group_ok)
 
 
 def _check_lemma6(ctx):
@@ -246,7 +237,6 @@ def _check_prop3(ctx):
 
 
 def _check_prop4(ctx):
-    loop = ctx.loop
     cls = ctx.series.nilpotency_class
     loop_max = 0
     for h in ctx.lattice:
@@ -286,23 +276,19 @@ def _group_chains(m, limit):
 
 
 def _check_theorem2(ctx):
-    loop = ctx.loop
     sizes = []
-    ok = True
     first = None
     for h in ctx.lattice:
         if h.is_full:
             continue
         result = ctx.fixpoint_result(h).result
         sizes.append({"h": h.serialize(), "normalizer_order": result.size})
-        if result.elements == h.elements:
-            ok = False
-            if first is None:
-                first = h.serialize()
+        if result.elements == h.elements and first is None:
+            first = h.serialize()
     witness = {"proper_subloops": len(sizes), "normalizer_sizes": sizes}
     if first is not None:
         witness["self_normalizing"] = first
-    return ok, witness
+    return first is None, witness
 
 
 def _check_frattini(ctx):
@@ -323,19 +309,15 @@ def _check_frattini(ctx):
         group_ok = ctx.m_frattini.element_keys() == pg.frattini_subgroup_oracle(m).element_keys()
         group_note = ctx.m_frattini.order()
 
-    ok = maximals_ok and frattini_ok and non_gen_ok and group_ok
     witness = {
         "frattini_order": ctx.frattini.size,
         "maximal_count": len(ctx.maximals),
         "group_frattini_order": group_note,
     }
-    if not ok:
-        witness["maximals_ok"] = maximals_ok
-        witness["frattini_ok"] = frattini_ok
-        witness["non_generator_ok"] = non_gen_ok
-        witness["group_ok"] = group_ok
-        if first_bad is not None:
-            witness["element"] = first_bad
+    ok, witness = verdict(witness, maximals_ok=maximals_ok, frattini_ok=frattini_ok,
+                          non_generator_ok=non_gen_ok, group_ok=group_ok)
+    if first_bad is not None:
+        witness["element"] = first_bad
     return ok, witness
 
 
@@ -346,17 +328,13 @@ def _check_divisible(ctx):
     group_div = pg.is_divisible_group(m)
     loop_ok = loop_div == (loop.n == 1)
     group_ok = group_div == (m.order() == 1)
-    ok = loop_ok and group_ok
     witness = {
         "loop_divisible": loop_div,
         "group_divisible": group_div,
         "divisible_part_order": 1,
         "complement_order": m.order(),
     }
-    if not ok:
-        witness["loop_ok"] = loop_ok
-        witness["group_ok"] = group_ok
-    return ok, witness
+    return verdict(witness, loop_ok=loop_ok, group_ok=group_ok)
 
 
 # -- registry ----------------------------------------------------------------

@@ -217,6 +217,21 @@ def early_stop_lattice(loop):
     return _member_tuples(found.values())
 
 
+def mixed_radix_abelian(moduli):
+    """`loop_core.gen_abelian` from the digits of every element at once: the sum
+    of x and y is read digit by digit, each mod its modulus, with the strides of
+    a mixed-radix code, most significant first."""
+    moduli = list(moduli) or [1]
+    n = int(np.prod(moduli))
+    strides = np.ones(len(moduli), dtype=np.int64)
+    for k in range(len(moduli) - 2, -1, -1):
+        strides[k] = strides[k + 1] * moduli[k + 1]
+    digits = (np.arange(n)[:, None] // strides) % np.array(moduli)
+    sums = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli)
+    name = "abelian:" + ",".join(str(m) for m in moduli)
+    return loop_core.CayleyLoop((sums * strides).sum(axis=2), name=name)
+
+
 def group_cayley_loop(group):
     """A permutation group's Cayley table over its enumerated elements, built
     as `perm_group.frattini_subgroup_oracle` builds it for the lattice."""
@@ -280,6 +295,13 @@ def hyperplane_maximals(loop):
         for hyper in hyperplanes(vec, p):
             out.add(tuple(int(i) for i in np.flatnonzero(hyper.mask()[vproj][proj])))
     return sorted(out)
+
+
+def naive_maximal_members(subloops):
+    """`structure._maximal_members` by testing every proper member against every
+    other: quadratic in the list length."""
+    proper = [s for s in subloops if not s.is_full]
+    return [s for s in proper if not any(s.elements < t.elements for t in proper)]
 
 
 def quotient_central_series(loop):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NONCML6, S3_TABLE, associator_tensor, lifted_associators, swapped_cyclic
+from conftest import (
+    NONCML6,
+    S3_TABLE,
+    associator_tensor,
+    lifted_associators,
+    mixed_radix_abelian,
+    swapped_cyclic,
+)
 from mloop.errors import (
     BadDimension,
     CrossLoop,
@@ -222,6 +229,18 @@ def test_gen_abelian_two_encodings_of_z6():
 def test_gen_abelian_guard():
     with pytest.raises(OrderOverflow):
         gen_abelian((40, 40), max_order=1024)
+    with pytest.raises(BadDimension, match="positive"):
+        gen_abelian((3, 0))
+
+
+@pytest.mark.parametrize("moduli", [(), (1,), (6,), (2, 3), (4, 4), (3,) * 6],
+                         ids=lambda m: ",".join(map(str, m)) or "empty")
+def test_gen_abelian_is_the_mixed_radix_table(moduli):
+    """The fold of direct_product writes the mixed-radix code of the digit route."""
+    loop, want = gen_abelian(moduli), mixed_radix_abelian(moduli)
+    assert loop.table.dtype == want.table.dtype
+    assert np.array_equal(loop.table, want.table)
+    assert loop.name == want.name
 
 
 def test_direct_product(z81):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,23 @@ def test_prop1_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
         ok, witness = verify_prop1(bundle, center(bundle.loop))
         assert ok, witness
+
+
+@pytest.mark.parametrize("elements, loop_center_order", [([0], 1), ([0, 27, 54], 3)])
+def test_prop1_wrong_center_pinned_witness(z81_bundle, elements, loop_center_order):
+    want = {"loop_center_order": loop_center_order, "group_center_order": 3,
+            "set_ok": False, "hom_ok": True, "inj_ok": True}
+    got = verify_prop1(z81_bundle, elements)
+    assert json.dumps(got) == json.dumps([False, want])
+
+
+def test_lemma1_wrong_group_pinned_witness(z81, z81_bundle):
+    """With I in place of M, the cosets of L' are kept but the action on L/L' is trivial."""
+    bundle = dataclasses.replace(z81_bundle, M=z81_bundle.I)
+    want = {"m_order": 27, "h_star_order": 27, "quotient_m_order": 27,
+            "order_ok": False, "blocks_ok": True, "onto_ok": False, "kernel_ok": True}
+    got = verify_lemma1(bundle, associator_subloop(z81))
+    assert json.dumps(got) == json.dumps([False, want])
 
 
 def test_lemma7_bridge(z81_bundle, e27_bundle):

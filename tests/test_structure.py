@@ -11,6 +11,7 @@ from conftest import (
     group_cayley_loop,
     hyperplane_maximals,
     naive_lattice,
+    naive_maximal_members,
     quotient_central_series,
     swapped_cyclic,
 )
@@ -34,6 +35,7 @@ from mloop.structure import (
     Subloop,
     _cyclic_masks,
     _maximal_members,
+    _powers,
     all_subloops,
     associator_subloop,
     center,
@@ -280,6 +282,23 @@ def test_maximal_subloops_match_lattice_maxima(name):
     assert [m.members for m in maximal_subloops(loop)] == want
 
 
+MAXIMA_LISTS = {
+    "zassenhaus81": (gen_zassenhaus81, 128),
+    "z81xZ3": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))), 243),
+    "abelian:2,2,2,2,2,2": (lambda: gen_abelian((2,) * 6), 128),
+    "cayley:dihedral8": (lambda: group_cayley_loop(
+        PermGroup(4, np.array([[1, 2, 3, 0], [3, 2, 1, 0]]))), 128),
+}
+
+
+@pytest.mark.parametrize("name", MAXIMA_LISTS)
+def test_maximal_members_match_the_quadratic_scan(name):
+    """The scan by decreasing order lists the maxima of the pairwise scan, in lattice order."""
+    make, guard = MAXIMA_LISTS[name]
+    lattice = all_subloops(make(), lattice_guard=guard)
+    assert _maximal_members(lattice) == naive_maximal_members(lattice)
+
+
 QUOTIENT_LOOPS = {
     "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
     "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
@@ -452,6 +471,14 @@ def test_non_generator_witness_is_exact(moduli):
         if w is not None:
             s = Subloop(loop, w)
             assert not s.is_full and join(s, generate_subloop(loop, [x])).is_full
+
+
+@pytest.mark.parametrize("make", [gen_zassenhaus81, lambda: gen_abelian((9, 3)),
+                                  lambda: CayleyLoop(NONCML6, name="noncml6")])
+def test_powers_match_the_scalar_power(make):
+    loop = make()
+    for k in range(5):
+        assert _powers(loop, k).tolist() == [loop.power(x, k) for x in range(loop.n)]
 
 
 def test_is_divisible():

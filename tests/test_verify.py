@@ -21,6 +21,9 @@ from mloop.verify import (
     SUITE_NAMES,
     LoopContext,
     _check_associator_symmetries,
+    _check_divisible,
+    _check_frattini,
+    _check_lemma4,
     _check_product_expansion,
     run_suite,
 )
@@ -241,3 +244,37 @@ def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
         "mult_frattini_order": witness["lemma4"]["m_frattini_order"],
     }
     assert {key: values[key] for key in pairs} == pairs
+
+
+# Failing verdicts on broken context artifacts: the witness keeps its key order,
+# with the part flags in check order after the invariant orders.
+LEMMA4_FAIL = {"derived_order": 3, "frattini_order": 1, "m_derived_order": 81,
+               "m_frattini_order": 81, "loop_ok": False, "group_ok": True}
+FRATTINI_FAIL = {"frattini_order": 1, "maximal_count": 13, "group_frattini_order": "skipped",
+                 "maximals_ok": True, "frattini_ok": False, "non_generator_ok": False,
+                 "group_ok": True, "element": 1}
+
+
+@pytest.mark.parametrize("check, want", [(_check_lemma4, LEMMA4_FAIL),
+                                         (_check_frattini, FRATTINI_FAIL)])
+def test_trivial_frattini_fails_with_pinned_witness(z81, check, want):
+    ctx = LoopContext(z81)
+    ctx.__dict__["frattini"] = st.trivial_subloop(z81)
+    assert json.dumps(check(ctx)) == json.dumps([False, want])
+
+
+def test_wrong_group_frattini_fails_with_pinned_witness():
+    # M(Z3 x Z3) is the group itself, of order 9, so the group oracle runs
+    ctx = LoopContext(gen_abelian((3, 3)))
+    ctx.__dict__["m_frattini"] = ctx.bundle.M
+    want = {"frattini_order": 1, "maximal_count": 4, "group_frattini_order": 9,
+            "maximals_ok": True, "frattini_ok": True, "non_generator_ok": True,
+            "group_ok": False}
+    assert json.dumps(_check_frattini(ctx)) == json.dumps([False, want])
+
+
+def test_divisible_loop_fails_with_pinned_witness(monkeypatch, z81):
+    monkeypatch.setattr(st, "is_divisible", lambda loop: True)
+    want = {"loop_divisible": True, "group_divisible": False, "divisible_part_order": 1,
+            "complement_order": 2187, "loop_ok": False, "group_ok": True}
+    assert json.dumps(_check_divisible(LoopContext(z81))) == json.dumps([False, want])
