@@ -1,9 +1,10 @@
 """Multiplication groups of commutative loops and the theorem bridges.
 
 The bundle ties a loop to its multiplication group M = <L(x)> and inner
-mapping group I = <L(xy)^-1 L(x) L(y)>; construction asserts the
-orbit-stabilizer identity order(M) = |L| * order(I), which also certifies
-that I is the full stabilizer of the identity point.
+mapping group I = <L(xy)^-1 L(x) L(y)>.  M's chain is one level over I's: its
+transversal is the table, so by Schreier's lemma the point-0 stabilizer is
+generated by the L(gx)^-1 L(g) L(x), that is by I (built from centre-coset
+pairs) when Z(L) is central and nuclear, as the build checks under -O too.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCommutative, NotNormal, NotSubgroup
-from .loop_core import CayleyLoop, _cosets, quotient
+from .loop_core import CayleyLoop, _central_violation, _cosets, quotient
 from .perm_group import (
     PermGroup,
     Permutation,
@@ -48,18 +49,16 @@ def multiplication_group(loop):
             f"{loop.name} is not commutative; only L-translations are generated here"
         )
     n, t, ld = loop.n, loop.table, loop.ldiv_table()
-    M = PermGroup(n, t)
+    bad = _central_violation(t, loop.central_mask())
+    if bad is not None:
+        raise AssertionError(f"Z(L) is not central and nuclear at (c, y, z) = {bad}")
     # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)].
     # L(c) commutes with each L(y) for c in Z(L), so L(xc, y) = L(x, y) = L(x, yc): the
     # first occurrence of each map in (x, y) order is a pair of least coset members.
     reps, seen = loop.central_cosets()[0], set()
     inner = [fresh(ld[t[x, reps][:, None], t[x][t[reps]]], seen) for x in reps]
     I = PermGroup(n, np.concatenate(inner))
-    assert M.order() == n * I.order(), (
-        "inner mapping group is not the full point-0 stabilizer: "
-        f"{M.order()} != {n} * {I.order()}"
-    )
-    return MultGroupBundle(loop=loop, M=M, I=I)
+    return MultGroupBundle(loop=loop, M=PermGroup(n, t, _stabilizer=I), I=I)
 
 
 def h_star(bundle, H):

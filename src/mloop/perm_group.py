@@ -162,13 +162,14 @@ class PermGroup:
 
     ``generators`` may be Permutations or a (k, degree) integer array of
     image rows; the identity and repeats are dropped, first occurrence kept.
+    ``_stabilizer``, for ``mult_group`` only, is the first base point's known stabilizer.
     """
 
-    def __init__(self, degree, generators=()):
+    def __init__(self, degree, generators=(), *, _stabilizer=None):
         self.degree = int(degree)
         self.gen_array = _distinct(_rows(self.degree, generators))
         self.gen_array.setflags(write=False)
-        self.chain = self._build_chain()
+        self.chain = self._build_chain(_stabilizer)
         self.base = [level.base for level in self.chain]
         self._elements = None
         self._reduced = None
@@ -181,7 +182,7 @@ class PermGroup:
 
     # -- chain construction --------------------------------------------------
 
-    def _build_chain(self):
+    def _build_chain(self, stabilizer=None):
         levels = []
         gens = self.gen_array
         ident = np.arange(self.degree, dtype=gens.dtype)
@@ -203,6 +204,9 @@ class PermGroup:
             slot = np.full(self.degree, -1)
             slot[reps[:, base]] = np.arange(len(reps))
             inverses = inverse(reps)
+            levels.append(_ChainLevel(base, gens, reps, inverses, slot))
+            if stabilizer is not None:
+                return tuple(levels) + stabilizer.chain
             # Schreier generators rep(g(pt))^-1 * (g * u_pt), deduplicated
             seen = {ident.tobytes()}
             stab = []
@@ -211,7 +215,6 @@ class PermGroup:
                 back = inverses[slot[gens[:, reps[b, base]]]]
                 s = np.take_along_axis(back, gu, axis=2).transpose(1, 0, 2)
                 stab.append(fresh(s.reshape(-1, self.degree), seen))
-            levels.append(_ChainLevel(base, gens, reps, inverses, slot))
             gens = np.concatenate(stab)
         return tuple(levels)
 

@@ -4,8 +4,9 @@ Each check computes its claim from scratch against the loop in the
 context (no frozen constants) and returns ``(ok, witness)``; the context
 only caches shared expensive artifacts (multiplication-group bundle,
 subloop lattice, distinguished subloops and subgroups, fixpoint
-results), each built once per loop, so a full-suite run stays within
-desk-scale budgets and ``mloop invariants`` reads the same values.
+results as the lattice's own members), each built once per loop, so a
+full-suite run stays within desk-scale budgets and ``mloop invariants``
+reads the same values.
 Reports are deterministic for a fixed loop and seed: checks run in
 registration order and all witnesses are built from sorted data.
 """
@@ -21,9 +22,8 @@ import numpy as np
 from . import mult_group as mg
 from . import perm_group as pg
 from . import structure as st
-from .errors import OrderOverflow
+from .errors import ChainStalled, OrderOverflow
 from .loop_core import _first_index
-from .normalizer import NormalizerTrace
 from .normalizer import normalizer as _run_fixpoint
 from .perm_rows import blocks, row_keys
 from .reporting import CheckResult, verdict
@@ -40,11 +40,15 @@ class LoopContext:
         self.loop = loop
         self.seed = int(seed)
         self.lattice_guard = lattice_guard
-        self._traces: Dict[Tuple[int, ...], NormalizerTrace] = {}
+        self._fixpoints: Dict[Tuple[int, ...], st.Subloop] = {}
 
     @cached_property
     def lattice(self):
         return st.all_subloops(self.loop, lattice_guard=self.lattice_guard)
+
+    @cached_property
+    def by_members(self):
+        return {s.members: s for s in self.lattice}
 
     @cached_property
     def whole(self):
@@ -91,10 +95,14 @@ class LoopContext:
         return pg.frattini_subgroup(self.bundle.M)
 
     def fixpoint_result(self, subloop):
+        """The lattice member that the P/D fixpoint of ``subloop`` in L returns."""
         key = subloop.members
-        if key not in self._traces:
-            self._traces[key] = _run_fixpoint(self.loop, self.whole, subloop)
-        return self._traces[key]
+        if key not in self._fixpoints:
+            result = _run_fixpoint(self.loop, self.whole, subloop).result
+            if result.members not in self.by_members:
+                raise AssertionError(f"fixpoint result {result.members} is not in the lattice")
+            self._fixpoints[key] = self.by_members[result.members]
+        return self._fixpoints[key]
 
 
 # -- identity checks ---------------------------------------------------------
@@ -198,7 +206,6 @@ def _check_prop1(ctx):
 
 
 def _check_prop3(ctx):
-    loop = ctx.loop
     lattice = ctx.lattice
     pairs = [
         (h.members, k.members)
@@ -211,16 +218,15 @@ def _check_prop3(ctx):
     if len(pairs) > PROP3_SAMPLE_COUNT:
         pairs = rng.sample(pairs, PROP3_SAMPLE_COUNT)
     pairs.sort()
-    by_members = {s.members: s for s in lattice}
     checked = 0
     failures = 0
     first = None
     for h_key, k_key in pairs:
-        h, k = by_members[h_key], by_members[k_key]
-        if not st.is_normal(loop, h, k):
+        h, k = ctx.by_members[h_key], ctx.by_members[k_key]
+        if not st.is_normal(ctx.loop, h, k):
             continue
         checked += 1
-        result = ctx.fixpoint_result(h).result
+        result = ctx.fixpoint_result(h)
         if not k.elements <= result.elements:
             failures += 1
             if first is None:
@@ -243,7 +249,9 @@ def _check_prop4(ctx):
         steps = 0
         current = h
         while not current.is_full:
-            current = ctx.fixpoint_result(current).result
+            current, last = ctx.fixpoint_result(current), current
+            if current is last:
+                raise ChainStalled(f"normalizer chain stalled at subloop {last.serialize()}")
             steps += 1
         loop_max = max(loop_max, steps)
     group_bound = max(0, 2 * cls - 1)
@@ -281,7 +289,7 @@ def _check_theorem2(ctx):
     for h in ctx.lattice:
         if h.is_full:
             continue
-        result = ctx.fixpoint_result(h).result
+        result = ctx.fixpoint_result(h)
         sizes.append({"h": h.serialize(), "normalizer_order": result.size})
         if result.elements == h.elements and first is None:
             first = h.serialize()

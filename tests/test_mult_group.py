@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import NONCML6, inner_map_rows
+from conftest import MLOOP_SOURCE_ROOT, NONCML6, inner_map_rows
 from mloop.errors import NotCommutative, NotNormal
 from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
 from mloop.mult_group import (
@@ -17,11 +20,13 @@ from mloop.mult_group import (
     verify_prop1,
 )
 from mloop.perm_group import (
+    PermGroup,
     center_of_group,
     derived_subgroup,
     frattini_subgroup,
     upper_central_series_group,
 )
+from mloop.perm_rows import row_set
 from mloop.structure import associator_subloop, center, generate_subloop, trivial_subloop
 
 
@@ -65,6 +70,43 @@ def test_inner_generators_from_centre_coset_pairs(name):
     assert len(loop.central_cosets()[0]) < loop.n
     gens = multiplication_group(loop).I.gen_array
     assert np.array_equal(gens, inner_map_rows(loop))
+
+
+def same_array(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("name", INNER_LOOPS)
+def test_chain_matches_the_reference_build(name):
+    """M's chain, one level of translations over I's chain, is the chain that
+    Schreier-Sims builds from the table's rows alone: the same order and bases,
+    the same generator set at each level, and the same transversals and elements."""
+    loop = INNER_LOOPS[name]()
+    got, want = multiplication_group(loop).M, PermGroup(loop.n, loop.table)
+    assert (got.order(), got.base) == (want.order(), want.base)
+    assert [len(level.generators) for level in got.chain] == [
+        len(level.generators) for level in want.chain]
+    for mine, ref in zip(got.chain, want.chain):
+        assert row_set(mine.generators) == row_set(ref.generators)
+        assert same_array(mine.reps, ref.reps)
+    assert same_array(got.element_array(), want.element_array())
+
+
+def test_wrong_centre_stops_the_build_under_optimize():
+    """I is built from centre-coset pairs, so a claimed centre that is not central
+    and nuclear would leave M's chain short of inner maps; the check survives -O."""
+    script = "\n".join([
+        "import numpy as np",
+        "from mloop.loop_core import gen_zassenhaus81",
+        "from mloop.mult_group import multiplication_group",
+        "loop = gen_zassenhaus81()",
+        "loop._central = np.isin(np.arange(loop.n), (0, 1, 2, 27, 28, 29, 54, 55, 56))",
+        "multiplication_group(loop)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=MLOOP_SOURCE_ROOT))
+    assert proc.returncode == 1
+    assert "AssertionError: Z(L) is not central and nuclear at (c, y, z) = (27, 3, 9)" in proc.stderr
 
 
 def test_left_equals_right_translation(z81):

@@ -14,8 +14,10 @@ from mloop import cli
 from mloop import perm_group as pg
 from mloop import perm_rows
 from mloop import structure as st
-from mloop.errors import OrderOverflow
+from mloop import verify
+from mloop.errors import ChainStalled, OrderOverflow
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
+from mloop.normalizer import NormalizerTrace, normalizer
 from mloop.verify import (
     CHECK_REGISTRY,
     SUITE_NAMES,
@@ -25,6 +27,7 @@ from mloop.verify import (
     _check_frattini,
     _check_lemma4,
     _check_product_expansion,
+    _check_prop4,
     run_suite,
 )
 
@@ -75,9 +78,9 @@ def count_chains(mp):
     counts = [0]
     real = pg.PermGroup._build_chain
 
-    def counted(self):
+    def counted(self, *args):
         counts[0] += 1
-        return real(self)
+        return real(self, *args)
 
     mp.setattr(pg.PermGroup, "_build_chain", counted)
     return counts
@@ -158,6 +161,37 @@ def test_prop3_failure_is_deterministic(z81):
     assert check.witness["first_failure"]["h"] == [0, 3, 6]
     again = run_suite(z81, "prop3", seed=0).checks[0]
     assert again.witness == check.witness
+
+
+def test_fixpoint_results_are_lattice_members(z81):
+    """The context keeps each fixpoint result as the lattice's own member, and
+    raises on a result that the lattice lacks."""
+    ctx = LoopContext(z81)
+    for h in ctx.lattice[::23]:
+        result = ctx.fixpoint_result(h)
+        assert result is ctx.by_members[result.members]
+        assert result == normalizer(z81, None, h).result
+    ctx = LoopContext(z81)
+    ctx.lattice = [h for h in ctx.lattice if not h.is_full]
+    with pytest.raises(AssertionError, match="is not in the lattice"):
+        ctx.fixpoint_result(ctx.lattice[0])
+
+
+def test_prop4_raises_when_a_fixpoint_stalls(monkeypatch, z81):
+    """A fixpoint that returns a proper H unchanged stops prop4 with ChainStalled.
+    The cap on lookups turns a chain that never grows into a failure, not a hang."""
+    monkeypatch.setattr(verify, "_run_fixpoint", lambda loop, k, h: NormalizerTrace((), (), h, 0))
+    real, calls = LoopContext.fixpoint_result, [0]
+
+    def capped(self, subloop):
+        calls[0] += 1
+        if calls[0] > 50:
+            raise RuntimeError("50 fixpoint lookups without growing H")
+        return real(self, subloop)
+
+    monkeypatch.setattr(LoopContext, "fixpoint_result", capped)
+    with pytest.raises(ChainStalled, match="stalled at subloop"):
+        _check_prop4(LoopContext(z81))
 
 
 def test_lattice_suites_respect_guard(z81):
