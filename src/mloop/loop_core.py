@@ -67,6 +67,51 @@ def _least_violations(table, laws, reps):
     return found
 
 
+def _close(table, base_mask, new_mask, stop=None):
+    """Product-closure of base_mask | new_mask, assuming base_mask is closed.
+
+    With an index array ``stop``, returns early, possibly before closing,
+    as soon as the mask holds one of those indices.
+    """
+    known = base_mask | new_mask
+    frontier = (new_mask & ~base_mask).nonzero()[0]
+    while frontier.size:
+        if stop is not None and known[stop].any():
+            break
+        kidx = known.nonzero()[0]
+        hit = np.zeros(known.shape[0], dtype=bool)
+        hit[table[frontier[:, None], kidx]] = True
+        hit[table[kidx[:, None], frontier]] = True
+        hit &= ~known
+        known |= hit
+        frontier = hit.nonzero()[0]
+    return known
+
+
+def _greedy_generators(table):
+    """The greedy generators g_1 < g_2 < ... of the loop: g_{i+1} is the least
+    element outside the subloop <g_1 .. g_i>."""
+    ids = np.arange(len(table))
+    span = ids == 0
+    while not span.all():
+        g = int(np.argmin(span))
+        yield g
+        span = _close(table, span, ids == g)
+
+
+def _central_scan(table, x, commutative):
+    """Whether the commuting x has (xy)z = x(yz), and x(yz) = y(xz) unless the
+    table is commutative, for all y, z: growing y-blocks, left at the first
+    failing one."""
+    t = table
+    for rows, t_rows in cast_blocks(t):
+        xyz = t[x].take(t_rows)
+        if not (np.array_equal(t.take(t[x, rows], axis=0), xyz)
+                and (commutative or np.array_equal(xyz, t_rows.take(t[x], axis=1)))):
+            return False
+    return True
+
+
 def _central_violation(table, central):
     """Least (c, y, z) for the first greedy generator c of the claimed Z that fails, or None.
 
@@ -136,6 +181,7 @@ class CayleyLoop:
         self._cosets = None
         self._assoc = None
         self._inner = None
+        self._central_check = None  # (violation or None,) once checked
         self._inner_check = None  # (violation or None,) once scanned
         self._diag = None
 
@@ -198,18 +244,39 @@ class CayleyLoop:
 
     def central_mask(self):
         """Mask of Z(L): the x that commute with everything and lie in the nucleus.
+
         With x commuting, the middle and right nucleus laws both read x(yz) = y(xz);
-        a commutative table implies that from (xy)z = x(yz) and scans only the latter."""
+        a commutative table implies that from (xy)z = x(yz) and tests only the latter.
+        The set S of commuting x passing these laws is closed under products: on a
+        commutative table it is the left nucleus, where ((ab)y)z = (a(by))z =
+        a((by)z) = a(b(yz)) = (ab)(yz), and otherwise it is Z(L), a subloop (Bruck,
+        A Survey of Binary Systems, 1958).  So the laws are first read at y = g for
+        each greedy generator g of L, for all x at once, and a failure rules x out.
+        The survivors are walked in ascending order: an x in the span of those found
+        central is central, any other runs the full n^2 scan (``_central_scan``), and
+        if it passes it joins the span.  Full scans run only for the greedy
+        generators of Z and for survivors outside Z.
+        """
         if self._central is None:
             t = self.table
             central = (t == t.T).all(axis=1)
             commutative = central.all()
-            for rows, t_rows in cast_blocks(t):
-                for x in central.nonzero()[0]:
-                    # (xy)z vs x(yz), then x(yz) vs y(xz); x leaves at its first failing block
-                    xyz = t[x].take(t_rows)
-                    central[x] = np.array_equal(t.take(t[x, rows], axis=0), xyz) and (
-                        commutative or np.array_equal(xyz, t_rows.take(t[x], axis=1)))
+            for g in _greedy_generators(t):
+                row, col = t[g].astype(np.intp), t[:, g]
+                x_gz = t.take(row, axis=1)
+                central &= (t[col] == x_gz).all(axis=1)  # (xg)z vs x(gz)
+                if not commutative:
+                    central &= (x_gz == row.take(t)).all(axis=1)  # x(gz) vs g(xz)
+            span = np.arange(self.n) == 0
+            for x in np.flatnonzero(central):
+                if span[x]:
+                    continue
+                if not _central_scan(t, x, commutative):
+                    central[x] = False
+                    continue
+                left = t[x]
+                while not span[left[span]].all():
+                    span[left[span]] = True
             central.setflags(write=False)
             self._central = central
         return self._central
@@ -253,9 +320,17 @@ class CayleyLoop:
             self._inner = out
         return self._inner
 
+    def central_violation(self):
+        """``_central_violation`` of the claimed Z(L), cached per loop: the least (c, y, z)
+        at which a greedy generator c of ``central_mask()`` is not central and nuclear,
+        or None.  Both the inner-map certificate and M(L)'s chain rest on it."""
+        if self._central_check is None:
+            self._central_check = (_central_violation(self.table, self.central_mask()),)
+        return self._central_check[0]
+
     def inner_identity_violation(self):
         """Least (x, y, z) with I[x, y, z] != z * (z, y, x), or None; but first the
-        least (c, y, z) at which ``_central_violation`` finds the claimed Z wrong.
+        least (c, y, z) at which ``central_violation`` finds the claimed Z wrong.
 
         In a CML L(x, y) sends z to z(z, y, x); this scan, cached per loop, certifies
         A_q and its cosets against inner-map rows built apart.  It reads reps^3 by the
@@ -274,7 +349,7 @@ class CayleyLoop:
                 zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0) + zoff
                 return ldiv.take(inner) != flat.take(zyx)
 
-            self._inner_check = (_central_violation(t, self.central_mask())
+            self._inner_check = (self.central_violation()
                                  or _least_violations(t, (bad,), reps)[0],)
         return self._inner_check[0]
 

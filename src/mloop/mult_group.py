@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCommutative, NotNormal, NotSubgroup
-from .loop_core import CayleyLoop, _central_violation, _cosets, quotient
+from .loop_core import CayleyLoop, _cosets, quotient
 from .perm_group import (
     PermGroup,
     Permutation,
@@ -49,7 +49,7 @@ def multiplication_group(loop):
             f"{loop.name} is not commutative; only L-translations are generated here"
         )
     n, t, ld = loop.n, loop.table, loop.ldiv_table()
-    bad = _central_violation(t, loop.central_mask())
+    bad = loop.central_violation()
     if bad is not None:
         raise AssertionError(f"Z(L) is not central and nuclear at (c, y, z) = {bad}")
     # L(xy)^-1 L(x) L(y), in (x, y) order: row y of block x maps z to ldiv[xy, x(yz)].

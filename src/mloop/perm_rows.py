@@ -4,8 +4,9 @@ A permutation of degree n is the row of its n point images, and k of them
 form a (k, n) array.  The product p * q (q applied first) is the gather
 p[q].  Gathers run in row blocks of at most GATHER_BLOCK entries.  A loop
 table's row x is L_x, and the table scans run y-row blocks of 1, 2, 4, ...
-rows up to that cap outer, each cast to intp once (``cast_blocks``), and x
-inner, each product a ``take``; an x dropped at its first failing row costs few.
+rows up to that cap, each cast to intp once (``cast_blocks``), each product
+a ``take``.  The triple scans run the blocks outer and x inner; the centre's
+full scan of one x runs them in turn and stops at its first failing block.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import _first_index
+from .loop_core import _close, _first_index
 
 LATTICE_GUARD_DEFAULT = 128
 
@@ -124,27 +124,6 @@ def coerce_subloop(loop, value):
 
 
 # -- closure -----------------------------------------------------------------
-
-
-def _close(table, base_mask, new_mask, stop=None):
-    """Product-closure of base_mask | new_mask, assuming base_mask is closed.
-
-    With an index array ``stop``, returns early, possibly before closing,
-    as soon as the mask holds one of those indices.
-    """
-    known = base_mask | new_mask
-    frontier = (new_mask & ~base_mask).nonzero()[0]
-    while frontier.size:
-        if stop is not None and known[stop].any():
-            break
-        kidx = known.nonzero()[0]
-        hit = np.zeros(known.shape[0], dtype=bool)
-        hit[table[frontier[:, None], kidx]] = True
-        hit[table[kidx[:, None], frontier]] = True
-        hit &= ~known
-        known |= hit
-        frontier = hit.nonzero()[0]
-    return known
 
 
 def generate_subloop(loop, indices):

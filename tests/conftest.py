@@ -393,6 +393,25 @@ def naive_center(loop):
                     and t[t[y][z]][x] == t[y][t[z][x]] for y in r for z in r)]
 
 
+def scan_central_mask(loop):
+    """Mask of Z(L) by the per-x block scan: growing y-blocks outer, every x that
+    commutes and has passed the earlier blocks inner, each tested on
+    (xy)z = x(yz) and, unless the table is commutative, x(yz) = y(xz).
+
+    A route that reads no generators and no span: every central x is checked on
+    all n^2 pairs (y, z).
+    """
+    t = loop.table
+    central = (t == t.T).all(axis=1)
+    commutative = central.all()
+    for rows, t_rows in cast_blocks(t):
+        for x in central.nonzero()[0]:
+            xyz = t[x].take(t_rows)
+            central[x] = np.array_equal(t.take(t[x, rows], axis=0), xyz) and (
+                commutative or np.array_equal(xyz, t_rows.take(t[x], axis=1)))
+    return central
+
+
 def naive_associators(loop):
     """{(a, b, c): k} with (a(bc)) k = (ab)c, read off inverted rows {u k: k} of the table."""
     t = loop.table.tolist()

@@ -19,9 +19,10 @@ from conftest import (
     naive_associators,
     naive_center,
     naive_violations,
+    scan_central_mask,
     swapped_cyclic,
 )
-from mloop import perm_rows
+from mloop import loop_core, perm_rows
 from mloop.loop_core import (
     CayleyLoop,
     diagnose,
@@ -188,6 +189,76 @@ def test_central_mask_matches_full_associator_tensor(monkeypatch, block):
         t = loop.table
         want = (t == t.T).all(axis=1) & ~associator_tensor(loop).any(axis=(1, 2))
         assert np.array_equal(loop.central_mask(), want), loop.name
+
+
+def centre_scan_loops():
+    """The scan tests' loops, z81 times Z2, Z3, Z3 x Z3 and Z12, the abelian 3^6
+    (|Z| = n = 729) and the non-commutative swapped16, swapped24 and swapped48."""
+    z81 = gen_zassenhaus81()
+    scan_loops = [CayleyLoop(S3_TABLE, name="sym3"), CayleyLoop(NONCML6, name="noncml6"), z81,
+                  gen_abelian((2, 3))] + coset_law_loops()
+    products = [direct_product(z81, gen_abelian(moduli)) for moduli in ((2,), (3,), (3, 3), (12,))]
+    swapped = [swapped_cyclic(16, 2, 5), swapped_cyclic(24, 10, 24), swapped_cyclic(48, 20, 48),
+               swapped_cyclic(48, 4, 2)]
+    return scan_loops + products + [gen_abelian((3,) * 6)] + swapped
+
+
+def test_central_mask_matches_the_per_x_scan(monkeypatch):
+    """The pre-filter on L's greedy generators and the walk over the span of
+    Z's generators give the mask of the per-x block scan, over one and many
+    y-blocks."""
+    for loop in centre_scan_loops():
+        want = scan_central_mask(loop)
+        for block in BLOCKS:
+            monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+            got = CayleyLoop(loop.table, name=loop.name).central_mask()
+            assert np.array_equal(got, want), (loop.name, block)
+        monkeypatch.undo()  # the reference scans at the default blocks
+
+
+def count_full_scans(monkeypatch):
+    """Record each ``_central_scan`` of ``central_mask`` as (x, passed)."""
+    scans, real = [], loop_core._central_scan
+
+    def counted(table, x, commutative):
+        scans.append((int(x), real(table, x, commutative)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(loop_core, "_central_scan", counted)
+    return scans
+
+
+@pytest.mark.parametrize("make, generators", [
+    (lambda: direct_product(gen_zassenhaus81(), gen_abelian((3, 3))), [1, 3, 9]),
+    (lambda: gen_abelian((3,) * 6), [1, 3, 9, 27, 81, 243]),
+], ids=["z81xZ3xZ3", "abelian3^6"])
+def test_full_scans_run_once_per_greedy_generator_of_the_centre(monkeypatch, make, generators):
+    """On z81 x Z3 x Z3 (|Z| = 27) and the abelian 3^6 (|Z| = 729) no
+    non-central x survives the pre-filter, and only the greedy generators
+    of Z run the n^2 scan; every other central x lies in their span."""
+    loop = make()
+    scans = count_full_scans(monkeypatch)
+    central = loop.central_mask()
+    assert scans == [(g, True) for g in generators]
+    assert int(central.sum()) == 3 ** len(generators)
+
+
+@pytest.mark.parametrize("make, passed, failed, centre", [
+    (lambda: swapped_cyclic(48, 4, 2), [24], 30, (0, 24)),
+    (lambda: swapped_cyclic(16, 2, 5), [8], 0, (0, 8)),
+], ids=["swapped48", "swapped16"])
+def test_survivors_outside_the_centre_fall_back_to_the_full_scan(monkeypatch, make, passed,
+                                                                 failed, centre):
+    """Both loops are generated by 1.  In swapped_cyclic(48, 4, 2), 30 non-central
+    x pass the pre-filter at y = 1, and each fails its own scan.  In swapped16,
+    4 and 12 commute and have (x1)z = x(1z), but the pre-filter's second law,
+    x(1z) = 1(xz), drops them, so only Z's generator 8 is scanned."""
+    loop = make()
+    assert list(loop_core._greedy_generators(loop.table)) == [1]
+    scans = count_full_scans(monkeypatch)
+    assert tuple(np.flatnonzero(loop.central_mask())) == centre
+    assert [x for x, ok in scans if ok] == passed
+    assert sum(not ok for _, ok in scans) == failed
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64, 100, perm_rows.GATHER_BLOCK])

@@ -10,7 +10,7 @@ from conftest import (
     run_cli,
 )
 
-from mloop import cli
+from mloop import cli, loop_core
 from mloop import perm_group as pg
 from mloop import perm_rows
 from mloop import structure as st
@@ -230,6 +230,25 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     assert cli.main(["invariants", "--gen", "zassenhaus81"]) == 0
     assert "derived_order:       3" in capsys.readouterr().out
     assert counts == dict.fromkeys(counts, 1)
+
+
+def test_all_checks_each_centre_once(monkeypatch):
+    """M(L)'s build and the inner-map certificate read one cached verdict of
+    ``_central_violation`` per loop: z81's centre is checked once, and so is
+    that of each quotient lemma1 builds."""
+    tables, real = [], loop_core._central_violation
+
+    def counted(table, central):
+        tables.append(table)
+        return real(table, central)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "mloop" and vars(mod).get("_central_violation") is real:
+            monkeypatch.setattr(mod, "_central_violation", counted)
+    loop = gen_zassenhaus81()
+    run_suite(loop, "all")
+    assert sum(table is loop.table for table in tables) == 1
+    assert len({id(table) for table in tables}) == len(tables)
 
 
 def test_series_leaves_the_certificate_unbuilt():
