@@ -29,7 +29,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .perm_rows import cast_blocks
+from .perm_rows import blocks, cast_blocks
 
 MAX_ORDER_DEFAULT = 1024
 
@@ -49,21 +49,22 @@ def _first_index(bad):
 
 
 def _least_violations(table, laws, reps):
-    """Per law, the least (x, y, z) in reps^3 with law(x, ys, yz)[j, k], or None.
+    """Per law, the least (x, y, z) in reps^3 with law(xs, ys, yz)[i, j, k], or None.
 
-    ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp.
-    Once a y-block finds a law failing at x*, later blocks test it only at x < x*.
+    ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp, xs a block
+    of at most GATHER_BLOCK // yz.size reps; a law failing at x* is then read only at x < x*.
     """
     found, bound = [None] * len(laws), [len(reps)] * len(laws)
     for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
         ys = reps[rows]
-        for a in range(max(bound)):
+        for xb in blocks(max(bound), yz.size):
             for i, law in enumerate(laws):
-                if a < bound[i]:
-                    bad = law(reps[a], ys, yz)
+                xs = reps[xb.start:min(xb.stop, bound[i])]
+                if xs.size:
+                    bad = law(xs, ys, yz)
                     if bad.any():
-                        b, c = _first_index(bad)
-                        found[i], bound[i] = (int(reps[a]), int(ys[b]), int(reps[c])), a
+                        a, b, c = _first_index(bad)
+                        found[i], bound[i] = (int(xs[a]), int(ys[b]), int(reps[c])), xb.start + a
     return found
 
 
@@ -343,10 +344,10 @@ class CayleyLoop:
             reps, proj = self.central_cosets()
             assoc, zoff = self.associator_table(), reps.astype(np.intp) * n
 
-            def bad(x, ys, yz):
-                # flat indices of I[x, y, z] = ldiv[x y, x (y z)] and z * A_q[z', y', x'] at [y, z]
-                inner = t[x].astype(np.intp).take(yz) + t[x, ys].astype(np.intp)[:, None] * n
-                zyx = assoc[:, :, proj[x]].T.take(proj[ys], axis=0) + zoff
+            def bad(xs, ys, yz):
+                # flat indices of I[x, y, z] = ldiv[xy, x(yz)] and z * A_q[z', y', x'], at [x, y, z]
+                inner = t[xs].take(yz, axis=1) + t[xs][:, ys].astype(np.intp)[:, :, None] * n
+                zyx = assoc[:, :, proj[xs]].T.take(proj[ys], axis=1) + zoff
                 return ldiv.take(inner) != flat.take(zyx)
 
             self._inner_check = (self.central_violation()
@@ -473,13 +474,14 @@ def diagnose(loop_or_table):
         t = _raw_table(loop_or_table)
         reps = np.arange(len(t))
     is_commutative = bool(np.array_equal(t, t.T))
-    tz = t[:, reps]  # [x, c] = x r_c
+    tz, flat = t.take(reps, axis=1), t.ravel()  # tz[x, c] = x r_c, C-ordered for take
 
-    def non_associative(x, ys, yz):  # (xy)z vs x(yz)
-        return tz.take(t[x, ys], axis=0) != t[x].take(yz)
+    def non_associative(xs, ys, yz):  # (xy)z vs x(yz)
+        return tz.take(t[xs][:, ys], axis=0) != t[xs].take(yz, axis=1)
 
-    def non_moufang(x, ys, yz):  # x^2 (yz) vs (xy)(xz)
-        return t[t[x, x]].take(yz) != t.take(t[x, ys], axis=0).take(tz[x], axis=1)
+    def non_moufang(xs, ys, yz):  # x^2 (yz) vs (xy)(xz), the latter read flat
+        xy_xz = t[xs][:, ys].astype(np.intp)[:, :, None] * len(t) + tz[xs][:, None]
+        return t[t[xs, xs]].take(yz, axis=1) != flat.take(xy_xz)
 
     first_assoc, first_cml = _least_violations(t, (non_associative, non_moufang), reps)
     return LoopDiagnostics(

@@ -16,14 +16,13 @@ where that distinction shows up on concrete loops.
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from .errors import ChainStalled, OracleDisagreement
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
+    _coset_subloop,
     _join_elements,
     _normality_matrix,
     _require_cml,
@@ -54,40 +53,30 @@ class NormalizerTrace:
         }
 
 
-def _cosets_of(kpos, sel, count):
-    """Mask of the ``count`` cosets meeting K that hold a member of K picked by ``sel``."""
-    out = np.zeros(count, dtype=bool)
-    out[kpos[sel]] = True
-    return out
-
-
 def normalizer(loop, k, h):
     """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
 
-    Both stages read H's normality matrix C over the cosets of Z(L) that meet
+    Both stages read H's normality matrix C over the c cosets of Z(L) that meet
     K (structure._normality_matrix).  (h, y, x) is constant on those cosets,
-    so each stage is the set of members of K in a set of cosets: with D seeded
-    by the cosets meeting H, P = {b : C[D, b] all true} and D = {a : C[a, P]
-    all true}, and kpos maps each stage back to K's members.
+    so each stage is a selection of them: with D seeded by the cosets meeting H,
+    P = {b : C[D, b] all true} and D = {a : C[a, P] all true}, until the pair
+    of selections repeats.  Only the trace maps the stages to K's members, and
+    structure._coset_subloop proves the last D a subloop on L/Z(L) when Z(L) <= K.
     """
-    h, k, kpos, pairs = _normality_matrix(loop, h, k)
-    km = np.array(k.members, dtype=np.int64)
-    p_stages: List[Tuple[int, ...]] = []
-    d_stages: List[Tuple[int, ...]] = []
-    d_sel, cap = _cosets_of(kpos, h.mask()[km], len(pairs)), k.size + 2
+    h, k, _, pairs = _normality_matrix(loop, h, k)
+    stages, d_sel, cap = [], k._cosets_meeting(h.mask()), k.size + 2
     for _ in range(cap):
         p_sel = pairs[d_sel].all(axis=0)
         d_sel = pairs[:, p_sel].all(axis=1)
-        p_stages.append(tuple(km[p_sel[kpos]].tolist()))
-        d_stages.append(tuple(km[d_sel[kpos]].tolist()))
-        if len(p_stages) >= 2 and p_stages[-1] == p_stages[-2] and d_stages[-1] == d_stages[-2]:
+        stages.append((p_sel, d_sel))
+        if len(stages) >= 2 and all((a == b).all() for a, b in zip(*stages[-2:])):
             break
     else:
         raise ChainStalled(f"P/D alternation exceeded {cap} rounds for H of order {h.size}")
     if not pairs[d_sel][:, d_sel].all():
         raise AssertionError("H must be normal in the stabilized D-set")
-    return NormalizerTrace(p_stages=tuple(p_stages), d_stages=tuple(d_stages),
-                           result=Subloop(loop, d_stages[-1]), iterations=len(p_stages))
+    p_stages, d_stages = (tuple(map(k._coset_members, sels)) for sels in zip(*stages))
+    return NormalizerTrace(p_stages, d_stages, _coset_subloop(loop, k, d_sel), len(stages))
 
 
 def _may_join(pairs, sel):
@@ -107,12 +96,11 @@ def maximality_gaps(loop, k, h, trace):
     normalizer.  <H, x> is built only for x that pass _may_join.
     """
     h, k, kpos, pairs = _normality_matrix(loop, h, k)
-    inside_k, count = k.mask(), len(pairs)
-    may = _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))[kpos]
+    may = _may_join(pairs, k._cosets_meeting(h.mask()))[kpos]
     gaps = []
     for x, ok in zip(k.members, may.tolist()):
         if ok and x not in trace.result:
-            sel = _cosets_of(kpos, _join_elements(loop, h.mask(), [x]).mask()[inside_k], count)
+            sel = k._cosets_meeting(_join_elements(loop, h.mask(), [x]).mask())
             if pairs[sel][:, sel].all():
                 gaps.append(int(x))
     return gaps
@@ -130,8 +118,8 @@ def normalizer_oracle(loop, k, h):
     iff C holds on the cosets it meets.
     """
     h, k, kpos, pairs = _normality_matrix(loop, h, k)
-    inside_k, count, coset_of = k.mask(), len(pairs), dict(zip(k.members, kpos.tolist()))
-    may_h = _may_join(pairs, _cosets_of(kpos, h.mask()[inside_k], count))
+    coset_of = dict(zip(k.members, kpos.tolist()))
+    may_h = _may_join(pairs, k._cosets_meeting(h.mask()))
     outcome = None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
@@ -145,7 +133,7 @@ def normalizer_oracle(loop, k, h):
                 if x in s.elements or not may[coset_of[x]]:
                     continue
                 grown = join(s, generate_subloop(loop, [x]))
-                sel = _cosets_of(kpos, grown.mask()[inside_k], count)
+                sel = k._cosets_meeting(grown.mask())
                 if pairs[sel][:, sel].all():
                     s, may = grown, _may_join(pairs, sel)
                     changed = True

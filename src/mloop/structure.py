@@ -42,10 +42,10 @@ class Subloop:
     Finite product-closure forces identity and inverse closure, but the
     constructor checks all three anyway, save closure on the whole loop, which
     its Latin table gives, and raises NotASubloop with the first offending pair.
+    Only ``_proved``, for a set whose closure its caller has proved, skips them.
     """
 
     def __init__(self, parent, elements):
-        self.parent = parent
         elems = sorted({int(e) for e in elements})
         if not elems:
             raise NotASubloop("a subloop cannot be empty")
@@ -63,10 +63,40 @@ class Subloop:
                 raise NotASubloop(f"not closed: {elems[i]} * {elems[j]} = {int(prods[i, j])} escapes")
             if not inside[np.asarray(parent.inverse_array(), dtype=np.int64)[members]].all():
                 raise NotASubloop("not closed under inverses")
-        self.elements = frozenset(elems)
-        self.members = tuple(elems)
-        self._mask = inside
-        self._mask.setflags(write=False)
+        self._fill(parent, tuple(elems), inside)
+
+    @classmethod
+    def _proved(cls, parent, members, mask):
+        """A subloop whose closure the caller has proved, built without re-validation."""
+        return cls.__new__(cls)._fill(parent, members, mask)
+
+    def _fill(self, parent, members, mask):
+        self.parent, self.members, self.elements = parent, members, frozenset(members)
+        self._mask, self._cosets, self._picked = mask, None, {}
+        mask.setflags(write=False)
+        return self
+
+    def _coset_index(self):
+        """(cosets, kpos), computed once: the sorted cosets of Z(L) meeting S, and kpos[j]
+        the index in cosets of members[j]'s coset; (arange(m), proj) on the whole loop."""
+        if self._cosets is None:
+            reps, proj = self.parent.central_cosets()
+            self._cosets = ((np.arange(len(reps)), proj) if self.is_full
+                            else np.unique(proj[self._mask], return_inverse=True))
+        return self._cosets
+
+    def _cosets_meeting(self, mask):
+        """Mask over the cosets of ``_coset_index()`` of those meeting the element mask."""
+        reps, proj = self.parent.central_cosets()
+        return np.bincount(proj[mask], minlength=len(reps))[self._coset_index()[0]] > 0
+
+    def _coset_members(self, sel):
+        """Members of S in the cosets that ``sel`` picks from ``_coset_index()``'s, memoized."""
+        key = sel.tobytes()
+        if key not in self._picked:
+            kept = sel[self._coset_index()[1]].tolist()
+            self._picked[key] = tuple(x for x, keep in zip(self.members, kept) if keep)
+        return self._picked[key]
 
     @property
     def size(self):
@@ -107,7 +137,7 @@ class Subloop:
 
 
 def full_subloop(loop):
-    return Subloop(loop, range(loop.n))
+    return Subloop._proved(loop, tuple(range(loop.n)), np.ones(loop.n, dtype=bool))
 
 
 def trivial_subloop(loop):
@@ -160,32 +190,31 @@ def _powers(loop, k):
 
 
 def _stay_rows(loop, h, k):
-    """The normality kernel: (H, K, kpos, hs, S).  Associators are constant on the
-    cosets of Z(L), so S is one (f, c, c) gather: S[i, b, c] iff (hs[i], r_b, r_c)
-    stays inside H, over the cosets r_b, r_c meeting K, where hs lists the least
-    member of H in each coset it meets; kpos[j] is the index of k_j's coset.  H is
-    normal in K iff S is all true (CML only), so one false S[:, b, c] with b, c
-    meeting some T <= K proves H is not normal in T.
+    """The normality kernel: (H, K, kpos, S).  Associators are constant on the cosets
+    of Z(L), so S is one (f, c, c) gather: S[i, b, c] iff (r_a, r_b, r_c) stays inside
+    H, over the f cosets a meeting H, ascending, and the c cosets b, c of K's cached
+    ``_coset_index`` (cosets, kpos).  H is normal in K iff S is all true (CML only), so
+    one false S[:, b, c] with b, c meeting some T <= K proves H is not normal in T.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
     h = coerce_subloop(loop, h)
-    if not h.elements <= k.elements:
+    if (h.mask() & ~k.mask()).any():
         raise NotNested(f"H (order {h.size}) is not contained in K (order {k.size})")
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
-    assoc, proj = loop.associator_table(), loop.central_cosets()[1]
-    cosets, kpos = np.unique(proj[list(k.members)], return_inverse=True)
-    members = np.array(h.members, dtype=np.int64)
-    hs = members[np.sort(np.unique(proj[members], return_index=True)[1])]
-    return h, k, kpos, hs, h.mask()[assoc[np.ix_(proj[hs], cosets, cosets)]]
+    cosets, kpos = k._coset_index()
+    rows = loop.associator_table()[cosets[k._cosets_meeting(h.mask())]]
+    if not k.is_full:
+        rows = rows.take(cosets, axis=1).take(cosets, axis=2)
+    return h, k, kpos, h.mask().take(rows)
 
 
 def _normality_matrix(loop, h, k):
     """(H, K, kpos, C), C[b, c] iff (h, r_b, r_c) stays inside H for every h in H,
     over the cosets r_b, r_c meeting K; k_j lies in coset kpos[j]."""
-    h, k, kpos, _, stays = _stay_rows(loop, h, k)
+    h, k, kpos, stays = _stay_rows(loop, h, k)
     return h, k, kpos, stays.all(axis=0)
 
 
@@ -194,17 +223,38 @@ def is_normal(loop, h, k=None):
 
     Certified per loop to agree with invariance under the inner maps of K.
     """
-    return bool(_stay_rows(loop, h, k)[4].all())
+    return bool(_stay_rows(loop, h, k)[3].all())
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h, k, kpos, hs, stays = _stay_rows(loop, h, k)
-    failing = (~stays.all(axis=(1, 2))).nonzero()[0]
-    if not failing.size:
+    h, k, kpos, stays = _stay_rows(loop, h, k)
+    failing = ~stays.all(axis=(1, 2))
+    if not failing.any():
         return None
-    j, l = _first_index(~stays[failing[0]][np.ix_(kpos, kpos)])
-    return (int(hs[failing[0]]), k.members[j], k.members[l])
+    members = np.array(h.members, dtype=np.int64)
+    hs = members[np.unique(loop.central_cosets()[1][members], return_index=True)[1]]
+    i = np.flatnonzero(failing)[np.argmin(hs[failing])]
+    j, l = _first_index(~stays[i][np.ix_(kpos, kpos)])
+    return (int(hs[i]), k.members[j], k.members[l])
+
+
+def _coset_subloop(loop, k, sel):
+    """The subloop of K's members in the cosets of Z(L) that the mask ``sel`` picks
+    out of K's.  When Z(L) <= K these are whole cosets, and since Z(L) is central
+    and nuclear, (xc)(yc') = (xy)cc', so their union is closed iff sel holds the
+    identity coset and is closed under L/Z(L)'s product: m^2 reads, not |D|^2.
+    Otherwise the members are validated as any Subloop.
+    """
+    cosets, members = k._coset_index()[0], k._coset_members(sel)
+    reps, proj = loop.central_cosets()
+    if k.size != len(cosets) * (loop.n // len(reps)):
+        return Subloop(loop, members)
+    ids, r = cosets[sel], reps[cosets[sel]]
+    picked = np.bincount(ids, minlength=len(reps)) > 0
+    if not (picked[0] and picked.take(proj.take(loop.table.take(r, 0).take(r, 1))).all()):
+        raise AssertionError(f"the cosets {ids.tolist()} of Z(L) are not closed on L/Z(L)")
+    return Subloop._proved(loop, members, picked[proj])
 
 
 # -- the subloop lattice -----------------------------------------------------

@@ -382,6 +382,25 @@ def naive_violations(table):
     return assoc, moufang
 
 
+def per_x_least_violations(table, laws, reps):
+    """`loop_core._least_violations` with one law call per x per y-block: growing
+    y-blocks outer, x inner, and a law found failing at x* tested only at x < x*.
+
+    A route that cuts no x-blocks; each law reads the one-x slice it returns.
+    """
+    found, bound = [None] * len(laws), [len(reps)] * len(laws)
+    for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
+        ys = reps[rows]
+        for a in range(max(bound)):
+            for i, law in enumerate(laws):
+                if a < bound[i]:
+                    bad = law(reps[a:a + 1], ys, yz)[0]
+                    if bad.any():
+                        b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                        found[i], bound[i] = (int(reps[a]), int(ys[b]), int(reps[c])), a
+    return found
+
+
 def naive_center(loop):
     """Members of the centre: x commuting with every y and in all three nuclei,
     (xy)z = x(yz), (yx)z = y(xz) and (yz)x = y(zx) for all y, z."""

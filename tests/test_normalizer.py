@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -16,7 +17,6 @@ from conftest import (
 from mloop.errors import NotCML, NotNested, OracleDisagreement
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.normalizer import (
-    _cosets_of,
     _may_join,
     ascending_subnormal_system,
     maximality_gaps,
@@ -26,6 +26,7 @@ from mloop.normalizer import (
     normalizer_oracle,
 )
 from mloop.structure import (
+    _coset_subloop,
     _normality_matrix,
     all_subloops,
     center,
@@ -78,6 +79,45 @@ def test_coset_fixpoint_matches_element_fixpoint(name):
     assert partial >= 20 and escaping == 156
 
 
+def test_coset_fixpoint_matches_element_fixpoint_at_order_243():
+    """On all 1,853 proper H of z81 x Z3 with K = L, the coset stages and the
+    result proved closed on L/Z(L) give the element route's traces, whose
+    result is a validated Subloop."""
+    loop = direct_product(gen_zassenhaus81(), gen_abelian((3,)))
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    whole = lattice[-1]
+    for h in lattice[:-1]:
+        assert normalizer(loop, whole, h) == element_fixpoint(loop, None, h), h.members
+    assert len(lattice) == 1854
+
+
+def test_certificate_rejects_cosets_not_closed_on_the_quotient(z81):
+    """Z(z81) = {0, 1, 2} plus the coset of 27 is not closed (27 * 27 = 54 lies in
+    a third coset), and the certificate raises; Z plus the cosets of 27 and 54
+    is the subloop <1, 27> of order 9.  K = L, so sel runs over all 27 cosets."""
+    whole = full_subloop(z81)
+    with pytest.raises(AssertionError, match="not closed on L/Z"):
+        _coset_subloop(z81, whole, whole._cosets_meeting(np.isin(np.arange(81), [0, 27])))
+    closed = whole._cosets_meeting(generate_subloop(z81, [1, 27]).mask())
+    assert _coset_subloop(z81, whole, closed) == generate_subloop(z81, [1, 27])
+
+
+def test_certificate_survives_optimize():
+    """Under python -O the certificate still raises on Z plus one non-central coset."""
+    script = "\n".join([
+        "import numpy as np",
+        "from mloop.loop_core import gen_zassenhaus81",
+        "from mloop.structure import _coset_subloop, full_subloop",
+        "whole = full_subloop(gen_zassenhaus81())",
+        "sel = whole._cosets_meeting(np.isin(np.arange(81), [0, 27]))",
+        "_coset_subloop(whole.parent, whole, sel)",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=MLOOP_SOURCE_ROOT))
+    assert proc.returncode == 1
+    assert "AssertionError: the cosets [0, 9] of Z(L) are not closed on L/Z(L)" in proc.stderr
+
+
 def _oracle_outcome(oracle, loop, k, h, **kwargs):
     try:
         return oracle(loop, k, h, **kwargs).members
@@ -111,7 +151,7 @@ def test_pretest_rejects_only_non_normal_joins(name):
     rejected = 0
     for h in all_subloops(loop, lattice_guard=loop.n)[:-1]:
         h, k, kpos, pairs = _normality_matrix(loop, h, None)
-        may, normal_in = _may_join(pairs, _cosets_of(kpos, h.mask(), len(pairs)))[kpos], {}
+        may, normal_in = _may_join(pairs, k._cosets_meeting(h.mask()))[kpos], {}
         for x in range(loop.n):
             if x not in h and not may[x]:
                 c = cyclic[x]  # <H, x> = <H> v <x> depends on x only through <x>
@@ -217,6 +257,8 @@ def test_normalizer_condition(z81, e27):
 def test_input_validation(z81, noncml6):
     with pytest.raises(NotNested):
         normalizer(z81, generate_subloop(z81, [27]), generate_subloop(z81, [3, 9]))
+    with pytest.raises(NotNested):
+        is_normal(z81, generate_subloop(z81, [3, 9]), generate_subloop(z81, [27]))
     with pytest.raises(NotCML):
         normalizer(noncml6, None, [0])
 

@@ -19,6 +19,7 @@ from conftest import (
     naive_associators,
     naive_center,
     naive_violations,
+    per_x_least_violations,
     scan_central_mask,
     swapped_cyclic,
 )
@@ -177,6 +178,28 @@ def test_diagnose_on_cosets_matches_raw_table(monkeypatch, block):
             non_moufang[loop.name] = d.first_violation
     assert non_moufang == {"noncml6xabelian:3": (6, 0, 12), "abelian:3xnoncml6": (2, 0, 4),
                            "abelian:2xnoncml6": (2, 0, 4)}
+
+
+# 8 * 27: y-blocks of up to 8 rows over m = 27 cosets, so the x's of each y-block
+# are cut into blocks of 8 // rows (8, 4, 2 and 1 x's)
+@pytest.mark.parametrize("block", BLOCKS + [8 * 27])
+def test_x_blocked_scans_match_the_per_x_route(monkeypatch, block):
+    """diagnose's two laws and the inner-map certificate, read on blocks of x's,
+    give the least triples of the per-x route: on raw tables, on the coset-law
+    loops, on the expansion cases and on z81 with wrong cells in A_q."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+
+    def scans():
+        loops = coset_law_loops() + [case() for case in EXPANSION_CASES.values()]
+        loops.append(three_wrong_cells())
+        return ([diagnose(t) for t in raw_tables()] + [diagnose(loop) for loop in loops],
+                [loop.inner_identity_violation() for loop in loops])
+
+    diagnosed, certified = scans()
+    monkeypatch.setattr(loop_core, "_least_violations", per_x_least_violations)
+    assert scans() == (diagnosed, certified)
+    assert sum(d.first_violation is not None for d in diagnosed) == 63
+    assert sum(v is not None for v in certified) == 11
 
 
 @pytest.mark.parametrize("block", BLOCKS)
