@@ -470,9 +470,11 @@ def diagnose(loop_or_table):
     """
     if isinstance(loop_or_table, CayleyLoop):
         t, reps = loop_or_table.table, loop_or_table.central_cosets()[0]
+        is_latin = has_identity = True  # proved by the constructor
     else:
         t = _raw_table(loop_or_table)
         reps = np.arange(len(t))
+        is_latin, has_identity = _latin_violation(t) is None, _has_identity(t)
     is_commutative = bool(np.array_equal(t, t.T))
     tz, flat = t.take(reps, axis=1), t.ravel()  # tz[x, c] = x r_c, C-ordered for take
 
@@ -485,8 +487,8 @@ def diagnose(loop_or_table):
 
     first_assoc, first_cml = _least_violations(t, (non_associative, non_moufang), reps)
     return LoopDiagnostics(
-        is_latin=_latin_violation(t) is None,
-        has_identity=_has_identity(t),
+        is_latin=is_latin,
+        has_identity=has_identity,
         is_commutative=is_commutative,
         is_cml=is_commutative and first_cml is None,
         is_associative=first_assoc is None,

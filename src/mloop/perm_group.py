@@ -21,6 +21,10 @@ randomization anywhere.
 Subgroups of an enumerated G are masks over its element order, a member's
 position read off its base point images alone; greedy generators close the
 mask one row at a time, and only a group a function returns gets a chain.
+A normalizer N(H) is the stabilizer of H in the conjugation action: H's
+orbit under the reduced generators is enumerated with O(|G|) memory, and
+each element is labelled with its conjugate of H down a breadth-first tree
+of G's Cayley graph, both built once per G.
 """
 
 from collections import namedtuple
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DegreeMismatch, NotNilpotent, NotSubgroup, OrderOverflow
 from .loop_core import CayleyLoop, _index_dtype
-from .perm_rows import blocks, compose, fresh, inverse, row_set
+from .perm_rows import blocks, compose, fresh, inverse, row_keys, row_set
 from .structure import _maximal_members, _meet, _prime_factors, all_subloops
 
 ELEMENT_GUARD_DEFAULT = 10**6
@@ -173,6 +177,7 @@ class PermGroup:
         self.base = [level.base for level in self.chain]
         self._elements = None
         self._reduced = None
+        self._conjugation = None
         self._derived = None
         self._derived_group = None
 
@@ -297,25 +302,6 @@ def group_from_generators(gens, degree=None):
     return PermGroup(degree, gens)
 
 
-def closure_elements(degree, gens):
-    """Brute-force closure enumeration, independent of the chain machinery."""
-    identity = Permutation.identity(degree)
-    found = {identity.images: identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q.images not in found:
-                    if len(found) >= ELEMENT_GUARD_DEFAULT:
-                        raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, len(found) + 1)
-                    found[q.images] = q
-                    nxt.append(q)
-        frontier = nxt
-    return list(found.values())
-
-
 # -- subgroups, as masks over the element index of G ------------------------
 
 
@@ -376,12 +362,52 @@ def _powers(G, p):
     return G._index(images)
 
 
+def _conjugation(G):
+    """(conj, levels), built once per G: conj[j, i] is the position of
+    s_j^-1 e_i s_j for the reduced generators s_j, and levels is a breadth-first
+    tree of the right Cayley graph, rounds of (points, parents, j) with
+    e_point = e_parent s_j, the first find of a point winning."""
+    if G._conjugation is None:
+        elements, gens = G.element_array(), _reduced_rows(G)
+        conj = np.empty((len(gens), G.order()), dtype=np.intp)
+        right = np.empty_like(conj)  # right[j, i]: the position of e_i s_j
+        for j, (s, s_inv) in enumerate(zip(gens, inverse(gens))):
+            images = elements[:, s[G.base]]  # e_i s_j at the base points
+            right[j], conj[j] = G._index(images), G._index(s_inv[images])
+        seen, frontier, levels = np.arange(G.order()) == 0, np.zeros(1, dtype=np.intp), []
+        while len(frontier):
+            points, first = np.unique(right[:, frontier], return_index=True)
+            new = ~seen[points]
+            seen[points[new]] = True
+            j, k = np.divmod(first[new], len(frontier))
+            levels.append((points[new], frontier[k], j))
+            frontier = points[new]
+        assert seen.all(), "the Cayley tree misses an element of G"
+        G._conjugation = conj, levels[:-1]  # the last round finds no new point
+    return G._conjugation
+
+
 def _normalizer_mask(G, mask):
-    """Mask of the g in G with g^-1 h g in the subgroup ``mask`` for each of its generators h."""
-    keep = np.ones(len(mask), dtype=bool)
-    for h in _generators(G, mask):
-        keep &= mask[G._index(_inverse_at(G, h[G.element_array()[:, G.base]]))]
-    return keep
+    """Mask of N(H) for the subgroup H = ``mask``: the stabilizer of H in the
+    conjugation action.  H's orbit, each conjugate keyed by its sorted member
+    positions, holds [G:N(H)] * |H| <= |G| positions; each g is labelled with
+    H^g down the Cayley tree, H^(e s_j) = (H^e)^(s_j)."""
+    conj, levels = _conjugation(G)
+    frontier = np.flatnonzero(mask)[None]
+    index = dict.fromkeys(row_keys(frontier), 0)
+    moves = []  # moves[o][j]: the orbit point of (H^g)^(s_j) for H^g the o-th point
+    while len(frontier):
+        images = np.sort(conj[:, frontier], axis=2).reshape(-1, frontier.shape[1])
+        known = len(index)
+        label = np.array([index.setdefault(key, len(index)) for key in row_keys(images)], dtype=np.intp)
+        moves.append(label.reshape(len(conj), len(frontier)).T)
+        points, first = np.unique(label, return_index=True)
+        frontier = images[first[points >= known]]
+    moves = np.concatenate(moves)
+    label = np.zeros(G.order(), dtype=np.intp)
+    for points, parents, j in levels:
+        label[points] = moves[label[parents], j]
+    return label == 0
 
 
 def _lifts(G, inside):

@@ -10,9 +10,10 @@ import pytest
 
 import mloop
 from mloop import loop_core, mult_group, structure
-from mloop.errors import NotNilpotent, NotSubgroup, OracleDisagreement
+from mloop import perm_group as pg
+from mloop.errors import NotNilpotent, NotSubgroup, OracleDisagreement, OrderOverflow
 from mloop.normalizer import ORACLE_SEEDS, NormalizerTrace
-from mloop.perm_group import PermGroup, _rows
+from mloop.perm_group import ELEMENT_GUARD_DEFAULT, PermGroup, Permutation, _rows
 from mloop.perm_rows import cast_blocks, compose, fresh, inverse
 
 # Directory holding the imported `mloop` package (`src/` in a checkout).
@@ -689,3 +690,31 @@ def naive_normalizer(G, H):
         idx = np.flatnonzero(keep)
         keep[idx] = H.contains_rows(compose(inverses[idx], compose(h[None], elements[idx])))
     return group_from_elements(G.degree, elements[keep])
+
+
+def conjugation_sweep_normalizer_mask(G, mask):
+    """Mask of the g in G with g^-1 h g in the subgroup ``mask`` for each of its
+    greedy generators h, every element of G conjugating each h."""
+    keep = np.ones(len(mask), dtype=bool)
+    for h in pg._generators(G, mask):
+        keep &= mask[G._index(pg._inverse_at(G, h[G.element_array()[:, G.base]]))]
+    return keep
+
+
+def closure_elements(degree, gens):
+    """Brute-force closure enumeration, independent of the chain machinery."""
+    identity = Permutation.identity(degree)
+    found = {identity.images: identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = g * p
+                if q.images not in found:
+                    if len(found) >= ELEMENT_GUARD_DEFAULT:
+                        raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, len(found) + 1)
+                    found[q.images] = q
+                    nxt.append(q)
+        frontier = nxt
+    return list(found.values())

@@ -68,14 +68,26 @@ def test_s3_diagnostics(s3_loop):
     assert d.first_violation == (1, 2, 0)
 
 
-def test_diagnose_accepts_raw_tables():
-    """Tables the validating constructor rejects can still be inspected."""
+def test_diagnose_accepts_raw_tables(z81):
+    """Tables the validating constructor rejects can still be inspected: a raw
+    table is scanned for both laws, while a CayleyLoop has them by construction."""
     shifted = (np.arange(3)[:, None] + np.arange(3)[None, :] + 1) % 3
     with pytest.raises(NoIdentity):
         CayleyLoop(shifted)
     d = diagnose(shifted)
     assert d.is_latin
     assert not d.has_identity
+    not_latin = np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    with pytest.raises(NotLatinSquare):
+        CayleyLoop(not_latin)
+    d = diagnose(not_latin)
+    assert not d.is_latin
+    assert d.has_identity
+    d = diagnose(np.array([[1, 0], [0, 0]]))
+    assert not d.is_latin and not d.has_identity
+    d = diagnose(z81)
+    assert d.is_latin and d.has_identity
+    assert d == diagnose(z81.table)
     # both share one raw-table validator: same rejections, same exception types
     bad_tables = [
         (np.zeros((2, 3), dtype=np.int64), BadDimension),

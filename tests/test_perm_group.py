@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    closure_elements,
+    conjugation_sweep_normalizer_mask,
     group_from_elements,
     naive_lifts,
     naive_normalizer,
@@ -26,7 +28,6 @@ from mloop.perm_group import (
     PermGroup,
     Permutation,
     center_of_group,
-    closure_elements,
     derived_subgroup,
     frattini_subgroup,
     frattini_subgroup_oracle,
@@ -39,6 +40,7 @@ from mloop.perm_group import (
     reduced_generators,
     upper_central_series_group,
 )
+from mloop.perm_rows import compose, inverse
 
 
 def s3():
@@ -359,7 +361,9 @@ def test_mask_layer_matches_sift_route_on_random_groups(data):
     sub = PermGroup(n, gens[:1])
     ours, theirs = normalizer_of_subgroup(group, sub), naive_normalizer(group, sub)
     assert ours.gen_array.tolist() == theirs.gen_array.tolist()
-    assert np.array_equal(pg._lifts(group, subgroup_mask(group, sub)), naive_lifts(group, sub))
+    mask = subgroup_mask(group, sub)
+    assert np.array_equal(pg._normalizer_mask(group, mask), conjugation_sweep_normalizer_mask(group, mask))
+    assert np.array_equal(pg._lifts(group, mask), naive_lifts(group, sub))
     assert_closures_match_sift_route(group, [sub.gen_array, np.array([p.images for p in gens])])
 
 
@@ -394,7 +398,9 @@ def test_mask_layer_matches_sift_route(make, count):
     for sub in subgroups:
         ours, theirs = normalizer_of_subgroup(G, sub), naive_normalizer(G, sub)
         assert ours.gen_array.tolist() == theirs.gen_array.tolist()
-        assert np.array_equal(pg._lifts(G, subgroup_mask(G, sub)), naive_lifts(G, sub))
+        mask = subgroup_mask(G, sub)
+        assert np.array_equal(pg._normalizer_mask(G, mask), conjugation_sweep_normalizer_mask(G, mask))
+        assert np.array_equal(pg._lifts(G, mask), naive_lifts(G, sub))
     ours, theirs = upper_central_series_group(G), naive_upper_central_series(G)
     assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
     naive_center = group_from_elements(G.degree, G.element_array()[naive_lifts(G, PermGroup(G.degree))])
@@ -426,6 +432,53 @@ def test_prop4_chains_match_sift_route(z81_bundle):
         [sorted(g.element_keys()) for g in c] for c in naive
     ]
     assert max(len(c) - 1 for c in chains) == 2
+
+
+@pytest.mark.parametrize("factors", [(), (2,), (3,)], ids=["z81", "z81xZ2", "z81xZ3"])
+def test_prop4_chain_normalizers_match_conjugation_sweep(factors):
+    """The orbit-stabilizer normalizer of every member of the 20 prop4 chains of
+    M(zassenhaus81), M(zassenhaus81 x Z2) and M(zassenhaus81 x Z3), against H's
+    greedy generators conjugated by every element, mask for mask."""
+    loop = direct_product(gen_zassenhaus81(), gen_abelian(factors)) if factors else gen_zassenhaus81()
+    m = multiplication_group(loop).M
+    chains = verify._group_chains(m, 6)
+    assert len(chains) == verify.GROUP_CHAIN_SAMPLES
+    for chain in chains:
+        for h in chain:
+            assert np.array_equal(pg._normalizer_mask(m, h), conjugation_sweep_normalizer_mask(m, h))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_normalizers_in_symmetric_groups_match_conjugation_sweep(n):
+    """Seeded random subgroups of the non-nilpotent S5, S6 and S7, whose
+    conjugation orbits outnumber the reduced generators; the Cayley tree spans
+    G with e_point = e_parent s_j, and conj[j] is conjugation by s_j."""
+    G = PermGroup(n, [perm_from_cycles(n, [tuple(range(n))]), perm_from_cycles(n, [(0, 1)])])
+    assert not is_nilpotent_group(G)
+    elements, gens = G.element_array(), pg._reduced_rows(G)
+    conj, levels = pg._conjugation(G)
+    assert np.array_equal(conj, [G._index(compose(inverse(s[None]), elements[:, s])[:, G.base]) for s in gens])
+    assert sorted(np.concatenate([[0]] + [points for points, _, _ in levels])) == list(range(G.order()))
+    for points, parents, j in levels:
+        assert np.array_equal(elements[points], compose(elements[parents], gens[j]))
+    rng = np.random.default_rng(n)
+    orbits = []
+    for _ in range(40):
+        h = pg._close(G, np.arange(G.order()) == 0, elements[rng.integers(0, G.order(), rng.integers(1, 3))])
+        mask = pg._normalizer_mask(G, h)
+        assert np.array_equal(mask, conjugation_sweep_normalizer_mask(G, h))
+        orbits.append(G.order() // int(mask.sum()))
+    assert max(orbits) > len(gens)
+
+
+@pytest.mark.parametrize("degree,gens", [(1, [Permutation([0])]), (4, [])], ids=["degree1", "identity4"])
+def test_conjugation_of_the_trivial_group(degree, gens):
+    """No reduced generators: conj is (0, 1) and the Cayley tree is its root alone."""
+    G = PermGroup(degree, gens)
+    conj, levels = pg._conjugation(G)
+    assert conj.shape == (0, 1) and levels == []
+    assert pg._normalizer_mask(G, np.ones(1, dtype=bool)).tolist() == [True]
+    assert normalizer_of_subgroup(G, G).order() == 1
 
 
 @pytest.fixture(scope="module")
