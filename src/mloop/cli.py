@@ -133,9 +133,9 @@ def cmd_invariants(args):
         "frattini_order": ctx.frattini.size,
         "mult_group_order": ctx.bundle.M.order(),
         "inner_group_order": ctx.bundle.I.order(),
-        "mult_center_order": ctx.m_center.order(),
-        "mult_derived_order": ctx.m_derived.order(),
-        "mult_frattini_order": ctx.m_frattini.order(),
+        "mult_center_order": int(ctx.m_center.sum()),
+        "mult_derived_order": int(ctx.m_derived.sum()),
+        "mult_frattini_order": int(ctx.m_frattini.sum()),
     }
     _print_fields(loop, values)
     if args.json:

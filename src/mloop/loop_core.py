@@ -89,11 +89,10 @@ def _close(table, base_mask, new_mask, stop=None):
     return known
 
 
-def _greedy_generators(table):
-    """The greedy generators g_1 < g_2 < ... of the loop: g_{i+1} is the least
-    element outside the subloop <g_1 .. g_i>."""
+def _greedy_generators(table, span):
+    """The greedy generators g_1 < g_2 < ... of the loop over the closed mask
+    ``span``: g_{i+1} is the least element outside the subloop <span, g_1 .. g_i>."""
     ids = np.arange(len(table))
-    span = ids == 0
     while not span.all():
         g = int(np.argmin(span))
         yield g
@@ -262,7 +261,7 @@ class CayleyLoop:
             t = self.table
             central = (t == t.T).all(axis=1)
             commutative = central.all()
-            for g in _greedy_generators(t):
+            for g in _greedy_generators(t, np.arange(self.n) == 0):
                 row, col = t[g].astype(np.intp), t[:, g]
                 x_gz = t.take(row, axis=1)
                 central &= (t[col] == x_gz).all(axis=1)  # (xg)z vs x(gz)

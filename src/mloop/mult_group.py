@@ -13,14 +13,8 @@ import numpy as np
 
 from .errors import NotCommutative, NotNormal, NotSubgroup
 from .loop_core import CayleyLoop, _cosets, quotient
-from .perm_group import (
-    PermGroup,
-    Permutation,
-    _generators,
-    center_of_group,
-    derived_subgroup,
-    normal_closure,
-)
+from .perm_group import (PermGroup, Permutation, _derived, _generators, _normal_closure,
+                         center_of_group)
 from .perm_rows import compose, fresh, row_set
 from .reporting import verdict
 from .structure import (
@@ -61,16 +55,19 @@ def multiplication_group(loop):
     return MultGroupBundle(loop=loop, M=PermGroup(n, t, _stabilizer=I), I=I)
 
 
-def h_star(bundle, H):
-    """{alpha in M : alpha(x) H = x H for all x}, for H normal in the loop."""
+def _h_star(bundle, H):
+    """Mask over M's element order of H*, for H normal in the loop."""
     loop = bundle.loop
     H = coerce_subloop(loop, H)
     if not is_normal(loop, H):
         raise NotNormal(normality_witness(loop, H))
     proj = _cosets(loop.table, list(H.members))[1]
-    elements = bundle.M.element_array()
-    keep = (compose(proj[None], elements) == proj).all(axis=1)
-    return PermGroup(loop.n, _generators(bundle.M, keep))
+    return (compose(proj[None], bundle.M.element_array()) == proj).all(axis=1)
+
+
+def h_star(bundle, H):
+    """{alpha in M : alpha(x) H = x H for all x}, for H normal in the loop."""
+    return PermGroup(bundle.loop.n, _generators(bundle.M, _h_star(bundle, H)))
 
 
 def orbit_of_identity(bundle, N):
@@ -81,7 +78,7 @@ def orbit_of_identity(bundle, N):
     result = Subloop(loop, N.element_array()[:, 0])
     if not is_normal(loop, result):
         raise NotNormal(normality_witness(loop, result))
-    if not h_star(bundle, result).contains_rows(N.gen_array).all():
+    if not _h_star(bundle, result)[bundle.M._index(N.gen_array[:, bundle.M.base])].all():
         raise NotSubgroup("N does not stabilize the cosets of its identity orbit")
     return result
 
@@ -95,9 +92,9 @@ def verify_lemma1(bundle, H):
     H = coerce_subloop(loop, H)
     q, proj = quotient(loop, H)
     qbundle = multiplication_group(q)
-    star = h_star(bundle, H)
+    star = _h_star(bundle, H)
     m_order = bundle.M.order()
-    order_ok = qbundle.M.order() * star.order() == m_order
+    order_ok = qbundle.M.order() * int(star.sum()) == m_order
 
     # coset[a, i] is the coset of a(i); a permutes cosets iff coset[a] is constant on each
     elements = bundle.M.element_array()
@@ -105,11 +102,11 @@ def verify_lemma1(bundle, H):
     induced = coset[:, np.unique(proj, return_index=True)[1]]
     blocks_ok = bool((coset == induced[:, proj]).all())
     onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
-    kernel = elements[(induced == np.arange(q.n)).all(axis=1)]
-    kernel_ok = blocks_ok and row_set(kernel) == star.element_keys()
+    kernel = (induced == np.arange(q.n)).all(axis=1)
+    kernel_ok = blocks_ok and np.array_equal(kernel, star)
     witness = {
         "m_order": m_order,
-        "h_star_order": star.order(),
+        "h_star_order": int(star.sum()),
         "quotient_m_order": qbundle.M.order(),
     }
     return verdict(witness, order_ok=order_ok, blocks_ok=blocks_ok, onto_ok=onto_ok,
@@ -132,20 +129,21 @@ def verify_prop1(bundle, center):
 
 
 def verify_lemma7(bundle, lprime):
-    """Four descriptions of M' must coincide setwise; lprime is the loop's L'."""
-    loop = bundle.loop
-    derived = derived_subgroup(bundle.M)
+    """Four descriptions of M' must coincide setwise; lprime is the loop's L'.  M', H*(L')
+    and I's normal closure are masks over M; the join <I, L(L')> has a chain of its own."""
+    loop, M = bundle.loop, bundle.M
+    derived = _derived(M)[0]
     lprime = coerce_subloop(loop, lprime)
-    joined = PermGroup(
-        loop.n, np.concatenate([bundle.I.gen_array, loop.table[list(lprime.members)]])
-    )
-    star = h_star(bundle, lprime)
-    closure = normal_closure(bundle.M, bundle.I.gen_array)
-    ok = len({g.element_keys() for g in (derived, joined, star, closure)}) == 1
+    joined = PermGroup(loop.n, np.concatenate([bundle.I.gen_array,
+                                               loop.table[list(lprime.members)]]))
+    star = _h_star(bundle, lprime)
+    closure = _normal_closure(M, bundle.I.gen_array)[0]
+    ok = (np.array_equal(derived, star) and np.array_equal(derived, closure)
+          and joined.element_keys() == row_set(M.element_array()[derived]))
     witness = {
-        "derived_order": derived.order(),
+        "derived_order": int(derived.sum()),
         "join_order": joined.order(),
-        "h_star_order": star.order(),
-        "normal_closure_order": closure.order(),
+        "h_star_order": int(star.sum()),
+        "normal_closure_order": int(closure.sum()),
     }
     return ok, witness

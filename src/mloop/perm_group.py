@@ -20,7 +20,9 @@ randomization anywhere.
 
 Subgroups of an enumerated G are masks over its element order, a member's
 position read off its base point images alone; greedy generators close the
-mask one row at a time, and only a group a function returns gets a chain.
+mask one row at a time, in place, so the masks that ``_lifts``, ``_derived``
+and ``_frattini`` hand out are read-only.  Only a group a public function
+returns gets a chain: ``verify`` and ``mloop invariants`` read the masks.
 A normalizer N(H) is the stabilizer of H in the conjugation action: H's
 orbit under the reduced generators is enumerated with O(|G|) memory, and
 each element is labelled with its conjugate of H down a breadth-first tree
@@ -55,9 +57,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        p = object.__new__(cls)
-        p.images = tuple(range(n))
-        return p
+        return cls._raw(tuple(range(n)))
 
     @classmethod
     def _raw(cls, images):
@@ -179,7 +179,6 @@ class PermGroup:
         self._reduced = None
         self._conjugation = None
         self._derived = None
-        self._derived_group = None
 
     @property
     def generators(self):
@@ -411,11 +410,13 @@ def _normalizer_mask(G, mask):
 
 
 def _lifts(G, inside):
-    """Mask of the p in G with p^-1 g^-1 p g in the mask ``inside`` for every reduced generator g."""
+    """Read-only mask of the p in G with p^-1 g^-1 p g in the mask ``inside`` for every
+    reduced generator g."""
     gens = _reduced_rows(G)
     lifted = np.ones(len(inside), dtype=bool)
     for g, g_inv in zip(gens, inverse(gens)):
         lifted &= inside[G._index(_inverse_at(G, g_inv[G.element_array()[:, g[G.base]]]))]
+    lifted.setflags(write=False)
     return lifted
 
 
@@ -450,12 +451,13 @@ def _normal_closure(G, seeds):
 
 def _derived(G):
     """(mask, generator rows) of G', the normal closure of the commutators of
-    the reduced generators (built once per G)."""
+    the reduced generators (built once per G; the mask is read-only)."""
     if G._derived is None:
         gens = _reduced_rows(G)
         inv = inverse(gens)
         a, b = np.divmod(np.arange(len(gens) ** 2), len(gens))
         G._derived = _normal_closure(G, compose(compose(inv[a], inv[b]), compose(gens[a], gens[b])))
+        G._derived[0].setflags(write=False)
     return G._derived
 
 
@@ -473,10 +475,8 @@ def normal_closure(G, seeds):
 
 
 def derived_subgroup(G):
-    """Normal closure of the commutators of a generating set (built once per G)."""
-    if G._derived_group is None:
-        G._derived_group = PermGroup(G.degree, _derived(G)[1])
-    return G._derived_group
+    """Normal closure of the commutators of a generating set."""
+    return PermGroup(G.degree, _derived(G)[1])
 
 
 def upper_central_series_group(G):
@@ -488,8 +488,8 @@ def is_nilpotent_group(G):
     return bool(_central_series(G)[-1].all())
 
 
-def frattini_subgroup(G):
-    """Frattini subgroup of a finite nilpotent group.
+def _frattini(G):
+    """Read-only mask of Phi(G) for a finite nilpotent group G.
 
     For nilpotent G the maximal subgroups are exactly the index-p
     preimages of hyperplanes mod p, so Phi(G) is the intersection over
@@ -503,7 +503,13 @@ def frattini_subgroup(G):
     for p in _prime_factors(G.order()):
         mask, gens = _derived(G)
         inside &= _grow(G, mask.copy(), gens, elements[np.unique(_powers(G, p))])[0]
-    return PermGroup(G.degree, _generators(G, inside))
+    inside.setflags(write=False)
+    return inside
+
+
+def frattini_subgroup(G):
+    """Frattini subgroup of a finite nilpotent group (see ``_frattini``)."""
+    return PermGroup(G.degree, _generators(G, _frattini(G)))
 
 
 def frattini_subgroup_oracle(G):

@@ -31,7 +31,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import _close, _first_index
+from .loop_core import _close, _first_index, _greedy_generators
 
 LATTICE_GUARD_DEFAULT = 128
 
@@ -406,11 +406,7 @@ def _maximal_over(loop, derived):
     out = []
     for p in _prime_factors(n // derived.size):
         f = _join_elements(loop, derived.mask(), _powers(loop, p))
-        basis, span = [], f
-        for x in range(n):
-            if x not in span:
-                basis.append(x)
-                span = _join_elements(loop, span.mask(), [x])
+        basis = list(_greedy_generators(t, f.mask()))
         for i, lead in enumerate(basis):
             above = basis[i + 1:]
             for weights in itertools.product(range(p), repeat=len(above)):

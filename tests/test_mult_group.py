@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import MLOOP_SOURCE_ROOT, NONCML6, inner_map_rows
-from mloop.errors import NotCommutative, NotNormal
+from mloop.errors import NotCommutative, NotNormal, NotSubgroup
 from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
 from mloop.mult_group import (
     h_star,
@@ -131,6 +131,12 @@ def test_orbit_of_identity(z81, z81_bundle):
     assert orbit_of_identity(z81_bundle, derived_subgroup(z81_bundle.M)).members == (0, 1, 2)
 
 
+def test_orbit_of_identity_refuses_a_point_stabilizer(z81_bundle):
+    # I fixes 0, so its orbit is the trivial subloop, whose H* is trivial
+    with pytest.raises(NotSubgroup, match="does not stabilize the cosets"):
+        orbit_of_identity(z81_bundle, z81_bundle.I)
+
+
 def test_mult_group_structure(z81_bundle):
     m = z81_bundle.M
     assert center_of_group(m).order() == 3
@@ -173,6 +179,15 @@ def test_lemma7_bridge(z81_bundle, e27_bundle):
     for bundle in (z81_bundle, e27_bundle):
         ok, witness = verify_lemma7(bundle, associator_subloop(bundle.loop))
         assert ok, witness
+
+
+def test_lemma7_trivial_lprime_pinned_witness(z81, z81_bundle):
+    """With the trivial subloop as L', the join is I and H* is trivial, while
+    M' and I's normal closure are unchanged, so the masks disagree."""
+    want = {"derived_order": 81, "join_order": 27, "h_star_order": 1,
+            "normal_closure_order": 81}
+    got = verify_lemma7(z81_bundle, trivial_subloop(z81))
+    assert json.dumps(got) == json.dumps([False, want])
 
 
 def test_requires_commutativity(s3_loop):

@@ -277,7 +277,7 @@ def test_survivors_outside_the_centre_fall_back_to_the_full_scan(monkeypatch, ma
     4 and 12 commute and have (x1)z = x(1z), but the pre-filter's second law,
     x(1z) = 1(xz), drops them, so only Z's generator 8 is scanned."""
     loop = make()
-    assert list(loop_core._greedy_generators(loop.table)) == [1]
+    assert list(loop_core._greedy_generators(loop.table, np.arange(loop.n) == 0)) == [1]
     scans = count_full_scans(monkeypatch)
     assert tuple(np.flatnonzero(loop.central_mask())) == centre
     assert [x for x, ok in scans if ok] == passed

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
 )
 
 from mloop import cli, loop_core
+from mloop import mult_group as mg
 from mloop import perm_group as pg
 from mloop import perm_rows
 from mloop import structure as st
@@ -32,13 +34,13 @@ from mloop.verify import (
 )
 
 # The builders of the shared artifacts: L', the maximal subloops, Z(L),
-# M' (the normal closure mask inside perm_group._derived) and Phi(M).
+# M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask.
 BUILDERS = (
     (st, "associator_subloop"),
     (st, "_maximal_over"),
     (st, "center"),
     (pg, "_normal_closure"),
-    (pg, "frattini_subgroup"),
+    (pg, "_frattini"),
 )
 
 
@@ -211,16 +213,16 @@ def test_all_runs_each_check_once(z81_all):
 
 
 def test_all_builds_the_group_frattini_subgroup_once(z81_all):
-    # lemma4 and lemma6 read one cached Phi(M) (frattini_agreement skips the
-    # group side at |M| = 2187, above the exhaustive oracle's guard)
+    # lemma4 and lemma6 read one cached Phi(M) mask (frattini_agreement skips
+    # the group side at |M| = 2187, above the exhaustive oracle's guard)
     _, counts, _ = z81_all
-    assert counts["frattini_subgroup"] == 1
+    assert counts["_frattini"] == 1
 
 
 def test_all_builds_each_artifact_once(z81_all):
     # the maxima come from the context's L', Phi(L) from its maxima, and the
     # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
-    # on M for m_derived, frattini_subgroup and the lemma7 bridge
+    # on M for m_derived, _frattini and the lemma7 bridge
     _, counts, _ = z81_all
     assert counts == dict.fromkeys(counts, 1)
 
@@ -259,21 +261,49 @@ def test_series_leaves_the_certificate_unbuilt():
     assert ctx.loop._inner_check is None
 
 
-def test_all_builds_eleven_chains(z81_all):
-    # M and I of z81 and of the lemma1 quotient; lemma1's H*; Z(M); M', built
-    # once on M and shared by the context and the lemma7 bridge; Phi(M);
-    # lemma7's join, H* and normal closure.  Every other subgroup is an element
-    # mask with no chain.
+def test_all_builds_six_chains(z81_all):
+    # M and I of z81 and of the lemma1 quotient L/L'; Z(M), which prop1 reads
+    # through center_of_group; lemma7's join <I, L(L')>, chained from its own
+    # generators.  Z(M), M', Phi(M), H* and the normal closure of I are element
+    # masks over M with no chain.
     _, _, chains = z81_all
-    assert chains == 11
+    assert chains == 6
 
 
 @pytest.mark.parametrize("spec", ["zassenhaus81", "product:zassenhaus81xabelian:3"])
-def test_invariants_builds_five_chains(monkeypatch, spec):
-    # M, I, Z(M), M' and Phi(M); the nilpotency test behind Phi(M) builds none
+def test_invariants_builds_two_chains(monkeypatch, spec):
+    # M and I; Z(M), M' and Phi(M) are read as mask sums
     chains = count_chains(monkeypatch)
     assert cli.main(["invariants", "--gen", spec]) == 0
-    assert chains == [5]
+    assert chains == [2]
+
+
+@pytest.mark.parametrize("make", [gen_zassenhaus81,
+                                  lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,)))],
+                         ids=["z81", "z81xZ3"])
+def test_context_masks_match_the_public_groups(make):
+    """Each mask the checks read holds the element set of the public group that
+    wraps it, which test_perm_group compares with the sift routes of conftest."""
+    ctx = LoopContext(make())
+    m = ctx.bundle.M
+    pairs = [(ctx.m_center, pg.center_of_group(m)), (ctx.m_derived, pg.derived_subgroup(m)),
+             (ctx.m_frattini, pg.frattini_subgroup(m)),
+             (mg._h_star(ctx.bundle, ctx.derived), mg.h_star(ctx.bundle, ctx.derived))]
+    for mask, group in pairs:
+        assert perm_rows.row_set(m.element_array()[mask]) == group.element_keys()
+
+
+def test_context_masks_are_read_only(z81):
+    """perm_group._close fills the mask it is given, so closing over a cached
+    mask raises and leaves the cache as it was."""
+    ctx = LoopContext(z81)
+    m = ctx.bundle.M
+    before = ctx.m_derived.copy()
+    assert ctx.m_derived is pg._derived(m)[0]
+    for mask in (ctx.m_center, ctx.m_derived, ctx.m_frattini):
+        with pytest.raises(ValueError, match="read-only"):
+            pg._close(m, mask, m.gen_array)
+    assert np.array_equal(pg._derived(m)[0], before)
 
 
 def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
@@ -316,10 +346,19 @@ def test_trivial_frattini_fails_with_pinned_witness(z81, check, want):
     assert json.dumps(check(ctx)) == json.dumps([False, want])
 
 
+def test_central_group_frattini_fails_lemma4(z81):
+    # Z(M), of order 3, in place of Phi(M): the mask inclusion M' <= Phi(M) fails
+    ctx = LoopContext(z81)
+    ctx.__dict__["m_frattini"] = ctx.m_center
+    want = {"derived_order": 3, "frattini_order": 3, "m_derived_order": 81,
+            "m_frattini_order": 3, "loop_ok": True, "group_ok": False}
+    assert json.dumps(_check_lemma4(ctx)) == json.dumps([False, want])
+
+
 def test_wrong_group_frattini_fails_with_pinned_witness():
     # M(Z3 x Z3) is the group itself, of order 9, so the group oracle runs
     ctx = LoopContext(gen_abelian((3, 3)))
-    ctx.__dict__["m_frattini"] = ctx.bundle.M
+    ctx.__dict__["m_frattini"] = np.ones(ctx.bundle.M.order(), dtype=bool)
     want = {"frattini_order": 1, "maximal_count": 4, "group_frattini_order": 9,
             "maximals_ok": True, "frattini_ok": True, "non_generator_ok": True,
             "group_ok": False}
