@@ -12,13 +12,24 @@ ascends; the stabilized D-set is always a subloop in which H is normal
 (both checked by raises that ``python -O`` keeps).  The two chains need not
 meet: see normalizer_oracle's docstring and the prop3/theorem2 checks for
 where that distinction shows up on concrete loops.
+
+P = f(D) and D = g(P) are the two maps of a Galois connection (f(D) is the
+set of x with every (H, d, x) inside H, g(P) the set of y with every
+(H, y, p) inside H), so g(f(D)) contains D and f(g(f(D))) = f(D): the pair
+repeats at the second round for every H, and each trace holds two equal
+stages.  ``_fixpoints`` runs the two products on a stack of subloops at
+once, and checks the repeat; ``normalizer`` is its batch of one and
+``normalizer_condition`` one batch over the lattice.
 """
 
 import random
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import ChainStalled, OracleDisagreement
+from .perm_rows import blocks
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
@@ -28,6 +39,7 @@ from .structure import (
     _require_cml,
     all_subloops,
     coerce_subloop,
+    full_subloop,
     generate_subloop,
     is_normal,
     join,
@@ -53,36 +65,55 @@ class NormalizerTrace:
         }
 
 
-def normalizer(loop, k, h):
-    """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
+def _fixpoints(loop, k, masks):
+    """The P/D fixpoint of every H in ``masks``, subloop masks inside K (an (r, n)
+    array or a list of rows), as (K, P, D, results).
 
     Both stages read H's normality matrix C over the c cosets of Z(L) that meet
     K (structure._normality_matrix).  (h, y, x) is constant on those cosets,
-    so each stage is a selection of them: with D seeded by the cosets meeting H,
-    P = {b : C[D, b] all true} and D = {a : C[a, P] all true}, until the pair
-    of selections repeats.  Only the trace maps the stages to K's members, and
-    structure._coset_subloop proves the last D a subloop on L/Z(L) when Z(L) <= K.
+    so each stage is a selection of them: with D0 the cosets meeting H,
+    P = {b : C[D0, b] all true} and D = {a : C[a, P] all true}, each a boolean
+    matrix product with ~C on all rows at once.  P[i] and D[i] are row i's (c,)
+    selections; the raise checks that C[D, b] picks P again, so the pair repeats
+    at the second round, as the Galois connection above says.  Rows run in
+    blocks of at most GATHER_BLOCK entries of their masks and of their
+    matrices.  results[i] is row i's D as a Subloop, each distinct one proved a
+    subloop once per K by structure._coset_subloop.
     """
-    h, k, _, pairs = _normality_matrix(loop, h, k)
-    stages, d_sel, cap = [], k._cosets_meeting(h.mask()), k.size + 2
-    for _ in range(cap):
-        p_sel = pairs[d_sel].all(axis=0)
-        d_sel = pairs[:, p_sel].all(axis=1)
-        stages.append((p_sel, d_sel))
-        if len(stages) >= 2 and all((a == b).all() for a, b in zip(*stages[-2:])):
-            break
-    else:
-        raise ChainStalled(f"P/D alternation exceeded {cap} rounds for H of order {h.size}")
-    if not pairs[d_sel][:, d_sel].all():
-        raise AssertionError("H must be normal in the stabilized D-set")
-    p_stages, d_stages = (tuple(map(k._coset_members, sels)) for sels in zip(*stages))
-    return NormalizerTrace(p_stages, d_stages, _coset_subloop(loop, k, d_sel), len(stages))
+    _require_cml(loop)
+    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
+    c = len(k._coset_index()[0])
+    p_sel, d_sel = (np.empty((len(masks), c), dtype=bool) for _ in range(2))
+    for rows in blocks(len(masks), max(loop.n, 4 * c * c)):
+        k, _, d, escapes = _normality_matrix(loop, np.asarray(masks[rows], dtype=bool), k)
+        np.logical_not(escapes, out=escapes)
+        p = ~(d[:, None] @ escapes)[:, 0]
+        d = ~(escapes @ p[:, :, None])[:, :, 0]
+        if (~(d[:, None] @ escapes)[:, 0] != p).any():
+            raise AssertionError("the P/D pair must repeat at its second round")
+        if (d & ~p).any():
+            raise AssertionError("H must be normal in the stabilized D-set")
+        p_sel[rows], d_sel[rows] = p, d
+    return k, p_sel, d_sel, [_coset_subloop(loop, k, sel) for sel in d_sel]
+
+
+def normalizer(loop, k, h):
+    """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
+
+    ``_fixpoints`` on H alone; only the trace maps its coset selections to K's
+    members, its two rounds the same pair.
+    """
+    _require_cml(loop)
+    h = coerce_subloop(loop, h)
+    k, p_sel, d_sel, (result,) = _fixpoints(loop, k, h.mask()[None])
+    p, d = k._coset_members(p_sel[0]), k._coset_members(d_sel[0])
+    return NormalizerTrace((p, p), (d, d), result, 2)
 
 
 def _may_join(pairs, sel):
     """Pre-test for the joins <S, x>, given H normal in S and the cosets sel meeting S:
     false at x's coset c_x only if H is not normal in <S, x>.  H normal in T forces
-    C[b, c] for all cosets b, c meeting T (structure._stay_rows), <S, x> meets the
+    C[b, c] for all cosets b, c meeting T (structure._normality_matrix), <S, x> meets the
     cosets of S and c_x, and C holds on sel already, so row and column c_x decide."""
     return pairs[:, sel].all(axis=1) & pairs[sel].all(axis=0) & pairs.diagonal()
 
@@ -95,8 +126,9 @@ def maximality_gaps(loop, k, h, trace):
     a nonempty list is a counterexample to reading the fixpoint as "the"
     normalizer.  <H, x> is built only for x that pass _may_join.
     """
-    h, k, kpos, pairs = _normality_matrix(loop, h, k)
-    may = _may_join(pairs, k._cosets_meeting(h.mask()))[kpos]
+    h = coerce_subloop(loop, h)
+    k, kpos, meet, (pairs,) = _normality_matrix(loop, h.mask()[None], k)
+    may = _may_join(pairs, meet[0])[kpos]
     gaps = []
     for x, ok in zip(k.members, may.tolist()):
         if ok and x not in trace.result:
@@ -117,9 +149,10 @@ def normalizer_oracle(loop, k, h):
     rejected with no closure (_may_join).  Otherwise <S, x> = S v <x> is kept
     iff C holds on the cosets it meets.
     """
-    h, k, kpos, pairs = _normality_matrix(loop, h, k)
+    h = coerce_subloop(loop, h)
+    k, kpos, meet, (pairs,) = _normality_matrix(loop, h.mask()[None], k)
     coset_of = dict(zip(k.members, kpos.tolist()))
-    may_h = _may_join(pairs, k._cosets_meeting(h.mask()))
+    may_h = _may_join(pairs, meet[0])
     outcome = None
     for seed in ORACLE_SEEDS:
         rng = random.Random(seed)
@@ -147,13 +180,9 @@ def normalizer_oracle(loop, k, h):
 def normalizer_condition(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     """Does every proper subloop grow under the fixpoint?  (witness = least failure)"""
     _require_cml(loop)
-    for h in all_subloops(loop, lattice_guard=lattice_guard):
-        if h.is_full:
-            continue
-        trace = normalizer(loop, None, h)
-        if trace.result.elements == h.elements:
-            return False, h
-    return True, None
+    proper = [h for h in all_subloops(loop, lattice_guard=lattice_guard) if not h.is_full]
+    results = _fixpoints(loop, None, [h.mask() for h in proper])[3]
+    return next(((False, h) for h, result in zip(proper, results) if result == h), (True, None))
 
 
 def normalizer_chain(loop, h):

@@ -23,6 +23,8 @@ position read off its base point images alone; greedy generators close the
 mask one row at a time, in place, so the masks that ``_lifts``, ``_derived``
 and ``_frattini`` hand out are read-only.  Only a group a public function
 returns gets a chain: ``verify`` and ``mloop invariants`` read the masks.
+Each term of the upper central series is one gather of the previous term's
+mask at the commutator positions p^-1 g^-1 p g, built once per G.
 A normalizer N(H) is the stabilizer of H in the conjugation action: H's
 orbit under the reduced generators is enumerated with O(|G|) memory, and
 each element is labelled with its conjugate of H down a breadth-first tree
@@ -178,6 +180,7 @@ class PermGroup:
         self._elements = None
         self._reduced = None
         self._conjugation = None
+        self._commutators = None
         self._derived = None
 
     @property
@@ -409,13 +412,23 @@ def _normalizer_mask(G, mask):
     return label == 0
 
 
+def _commutators(G):
+    """Read-only (k, |G|) positions, built once per G: [j, i] is the position of
+    e_i^-1 s_j^-1 e_i s_j for the reduced generators s_j."""
+    if G._commutators is None:
+        gens = _reduced_rows(G)
+        comm = np.empty((len(gens), G.order()), dtype=np.intp)
+        for j, (g, g_inv) in enumerate(zip(gens, inverse(gens))):
+            comm[j] = G._index(_inverse_at(G, g_inv[G.element_array()[:, g[G.base]]]))
+        comm.setflags(write=False)
+        G._commutators = comm
+    return G._commutators
+
+
 def _lifts(G, inside):
     """Read-only mask of the p in G with p^-1 g^-1 p g in the mask ``inside`` for every
     reduced generator g."""
-    gens = _reduced_rows(G)
-    lifted = np.ones(len(inside), dtype=bool)
-    for g, g_inv in zip(gens, inverse(gens)):
-        lifted &= inside[G._index(_inverse_at(G, g_inv[G.element_array()[:, g[G.base]]]))]
+    lifted = inside[_commutators(G)].all(axis=0)
     lifted.setflags(write=False)
     return lifted
 

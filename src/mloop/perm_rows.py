@@ -20,6 +20,19 @@ def blocks(rows, width):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
+def ragged_blocks(counts, width):
+    """Slices of consecutive entries, entry i standing for counts[i] rows of the given
+    width, of at most GATHER_BLOCK entries in all (one entry at least)."""
+    ends = np.cumsum(counts)
+    step = max(1, GATHER_BLOCK // max(1, width))
+    lo = 0
+    while lo < len(ends):
+        cap = ends[lo] - counts[lo] + step
+        hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def cast_blocks(table):
     """(rows, table[rows] as intp) over row blocks of 1, 2, 4, ... rows, at most
     GATHER_BLOCK entries each; no full intp copy is made."""

@@ -5,6 +5,9 @@ lattice run on numpy boolean masks; the lattice is grown from the cyclic
 subloops, which is provably complete (every subloop is the join of the
 cyclic subloops of its elements).  Normality, L' and the upper central series
 read the loop's associator tensor A_q on L/Z(L), one row per centre coset.
+Normality matrices come for a whole stack of subloops H at once: whether an
+associator stays inside H depends on H only through which of A_q's values H
+holds, so each group of H holding the same values costs one matrix product.
 
 The lattice is built by canonical augmentation (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998), with closure as its only
@@ -16,6 +19,10 @@ member of T outside S, that is iff T's greedy sequence is S's followed by x.
 So each subloop is produced once, from its greedy prefix, and a closure stops
 at the first y < x outside S.  The argument uses closure alone (no Moufang
 law, commutativity or Lagrange property), so it holds for group tables too.
+The walk goes one level of greedy sequences at a time: a level's candidates
+are pre-tested by one matrix product and closed together, row by row, by
+``_close_rows``; the members are sorted once and proved subloops by one
+batched check.  ``_close`` stays the kernel for closing a single set.
 """
 
 import itertools
@@ -32,6 +39,7 @@ from .errors import (
     ParseError,
 )
 from .loop_core import _close, _first_index, _greedy_generators
+from .perm_rows import blocks, ragged_blocks
 
 LATTICE_GUARD_DEFAULT = 128
 
@@ -72,7 +80,7 @@ class Subloop:
 
     def _fill(self, parent, members, mask):
         self.parent, self.members, self.elements = parent, members, frozenset(members)
-        self._mask, self._cosets, self._picked = mask, None, {}
+        self._mask, self._cosets, self._picked, self._coset_subloops = mask, None, {}, {}
         mask.setflags(write=False)
         return self
 
@@ -189,33 +197,73 @@ def _powers(loop, k):
 # -- normality ---------------------------------------------------------------
 
 
-def _stay_rows(loop, h, k):
-    """The normality kernel: (H, K, kpos, S).  Associators are constant on the cosets
-    of Z(L), so S is one (f, c, c) gather: S[i, b, c] iff (r_a, r_b, r_c) stays inside
-    H, over the f cosets a meeting H, ascending, and the c cosets b, c of K's cached
-    ``_coset_index`` (cosets, kpos).  H is normal in K iff S is all true (CML only), so
-    one false S[:, b, c] with b, c meeting some T <= K proves H is not normal in T.
-    """
+def _normality_rows(loop, masks, k):
+    """(K, kpos, meet, tensor) for the (r, n) stack ``masks`` of subloops H of K, after
+    the checks every normality test makes: over the c cosets of Z(L) in K's cached
+    ``_coset_index`` (cosets, kpos), meet[i] marks those that H_i meets, and tensor is
+    A_q[a, b, c] over the f cosets a that some H_i meets, ascending, and all b, c."""
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    h = coerce_subloop(loop, h)
-    if (h.mask() & ~k.mask()).any():
-        raise NotNested(f"H (order {h.size}) is not contained in K (order {k.size})")
+    outside = masks & ~k.mask()
+    if outside.any():
+        order = int(masks[np.argmax(outside.any(axis=1))].sum())
+        raise NotNested(f"H (order {order}) is not contained in K (order {k.size})")
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
     cosets, kpos = k._coset_index()
-    rows = loop.associator_table()[cosets[k._cosets_meeting(h.mask())]]
+    if len(masks) == 1:
+        meet = k._cosets_meeting(masks[0])[None]
+        used = meet[0]
+    else:
+        reps, proj = loop.central_cosets()
+        meet = np.zeros((len(masks), len(reps)), dtype=bool)
+        rows, members = np.nonzero(masks)
+        meet[rows, proj[members]] = True
+        meet = meet[:, cosets]
+        used = meet.any(axis=0)
+    tensor = loop.associator_table()[cosets[used]]
     if not k.is_full:
-        rows = rows.take(cosets, axis=1).take(cosets, axis=2)
-    return h, k, kpos, h.mask().take(rows)
+        tensor = tensor.take(cosets, axis=1).take(cosets, axis=2)
+    return k, kpos, meet, tensor
 
 
-def _normality_matrix(loop, h, k):
-    """(H, K, kpos, C), C[b, c] iff (h, r_b, r_c) stays inside H for every h in H,
-    over the cosets r_b, r_c meeting K; k_j lies in coset kpos[j]."""
-    h, k, kpos, stays = _stay_rows(loop, h, k)
-    return h, k, kpos, stays.all(axis=0)
+def _same_values(masks, tensor):
+    """The row groups of the mask stack whose members meet the values of ``tensor`` alike."""
+    if len(masks) == 1:
+        return [np.zeros(1, dtype=np.intp)]
+    values = np.flatnonzero(np.bincount(tensor.ravel(), minlength=masks.shape[1]))
+    which = np.unique(masks[:, values], axis=0, return_inverse=True)[1].ravel()
+    return np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
+
+
+def _normality_matrix(loop, masks, k):
+    """(K, kpos, meet, C) for the (r, n) stack ``masks`` of subloops H of K, with
+    C[i, b, c] iff (h, r_b, r_c) stays inside H_i for every h in H_i, over the cosets
+    r_b, r_c meeting K (``_normality_rows``); k_j lies in coset kpos[j].
+
+    Associators are constant on the cosets of Z(L), and whether one stays inside H
+    depends on H only through which of A_q's values H holds.  So per group of rows
+    holding the same values, escapes[a, (b, c)] marks the A_q[a, b, c] outside them,
+    and C[i] = ~(meet[i] @ escapes), one matrix product for the whole group (a
+    group of one H reads C off its gather with no product).
+    H is normal in K iff C[i] is all true (CML only), so one false C[i, b, c] with
+    b, c meeting some T <= K proves H_i is not normal in T.
+    """
+    k, kpos, meet, tensor = _normality_rows(loop, masks, k)
+    c, met = meet.shape[1], meet[:, meet.any(axis=0)]  # met[i]: H_i's rows of tensor
+    out = np.empty((len(masks), c, c), dtype=bool)
+    for rows in _same_values(masks, tensor):
+        used = met[rows].any(axis=0)
+        stays = masks[rows[0]].take(tensor[used])
+        if len(rows) == 1:
+            out[rows[0]] = stays.all(axis=0)
+            continue
+        escapes = (~stays).reshape(-1, c * c).astype(np.float32)
+        for b in blocks(len(rows), 4 * c * c):  # float32 products, GATHER_BLOCK bytes
+            hits = met[rows[b]][:, used].astype(np.float32) @ escapes
+            out[rows[b]] = (hits == 0).reshape(-1, c, c)
+    return k, kpos, meet, out
 
 
 def is_normal(loop, h, k=None):
@@ -223,29 +271,42 @@ def is_normal(loop, h, k=None):
 
     Certified per loop to agree with invariance under the inner maps of K.
     """
-    return bool(_stay_rows(loop, h, k)[3].all())
+    _require_cml(loop)
+    h = coerce_subloop(loop, h)
+    return bool(h.mask().take(_normality_rows(loop, h.mask()[None], k)[3]).all())
 
 
 def normality_witness(loop, h, k=None):
     """Least triple (h, y, x) over (H, K, K) whose associator escapes H."""
-    h, k, kpos, stays = _stay_rows(loop, h, k)
-    failing = ~stays.all(axis=(1, 2))
+    _require_cml(loop)
+    h = coerce_subloop(loop, h)
+    k, kpos, _, tensor = _normality_rows(loop, h.mask()[None], k)
+    escapes = ~h.mask().take(tensor)
+    failing = escapes.any(axis=(1, 2))
     if not failing.any():
         return None
     members = np.array(h.members, dtype=np.int64)
     hs = members[np.unique(loop.central_cosets()[1][members], return_index=True)[1]]
     i = np.flatnonzero(failing)[np.argmin(hs[failing])]
-    j, l = _first_index(~stays[i][np.ix_(kpos, kpos)])
+    j, l = _first_index(escapes[i][np.ix_(kpos, kpos)])
     return (int(hs[i]), k.members[j], k.members[l])
 
 
 def _coset_subloop(loop, k, sel):
     """The subloop of K's members in the cosets of Z(L) that the mask ``sel`` picks
-    out of K's.  When Z(L) <= K these are whole cosets, and since Z(L) is central
-    and nuclear, (xc)(yc') = (xy)cc', so their union is closed iff sel holds the
-    identity coset and is closed under L/Z(L)'s product: m^2 reads, not |D|^2.
-    Otherwise the members are validated as any Subloop.
+    out of K's, proved once per K and ``sel`` and kept on K.  When Z(L) <= K these
+    are whole cosets, and since Z(L) is central and nuclear, (xc)(yc') = (xy)cc',
+    so their union is closed iff sel holds the identity coset and is closed under
+    L/Z(L)'s product: m^2 reads, not |D|^2.  Otherwise the members are validated
+    as any Subloop.
     """
+    key = sel.tobytes()
+    if key not in k._coset_subloops:
+        k._coset_subloops[key] = _prove_cosets(loop, k, sel)
+    return k._coset_subloops[key]
+
+
+def _prove_cosets(loop, k, sel):
     cosets, members = k._coset_index()[0], k._coset_members(sel)
     reps, proj = loop.central_cosets()
     if k.size != len(cosets) * (loop.n // len(reps)):
@@ -260,58 +321,175 @@ def _coset_subloop(loop, k, sel):
 # -- the subloop lattice -----------------------------------------------------
 
 
+# A pair of ``_close_rows`` takes about 16 bytes of index arrays, and so does a
+# mask entry of its rows, counting the masks and the entries' indices; so a block
+# of GATHER_BLOCK // PAIR_WIDTH pairs, or of rows holding that many mask entries,
+# takes about GATHER_BLOCK bytes.
+PAIR_WIDTH = 16
+
+
+def _row_pairs(rows_a, a, rows_b, b, r, index):
+    """The pairs (row, a[i], b[j]) with rows_a[i] = rows_b[j] = row, over an r-row stack
+    whose entries come as ``np.nonzero`` gives them, as rows of the ``index`` dtype and
+    the entries' own dtype, in blocks of at most GATHER_BLOCK // PAIR_WIDTH pairs."""
+    count = np.bincount(rows_b, minlength=r)
+    counts, first = count[rows_a], (np.cumsum(count) - count)[rows_a]
+    for blk in ragged_blocks(counts, PAIR_WIDTH):
+        c = counts[blk]
+        at = np.repeat((first[blk] - (np.cumsum(c) - c)).astype(index), c)
+        at += np.arange(len(at), dtype=index)
+        yield np.repeat(rows_a[blk].astype(index), c), np.repeat(a[blk], c), b[at]
+
+
+def _mark(hit, table, row, x, y):
+    """Sets hit[row, x y] on the flattened (r, n) mask ``hit``, with flat indices of
+    ``row``'s dtype (int32 ones take half the time of 2-D ones); ``row`` is overwritten."""
+    n = table.shape[1]
+    xy = x.astype(row.dtype)
+    xy *= n
+    xy += y
+    row *= n
+    row += table.ravel()[xy]
+    hit[row] = True
+
+
+def _entries(masks, dtype):
+    """``np.nonzero`` of a mask stack, its columns cast to ``dtype``."""
+    rows, cols = np.nonzero(masks)
+    return rows, cols.astype(dtype)
+
+
+def _close_rows(table, known, frontier, stop=None, commutative=False):
+    """Row-wise ``_close``: closes each row of the (r, n) mask stack ``known``, whose
+    members outside its ``frontier`` row form a closed set.  Each round multiplies
+    every live row's frontier by that row's known set, x y for x in the frontier and
+    y x for y outside it (none on a ``commutative`` table), the pairs expanded in
+    blocks (``_row_pairs``), indexed in int32 while the flat indices of ``hit`` and
+    of the table fit.  A row that meets its row of the mask stack ``stop`` is
+    dropped, possibly before it closes, and flagged.
+
+    Returns (known, stopped).
+    """
+    known = known | frontier
+    stopped = np.zeros(len(known), dtype=bool)
+    live = np.arange(len(known))
+    while live.size:
+        if stop is not None:
+            met = (known[live] & stop[live]).any(axis=1)
+            stopped[live[met]] = True
+            live, frontier = live[~met], frontier[~met]
+        current = known[live]
+        hit = np.zeros(current.size, dtype=bool)
+        index = np.int32 if max(hit.size, table.size) <= np.iinfo(np.int32).max else np.int64
+        front = _entries(frontier, table.dtype)
+        for row, x, y in _row_pairs(*front, *_entries(current, table.dtype), len(live), index):
+            _mark(hit, table, row, x, y)
+        if not commutative:
+            rest = _entries(current & ~frontier, table.dtype)
+            for row, y, x in _row_pairs(*rest, *front, len(live), index):
+                _mark(hit, table, row, y, x)
+        new = hit.reshape(current.shape) & ~current
+        known[live] = current | new
+        grew = new.any(axis=1)
+        live, frontier = live[grew], new[grew]
+    return known, stopped
+
+
 def _cyclic_masks(loop):
     """The distinct subloops <x>, trivial first, then in x order, as (gens, masks).
 
-    gens[i] is the first x with <x> = masks[i], so it generates masks[i].
+    The seeds {0, x} close in row blocks of ``_close_rows``, and each block's
+    masks not seen before are kept, so gens[i] is the first x with <x> = masks[i].
     """
-    xs = np.arange(loop.n)
-    seen = {}
-    for x in range(loop.n):
-        mask = _close(loop.table, xs == 0, xs == x)
-        seen.setdefault(mask.tobytes(), (x, mask))
+    n, t = loop.n, loop.table
+    commutative, ids, seen = np.array_equal(t, t.T), np.arange(n), {}
+    for rows in blocks(n, PAIR_WIDTH * n):
+        seeds = ids[rows, None] == ids
+        known = seeds.copy()
+        known[:, 0] = True
+        closed = _close_rows(t, known, seeds, commutative=commutative)[0]
+        for x, mask in zip(ids[rows].tolist(), closed):
+            key = mask.tobytes()
+            if key not in seen:
+                seen[key] = (x, mask.copy())
     gens, masks = zip(*seen.values())
-    return np.array(gens, dtype=np.int64), list(masks)
+    return np.array(gens, dtype=np.int64), np.array(masks)
 
 
 def cyclic_subloops(loop):
     """Distinct subloops <x>, including the trivial one, sorted."""
-    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(_cyclic_masks(loop)[1])]
+    return _subloops(loop, np.packbits(_cyclic_masks(loop)[1], axis=1))
 
 
-def _sorted_masks(masks):
-    return sorted(masks, key=lambda m: (int(m.sum()), tuple(np.flatnonzero(m))))
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _subloops(loop, packed):
+    """The subloops with the member masks packed (``np.packbits``) in the rows of
+    ``packed``, sorted by (order, members), each proved a subloop by one batched check.
+
+    At equal order, members compare at the least element in which the two sets
+    differ, the set holding it first, so the key after the order is the packed
+    row, descending.  The check, row block by row block, raises NotASubloop
+    (``python -O`` keeps it) unless closing each row adds nothing, each row holds
+    the identity 0 and each is closed under inverses.
+    """
+    order = np.lexsort((*(~packed).T[::-1], _POPCOUNT[packed].sum(axis=1)))
+    masks = np.unpackbits(packed[order], axis=1, count=loop.n).view(bool)
+    inv = loop.inverse_array()
+    for rows in blocks(len(masks), PAIR_WIDTH * loop.n):
+        block = masks[rows]
+        bad = _close_rows(loop.table, block, block, ~block)[1]
+        bad |= ~block[:, 0] | (block & ~block[:, inv]).any(axis=1)
+        if bad.any():
+            members = np.flatnonzero(block[np.argmax(bad)]).tolist()
+            raise NotASubloop(f"{members} is not a subloop: not closed, or missing 0 or an inverse")
+    return [Subloop._proved(loop, tuple(np.flatnonzero(m).tolist()), m) for m in masks]
 
 
 def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     """Every subloop, sorted by (order, members), by canonical augmentation.
 
-    The worklist holds each subloop S with the last generator g of its greedy
-    sequence.  S v <x> is built for the atom generators x > g outside S, and
-    kept iff x is its least member outside S, so each subloop is produced once,
-    from its greedy prefix (see the module docstring for the argument).
+    The walk is breadth first, one level of the greedy sequences at a time: the
+    candidates of a level are its subloops S with each atom generator x past
+    S's last greedy generator and outside S, and S v <x> is kept iff x is its
+    least member outside S, so each subloop is produced once, from its greedy
+    prefix (see the module docstring for the argument).  For s in S and x
+    outside S, neither xs nor sx lies in S (else x would, by division in S),
+    so x is ruled out at once when some xs or sx lies below x: one product of
+    the level's masks with ``below``.  The survivors close in ``_close_rows``,
+    each stopping at its first member below x outside S.
     """
     if loop.n > lattice_guard:
         raise OrderOverflow("lattice", lattice_guard, loop.n)
-    table = loop.table
+    table, n = loop.table, loop.n
+    commutative = np.array_equal(table, table.T)
     gens, masks = _cyclic_masks(loop)
     gens, atoms = gens[1:], masks[1:]
-    out, worklist = [masks[0]], [(masks[0], 0)]
-    while worklist:
-        current, last = worklist.pop()
-        outside, members = ~current, current.nonzero()[0]
-        todo = (gens > last) & outside[gens]
-        # x s and s x lie in S v <x>: one below x and outside S rules x out
-        xs = gens[todo]
-        prods = np.concatenate([table[np.ix_(xs, members)], table[np.ix_(members, xs)].T], axis=1)
-        todo[todo] = ~((prods < xs[:, None]) & outside[prods]).any(axis=1)
-        for a in todo.nonzero()[0]:
-            stop = outside[:gens[a]].nonzero()[0]
-            merged = _close(table, current, atoms[a], stop)
-            if not merged[stop].any():
-                out.append(merged)
-                worklist.append((merged, gens[a]))
-    return [Subloop(loop, np.flatnonzero(m)) for m in _sorted_masks(out)]
+    ids = np.arange(n)
+    # below[y, a]: x_a y or y x_a is less than x_a
+    below = ((table[gens].T < gens) | (table[:, gens] < gens)).astype(np.float32)
+    level, last = masks[:1], np.zeros(1, dtype=gens.dtype)
+    found = []
+    # a level's rows go in blocks of GATHER_BLOCK // 4 mask entries, the float32
+    # product's bytes, and its candidates in blocks of _close_rows rows
+    while len(level):
+        found.append(np.packbits(level, axis=1))
+        grown, grown_last = [], []
+        for rows in blocks(len(level), 4 * n):
+            current = level[rows]
+            todo = (gens > last[rows, None]) & ~current[:, gens]
+            todo &= current.astype(np.float32) @ below == 0
+            s, a = np.nonzero(todo)
+            for b in blocks(len(s), PAIR_WIDTH * n):
+                base, atom = current[s[b]], atoms[a[b]]
+                merged, stopped = _close_rows(table, base | atom, atom & ~base,
+                                              ~base & (ids < gens[a[b], None]), commutative)
+                grown.append(merged[~stopped])
+                grown_last.append(gens[a[b]][~stopped])
+        level = np.concatenate(grown) if grown else level[:0]
+        last = np.concatenate(grown_last) if grown else last[:0]
+    return _subloops(loop, np.concatenate(found))
 
 
 def _maximal_members(subloops):

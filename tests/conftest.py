@@ -106,6 +106,22 @@ def normalizing_maxima(loop, lattice, h):
     return [k for k in over if not any(k.elements < t.elements for t in over)]
 
 
+def gathered_normality_matrix(loop, h, k):
+    """(H, K, kpos, C) for one H <= K: C[b, c] iff (h, r_b, r_c) stays inside H for every
+    h in H, over the cosets b, c meeting K, read as H's mask gathered at the associators
+    A_q[a, b, c] of every coset a meeting H; k_j lies in coset kpos[j].
+
+    A route apart from the value patterns and matrix products of
+    `structure._normality_matrix`.
+    """
+    k = structure.full_subloop(loop) if k is None else structure.coerce_subloop(loop, k)
+    h = structure.coerce_subloop(loop, h)
+    cosets, kpos = k._coset_index()
+    rows = loop.associator_table()[cosets[k._cosets_meeting(h.mask())]]
+    rows = rows.take(cosets, axis=1).take(cosets, axis=2)
+    return h, k, kpos, h.mask().take(rows).all(axis=0)
+
+
 def join_oracle(loop, k, h, joins=None):
     """Greedy saturation from H under the seeded orders of ORACLE_SEEDS, as
     `normalizer.normalizer_oracle` runs it but with no coset pre-test: every
@@ -115,7 +131,7 @@ def join_oracle(loop, k, h, joins=None):
     on neither H nor K, so callers on one loop may share the ``joins`` dict
     {(S members, x): S v <x>} between calls.
     """
-    h, k, kpos, pairs = structure._normality_matrix(loop, h, k)
+    h, k, kpos, pairs = gathered_normality_matrix(loop, h, k)
     joins = {} if joins is None else joins
     km, grown_by, outcome = list(k.members), {}, None
     for seed in ORACLE_SEEDS:
@@ -248,7 +264,7 @@ def element_fixpoint(loop, k, h):
     A route independent of the coset stages of `normalizer.normalizer`: the
     (|K| x |K|) matrix is the coset matrix read at each member's coset.
     """
-    h, k, kpos, cosets = structure._normality_matrix(loop, h, k)
+    h, k, kpos, cosets = gathered_normality_matrix(loop, h, k)
     pairs = cosets[np.ix_(kpos, kpos)]
     km = np.array(k.members, dtype=np.int64)
     p_stages, d_stages = [], []

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import subprocess
@@ -10,13 +11,16 @@ from conftest import (
     MLOOP_SOURCE_ROOT,
     associator_tensor,
     element_fixpoint,
+    gathered_normality_matrix,
     join_oracle,
     least_escape,
     normalizing_maxima,
 )
+from mloop import cli, perm_rows, structure
 from mloop.errors import NotCML, NotNested, OracleDisagreement
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
 from mloop.normalizer import (
+    _fixpoints,
     _may_join,
     ascending_subnormal_system,
     maximality_gaps,
@@ -37,6 +41,7 @@ from mloop.structure import (
     normality_witness,
     trivial_subloop,
 )
+from mloop.verify import LoopContext
 
 FIXPOINT_LOOPS = {
     "z81": gen_zassenhaus81,
@@ -91,6 +96,77 @@ def test_coset_fixpoint_matches_element_fixpoint_at_order_243():
     assert len(lattice) == 1854
 
 
+@pytest.mark.parametrize("name", ["z81", "z81xZ2"])
+@pytest.mark.parametrize("within", [None, (9, 27)], ids=["K=L", "K=<9,27>"])
+def test_batched_normality_matrix_matches_per_h_gather(name, within):
+    """One call on the stack of every proper H <= K gives each H's coset matrix as
+    gathered from its own mask, and the cosets it meets.  <9, 27> lacks part of
+    Z(L), so K meets the cosets of Z(L) only in part."""
+    loop = FIXPOINT_LOOPS[name]()
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    k = lattice[-1] if within is None else generate_subloop(loop, within)
+    assert within is None or not center(loop).elements <= k.elements
+    hs = [h for h in lattice if h.elements < k.elements]
+    got_k, kpos, meet, pairs = _normality_matrix(loop, np.array([h.mask() for h in hs]), k)
+    for h, row, sel in zip(hs, pairs, meet):
+        _, _, want_kpos, want = gathered_normality_matrix(loop, h, k)
+        assert np.array_equal(row, want) and np.array_equal(kpos, want_kpos), h.members
+        assert np.array_equal(sel, got_k._cosets_meeting(h.mask())), h.members
+    assert len(hs) >= 5
+
+
+def test_fixpoints_match_element_fixpoint_and_context():
+    """The context's per-H fixpoints over the 370 subloops of z81 x Z2 and one batch
+    over all of them give, for every H, the element route's stages and result; the
+    element route repeats at its second round, as the batch assumes and checks."""
+    loop = FIXPOINT_LOOPS["z81xZ2"]()
+    ctx = LoopContext(loop, lattice_guard=loop.n)
+    k, p_sel, d_sel, results = _fixpoints(loop, None, [h.mask() for h in ctx.lattice])
+    for h, p, d, result in zip(ctx.lattice, p_sel, d_sel, results):
+        want = element_fixpoint(loop, None, h)
+        assert want.iterations == 2, h.members
+        assert want.p_stages == (k._coset_members(p),) * 2, h.members
+        assert want.d_stages == (k._coset_members(d),) * 2, h.members
+        assert result == want.result, h.members
+        assert ctx.fixpoint_result(h) is ctx.by_members[want.result.members], h.members
+
+
+@pytest.mark.parametrize("within", [None, (9, 27)], ids=["K=L", "K=<9,27>"])
+def test_fixpoint_blocks_give_each_row_its_own_trace(monkeypatch, z81, z81_lattice, within):
+    """With rows in small blocks (one row each for K = L, five within <9, 27>), each
+    row's pair of selections and result are those of its own run by the element route."""
+    k = None if within is None else generate_subloop(z81, within)
+    hs = [h for h in z81_lattice if k is None or h <= k]
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 20 * z81.n)
+    k, p_sel, d_sel, results = _fixpoints(z81, k, [h.mask() for h in hs])
+    assert len(hs) > 5
+    for h, p, d, result in zip(hs, p_sel, d_sel, results):
+        want = element_fixpoint(z81, k, h)
+        assert want.p_stages == (k._coset_members(p),) * 2, h.members
+        assert want.d_stages == (k._coset_members(d),) * 2, h.members
+        assert result == want.result, h.members
+
+
+# SHA-256 of `normalizer --gen zassenhaus81 --json` reports, fixed before the fixpoint
+# ran in batches: the traces of H = <27> and <3, 9> in L, and of <27> in <9, 27>.
+NORMALIZER_JSON_SHA256 = {
+    ("27",): "9e6b174797dce56440a2eb05a526b29c856774bd58d8effb0fe7b3fabda6fdcd",
+    ("3,9",): "93f31f074164a89535341618e9b05b378e0acab6a9c3b5970548322a87c2d4aa",
+    ("27", "9,27"): "38e23359979108ab436b36b46a331a987198c44f22939a889aff5522704f9a70",
+}
+
+
+@pytest.mark.parametrize("args", list(NORMALIZER_JSON_SHA256), ids=["27", "3,9", "27-within-9,27"])
+def test_normalizer_json_is_byte_identical(tmp_path, capsys, args):
+    out = tmp_path / "trace.json"
+    argv = ["normalizer", "--gen", "zassenhaus81", "--subloop", args[0], "--json", str(out)]
+    if len(args) > 1:
+        argv += ["--within", args[1]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NORMALIZER_JSON_SHA256[args]
+
+
 def test_certificate_rejects_cosets_not_closed_on_the_quotient(z81):
     """Z(z81) = {0, 1, 2} plus the coset of 27 is not closed (27 * 27 = 54 lies in
     a third coset), and the certificate raises; Z plus the cosets of 27 and 54
@@ -100,6 +176,22 @@ def test_certificate_rejects_cosets_not_closed_on_the_quotient(z81):
         _coset_subloop(z81, whole, whole._cosets_meeting(np.isin(np.arange(81), [0, 27])))
     closed = whole._cosets_meeting(generate_subloop(z81, [1, 27]).mask())
     assert _coset_subloop(z81, whole, closed) == generate_subloop(z81, [1, 27])
+
+
+def test_certificate_runs_once_per_k_and_coset_set(monkeypatch, z81, z81_lattice):
+    """Fixpoints over the same K prove each distinct result once and hand back that
+    one Subloop; another K proves its results afresh."""
+    proved = []
+    real = structure._prove_cosets
+    monkeypatch.setattr(structure, "_prove_cosets", lambda *a: proved.append(a[2]) or real(*a))
+    whole = full_subloop(z81)
+    hs = z81_lattice[:-1]
+    first = [normalizer(z81, whole, h).result for h in hs]
+    assert len(proved) == len({r.members for r in first}) < len(hs)
+    again = _fixpoints(z81, whole, [h.mask() for h in hs])[3]
+    assert all(a is b for a, b in zip(first, again)) and len(proved) == len(set(first))
+    normalizer(z81, full_subloop(z81), hs[5])
+    assert len(proved) == len(set(first)) + 1
 
 
 def test_certificate_survives_optimize():
@@ -150,8 +242,8 @@ def test_pretest_rejects_only_non_normal_joins(name):
     cyclic = {x: generate_subloop(loop, [x]) for x in range(loop.n)}
     rejected = 0
     for h in all_subloops(loop, lattice_guard=loop.n)[:-1]:
-        h, k, kpos, pairs = _normality_matrix(loop, h, None)
-        may, normal_in = _may_join(pairs, k._cosets_meeting(h.mask()))[kpos], {}
+        k, kpos, meet, (pairs,) = _normality_matrix(loop, h.mask()[None], None)
+        may, normal_in = _may_join(pairs, meet[0])[kpos], {}
         for x in range(loop.n):
             if x not in h and not may[x]:
                 c = cyclic[x]  # <H, x> = <H> v <x> depends on x only through <x>

@@ -29,13 +29,21 @@ from mloop.loop_core import (
     gen_zassenhaus81,
     quotient,
 )
+from mloop import perm_rows
+from mloop.loop_core import _close
 from mloop.mult_group import multiplication_group
 from mloop.perm_group import PermGroup
 from mloop.structure import (
+    PAIR_WIDTH,
     Subloop,
+    _close_rows,
     _cyclic_masks,
+    _entries,
+    _mark,
     _maximal_members,
     _powers,
+    _row_pairs,
+    _subloops,
     all_subloops,
     associator_subloop,
     center,
@@ -162,6 +170,79 @@ def test_lattice_of_z81xZ2_matches_early_stop_joins():
     assert lattice == early_stop_lattice(loop)
 
 
+CLOSE_LOOPS = ("zassenhaus81", "sym3", "abelian:4,4", "cayley:dihedral8")
+
+
+@pytest.mark.parametrize("block", [1, 20, perm_rows.GATHER_BLOCK])
+@pytest.mark.parametrize("name", CLOSE_LOOPS)
+def test_close_rows_matches_close(monkeypatch, name, block):
+    """Each row of the row-wise kernel is `_close` of its closed base and new elements,
+    seeded, with and without stop rows, whatever the pair block: a row is flagged iff
+    it met its stop row, and then holds what `_close` holds when it stops."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    loop = LATTICE_LOOPS[name]()
+    commutative = np.array_equal(loop.table, loop.table.T)
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    rng = np.random.default_rng(7)
+    base = np.array([lattice[i].mask() for i in rng.integers(len(lattice), size=40)])
+    new = rng.random(base.shape) < 3 / loop.n
+    stop = rng.random(base.shape) < 2 / loop.n
+    plain, never = _close_rows(loop.table, base | new, new & ~base, commutative=commutative)
+    merged, stopped = _close_rows(loop.table, base | new, new & ~base, stop, commutative)
+    assert not never.any()
+    for i in range(len(base)):
+        assert np.array_equal(plain[i], _close(loop.table, base[i], new[i]))
+        at = np.flatnonzero(stop[i])
+        assert np.array_equal(merged[i], _close(loop.table, base[i], new[i], at))
+        assert stopped[i] == merged[i][at].any()
+    assert stopped.any() and not stopped.all()
+
+
+def test_pair_indices_agree_in_int32_and_int64(z81, z81_lattice):
+    """The int64 indices taken once a stack's flat indices pass int32 give the same
+    pairs and marks as the int32 ones."""
+    masks = np.array([h.mask() for h in z81_lattice[::20]])
+    entries = _entries(masks, z81.table.dtype)
+    hits = {}
+    for index in (np.int32, np.int64):
+        hit = np.zeros(masks.size, dtype=bool)
+        for row, x, y in _row_pairs(*entries, *entries, len(masks), index):
+            assert row.dtype == index
+            _mark(hit, z81.table, row, x, y)
+        hits[index] = hit.reshape(masks.shape)
+    assert np.array_equal(hits[np.int32], hits[np.int64])
+    assert np.array_equal(hits[np.int32], masks)
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2, 2, 2), (4, 2, 2)])
+def test_lattice_of_elementary_and_mixed_abelian_matches_joins(moduli):
+    """Many atoms per level (31 in Z2^5) and atoms nested in atoms (Z4 x Z2 x Z2)."""
+    loop = gen_abelian(moduli)
+    lattice = [s.members for s in all_subloops(loop)]
+    assert lattice == early_stop_lattice(loop) == naive_lattice(loop)
+
+
+def test_lattice_with_small_pair_blocks(monkeypatch, z81_lattice):
+    """Blocks of 20 mask entries split every level's rows and every round's pairs."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 20)
+    z81 = gen_zassenhaus81()
+    lattice = [s.members for s in all_subloops(z81)]
+    assert lattice == [s.members for s in z81_lattice] == early_stop_lattice(z81)
+
+
+@pytest.mark.parametrize("bad", [[0, 27], []], ids=["not-closed", "no-identity"])
+def test_batched_member_check_rejects(z81, bad):
+    """The lattice's one batched check raises on a row that is not a subloop."""
+    rows = np.zeros((3, z81.n), dtype=bool)
+    rows[:, 0] = True
+    rows[1, [1, 2]] = True
+    rows[2] = False
+    rows[2, bad] = True
+    with pytest.raises(NotASubloop, match="is not a subloop"):
+        _subloops(z81, np.packbits(rows, axis=1))
+    assert [s.members for s in _subloops(z81, np.packbits(rows[:2], axis=1))] == [(0,), (0, 1, 2)]
+
+
 @pytest.mark.parametrize("name", ["zassenhaus81", "sym3", "abelian:9"])
 def test_atom_generators(name):
     """Each recorded x is the first element generating its cyclic subloop."""
@@ -174,6 +255,17 @@ def test_atom_generators(name):
                        for y in range(x))
     if name == "abelian:9":
         assert {int(m.sum()): int(x) for x, m in zip(gens, masks)} == {1: 0, 9: 1, 3: 3}
+
+
+@pytest.mark.parametrize("block", [1, 5 * PAIR_WIDTH * 81])
+def test_cyclic_masks_in_small_row_blocks(monkeypatch, z81, block):
+    """The seeds closed one row or 5 rows at a time give the masks and generators
+    that one block of all 81 rows gives."""
+    gens, masks = _cyclic_masks(z81)
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    small_gens, small_masks = _cyclic_masks(z81)
+    assert np.array_equal(small_gens, gens) and np.array_equal(small_masks, masks)
+    assert len(gens) == 41
 
 
 def test_lattice_guard(z81):
