@@ -1,9 +1,14 @@
 """Cayley-table loops.
 
 A loop of order n is stored as an n x n Latin square over 0..n-1 with the
-identity pinned at index 0.  The triple scans run growing y-row blocks outer,
-each cast to intp once, and x inner: (xy)z is the table with its rows permuted
-by L_x, and x(yz) a ``take`` from row x.
+identity pinned at index 0.  The constructor compares the table with its
+transpose once and keeps the answer as ``commutative``: the Latin check then
+sorts a commutative table's rows only, and ``diagnose``, the centre scan and
+every closure read the flag instead of comparing again.  The closure kernel
+``_close`` multiplies its frontier on one side only on a commutative table and
+ends once the mask is the whole loop.  The triple scans run growing y-row
+blocks outer, each cast to intp once, and x inner: (xy)z is the table with its
+rows permuted by L_x, and x(yz) a ``take`` from row x.
 
 The coset lemma: c in Z = Z(L) is central and nuclear, so (xc)y = (xy)c = x(yc)
 and (ac)\\(bc) = a\\b (Bruck, A Survey of Binary Systems, 1958), and the associator
@@ -68,35 +73,39 @@ def _least_violations(table, laws, reps):
     return found
 
 
-def _close(table, base_mask, new_mask, stop=None):
+def _close(table, base_mask, new_mask, stop=None, commutative=False):
     """Product-closure of base_mask | new_mask, assuming base_mask is closed.
 
-    With an index array ``stop``, returns early, possibly before closing,
-    as soon as the mask holds one of those indices.
+    Each round multiplies the frontier by the known set, x y for x in the
+    frontier, and y x as well unless the table is ``commutative``.  The whole
+    loop is closed, so the rounds end once the mask holds every element.  With
+    an index array ``stop``, returns early, possibly before closing, as soon as
+    the mask holds one of those indices.
     """
     known = base_mask | new_mask
     frontier = (new_mask & ~base_mask).nonzero()[0]
-    while frontier.size:
+    while frontier.size and not known.all():
         if stop is not None and known[stop].any():
             break
         kidx = known.nonzero()[0]
         hit = np.zeros(known.shape[0], dtype=bool)
         hit[table[frontier[:, None], kidx]] = True
-        hit[table[kidx[:, None], frontier]] = True
+        if not commutative:
+            hit[table[kidx[:, None], frontier]] = True
         hit &= ~known
         known |= hit
         frontier = hit.nonzero()[0]
     return known
 
 
-def _greedy_generators(table, span):
+def _greedy_generators(table, span, commutative=False):
     """The greedy generators g_1 < g_2 < ... of the loop over the closed mask
     ``span``: g_{i+1} is the least element outside the subloop <span, g_1 .. g_i>."""
     ids = np.arange(len(table))
     while not span.all():
         g = int(np.argmin(span))
         yield g
-        span = _close(table, span, ids == g)
+        span = _close(table, span, ids == g, commutative=commutative)
 
 
 def _central_scan(table, x, commutative):
@@ -158,6 +167,8 @@ class CayleyLoop:
 
     The constructor validates the table: square shape, entries in range,
     Latin rows and columns, and element 0 acting as two-sided identity.
+    It tests the table against its transpose once, and the read-only
+    ``commutative`` keeps the answer for every later scan that depends on it.
     Derived tables (inverses, left division, associators) are computed
     lazily and cached; the instance itself is never mutated afterwards.
     """
@@ -166,7 +177,8 @@ class CayleyLoop:
         arr = _raw_table(table)
         n = arr.shape[0]
         arr = arr.astype(_index_dtype(n))
-        violation = _latin_violation(arr)
+        self._commutative = bool(np.array_equal(arr, arr.T))
+        violation = _latin_violation(arr, self._commutative)
         if violation is not None:
             raise NotLatinSquare(*violation)
         if not _has_identity(arr):
@@ -184,6 +196,11 @@ class CayleyLoop:
         self._central_check = None  # (violation or None,) once checked
         self._inner_check = None  # (violation or None,) once scanned
         self._diag = None
+
+    @property
+    def commutative(self):
+        """Whether the table equals its transpose, tested once by the constructor."""
+        return self._commutative
 
     # -- basic arithmetic on element indices --------------------------------
 
@@ -250,23 +267,34 @@ class CayleyLoop:
         The set S of commuting x passing these laws is closed under products: on a
         commutative table it is the left nucleus, where ((ab)y)z = (a(by))z =
         a((by)z) = a(b(yz)) = (ab)(yz), and otherwise it is Z(L), a subloop (Bruck,
-        A Survey of Binary Systems, 1958).  So the laws are first read at y = g for
-        each greedy generator g of L, for all x at once, and a failure rules x out.
+        A Survey of Binary Systems, 1958).  So the laws are first read on pairs
+        (y, z) = (g, h) of L's greedy generators, n k^2 reads for k generators, then
+        at y = g and every z on the rows of the x still in, and a failure rules x
+        out; the pairs are among those z, so they drop no x that the full rows keep.
         The survivors are walked in ascending order: an x in the span of those found
         central is central, any other runs the full n^2 scan (``_central_scan``), and
         if it passes it joins the span.  Full scans run only for the greedy
         generators of Z and for survivors outside Z.
         """
         if self._central is None:
-            t = self.table
-            central = (t == t.T).all(axis=1)
-            commutative = central.all()
-            for g in _greedy_generators(t, np.arange(self.n) == 0):
-                row, col = t[g].astype(np.intp), t[:, g]
-                x_gz = t.take(row, axis=1)
-                central &= (t[col] == x_gz).all(axis=1)  # (xg)z vs x(gz)
+            t, commutative = self.table, self.commutative
+            central = np.ones(self.n, dtype=bool) if commutative else (t == t.T).all(axis=1)
+            gens = np.array(list(_greedy_generators(t, np.arange(self.n) == 0, commutative)),
+                            dtype=np.intp)
+            flat, xg = t.ravel(), t[:, gens].astype(np.intp)  # xg[x, i] = x g_i
+            x_gh = t.take(xg[gens], axis=1)  # [x, i, j] = x(g_i g_j)
+            central &= (flat.take(xg[:, :, None] * self.n + gens) == x_gh).all(axis=(1, 2))
+            if not commutative:  # g_i(x g_j)
+                g_xh = flat.take(xg[:, None, :] + gens[:, None] * self.n)
+                central &= (x_gh == g_xh).all(axis=(1, 2))
+            for g in gens:
+                xs = np.flatnonzero(central)
+                row = t[g].astype(np.intp)
+                x_gz = t[xs].take(row, axis=1)
+                ok = (t[t[xs, g]] == x_gz).all(axis=1)  # (xg)z vs x(gz)
                 if not commutative:
-                    central &= (x_gz == row.take(t)).all(axis=1)  # x(gz) vs g(xz)
+                    ok &= (x_gz == row.take(t[xs])).all(axis=1)  # x(gz) vs g(xz)
+                central[xs] = ok
             span = np.arange(self.n) == 0
             for x in np.flatnonzero(central):
                 if span[x]:
@@ -442,11 +470,16 @@ def _raw_table(table):
     return arr
 
 
-def _latin_violation(arr):
-    """(axis, index, repeated value) of the first non-Latin row or column, or None."""
+def _latin_violation(arr, commutative=False):
+    """(axis, index, repeated value) of the first non-Latin row or column, or None.
+
+    A ``commutative`` table's columns are its rows, so only the rows are sorted:
+    a bad row is reported before any column in either case.
+    """
     n = arr.shape[0]
     ref = np.arange(n)
-    for axis, mat in (("row", arr), ("col", arr.T)):
+    axes = (("row", arr),) if commutative else (("row", arr), ("col", arr.T))
+    for axis, mat in axes:
         ok = (np.sort(mat, axis=1) == ref).all(axis=1)
         if not ok.all():
             idx = int(np.argmin(ok))
@@ -470,11 +503,13 @@ def diagnose(loop_or_table):
     if isinstance(loop_or_table, CayleyLoop):
         t, reps = loop_or_table.table, loop_or_table.central_cosets()[0]
         is_latin = has_identity = True  # proved by the constructor
+        is_commutative = loop_or_table.commutative
     else:
         t = _raw_table(loop_or_table)
         reps = np.arange(len(t))
-        is_latin, has_identity = _latin_violation(t) is None, _has_identity(t)
-    is_commutative = bool(np.array_equal(t, t.T))
+        is_commutative = bool(np.array_equal(t, t.T))
+        is_latin = _latin_violation(t, is_commutative) is None
+        has_identity = _has_identity(t)
     tz, flat = t.take(reps, axis=1), t.ravel()  # tz[x, c] = x r_c, C-ordered for take
 
     def non_associative(xs, ys, yz):  # (xy)z vs x(yz)
@@ -552,12 +587,13 @@ def gen_abelian(moduli, max_order=None, name=None):
     if any(m < 1 for m in moduli):
         raise BadDimension(f"moduli must be positive: {moduli}")
     _guard_order(math.prod(moduli), max_order)
-    product = CayleyLoop([[0]])
-    for m in moduli:
-        idx = np.arange(m)
-        product = direct_product(product, CayleyLoop((idx[:, None] + idx) % m), max_order)
     label = name if name is not None else "abelian:" + ",".join(str(m) for m in moduli or [1])
-    return CayleyLoop(product.table, name=label)
+    product = CayleyLoop([[0]], name=label)
+    for i, m in enumerate(moduli, 1):
+        idx = np.arange(m)
+        product = direct_product(product, CayleyLoop((idx[:, None] + idx) % m), max_order,
+                                 name=label if i == len(moduli) else None)
+    return product
 
 
 def gen_zassenhaus81():

@@ -38,7 +38,7 @@ class MultGroupBundle:
 
 
 def multiplication_group(loop):
-    if not loop.diagnostics().is_commutative:
+    if not loop.commutative:
         raise NotCommutative(
             f"{loop.name} is not commutative; only L-translations are generated here"
         )

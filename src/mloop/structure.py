@@ -183,7 +183,7 @@ def _join_elements(loop, base, elements):
     """The subloop generated by the subloop with mask ``base`` and ``elements``."""
     seed = np.zeros(loop.n, dtype=bool)
     seed[list(elements)] = True
-    return Subloop(loop, np.flatnonzero(_close(loop.table, base, seed)))
+    return Subloop(loop, np.flatnonzero(_close(loop.table, base, seed, None, loop.commutative)))
 
 
 def _powers(loop, k):
@@ -402,7 +402,7 @@ def _cyclic_masks(loop):
     masks not seen before are kept, so gens[i] is the first x with <x> = masks[i].
     """
     n, t = loop.n, loop.table
-    commutative, ids, seen = np.array_equal(t, t.T), np.arange(n), {}
+    commutative, ids, seen = loop.commutative, np.arange(n), {}
     for rows in blocks(n, PAIR_WIDTH * n):
         seeds = ids[rows, None] == ids
         known = seeds.copy()
@@ -462,8 +462,7 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     """
     if loop.n > lattice_guard:
         raise OrderOverflow("lattice", lattice_guard, loop.n)
-    table, n = loop.table, loop.n
-    commutative = np.array_equal(table, table.T)
+    table, n, commutative = loop.table, loop.n, loop.commutative
     gens, masks = _cyclic_masks(loop)
     gens, atoms = gens[1:], masks[1:]
     ids = np.arange(n)
@@ -584,7 +583,7 @@ def _maximal_over(loop, derived):
     out = []
     for p in _prime_factors(n // derived.size):
         f = _join_elements(loop, derived.mask(), _powers(loop, p))
-        basis = list(_greedy_generators(t, f.mask()))
+        basis = list(_greedy_generators(t, f.mask(), loop.commutative))
         for i, lead in enumerate(basis):
             above = basis[i + 1:]
             for weights in itertools.product(range(p), repeat=len(above)):
@@ -639,5 +638,5 @@ def non_generator_witness(loop, x, maximals):
     too.  So x is a non-generator iff this returns None.
     """
     seed = np.arange(loop.n) == int(x)
-    return next((m.members for m in maximals
-                 if not m.mask()[int(x)] and _close(loop.table, m.mask(), seed).all()), None)
+    return next((m.members for m in maximals if not m.mask()[int(x)]
+                 and _close(loop.table, m.mask(), seed, None, loop.commutative).all()), None)

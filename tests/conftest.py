@@ -448,6 +448,54 @@ def scan_central_mask(loop):
     return central
 
 
+# The full scans of ``central_mask`` on each ``test_scans.centre_scan_loops()`` loop, in
+# order, as (name, passing x, failing x), when the pre-filter read the laws at y = g for
+# every z, with no pre-test on pairs of L's greedy generators.  The same under each cap.
+CENTRE_SCANS = [
+    ("sym3", [], []),
+    ("noncml6", [1], []),
+    ("zassenhaus81", [1], []),
+    ("abelian:2,3", [1, 3], []),
+    ("abelian:4,4", [1, 4], []),
+    ("swapped16", [8], []),
+    ("zassenhaus81", [1], []),
+    ("noncml6xabelian:3", [1, 3], []),
+    ("abelian:3xnoncml6", [1, 6], []),
+    ("abelian:2xnoncml6", [1, 6], []),
+    ("sym3xabelian:3", [1], []),
+    ("swapped16xabelian:3", [1, 24], []),
+    ("swapped24xabelian:3", [1, 36], [33, 34, 35, 69, 70, 71]),
+    ("abelian:3xswapped24", [12, 24], [11, 23, 35, 47, 59, 71]),
+    ("zassenhaus81xabelian:2", [1, 2], []),
+    ("abelian:2xzassenhaus81", [1, 81], []),
+    ("zassenhaus81xabelian:3", [1, 3], []),
+    ("abelian:3xzassenhaus81", [1, 81], []),
+    ("zassenhaus81xabelian:2", [1, 2], []),
+    ("zassenhaus81xabelian:3", [1, 3], []),
+    ("zassenhaus81xabelian:3,3", [1, 3, 9], []),
+    ("zassenhaus81xabelian:12", [1, 12], []),
+    ("abelian:3,3,3,3,3,3", [1, 3, 9, 27, 81, 243], []),
+    ("swapped16", [8], []),
+    ("swapped24", [12], [11, 23]),
+    ("swapped48", [24], []),
+    ("swapped48", [24], [1, 4, 5, 6, 8, 12, 13, 14, 15, 16, 17, 18, 21, 22, 23, 25, 28, 29, 30,
+                         32, 36, 37, 38, 39, 40, 41, 42, 45, 46, 47]),
+]
+
+
+def closure_members(table, elements):
+    """Sorted members of the subloop generated by ``elements`` and 0: every product
+    of two members is added until none is new.  Pure Python, a route apart from
+    the frontier rounds of `loop_core._close`."""
+    t = table.tolist()
+    found = set(int(e) for e in elements) | {0}
+    while True:
+        grown = found | {t[a][b] for a in found for b in found}
+        if grown == found:
+            return sorted(found)
+        found = grown
+
+
 def naive_associators(loop):
     """{(a, b, c): k} with (a(bc)) k = (ab)c, read off inverted rows {u k: k} of the table."""
     t = loop.table.tolist()

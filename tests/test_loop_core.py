@@ -16,6 +16,7 @@ from conftest import (
     mixed_radix_abelian,
     swapped_cyclic,
 )
+from mloop import loop_core
 from mloop.errors import (
     BadDimension,
     CrossLoop,
@@ -118,6 +119,70 @@ def test_constructor_rejections():
         CayleyLoop(np.array([[0, 1, 2], [1, 1, 0], [2, 0, 1]]))
     with pytest.raises(NoIdentity):
         CayleyLoop(np.array([[1, 0, 2], [0, 2, 1], [2, 1, 0]]))
+
+
+def two_axis_violation(table):
+    """(axis, index, least repeated value) of the first repeating row, else column."""
+    for axis, lines in (("row", table.tolist()), ("col", table.T.tolist())):
+        for i, line in enumerate(lines):
+            repeated = [v for v in sorted(set(line)) if line.count(v) > 1]
+            if repeated:
+                return axis, i, repeated[0]
+    return None
+
+
+def test_symmetric_tables_report_the_two_axis_violation():
+    """A commutative table's columns are its rows, so only its rows are sorted; on
+    seeded symmetric non-Latin tables, Z_n with a cell pair changed and arbitrary
+    ones, the constructor raises the violation that both axes give."""
+    rng = np.random.default_rng(20261020)
+    tables = []
+    for n in range(2, 13):
+        sym = rng.integers(0, n, size=(n, n))
+        tables.append(np.minimum(sym, sym.T))
+        t = gen_abelian((n,)).table.astype(np.int64)
+        x, y, v = rng.integers(0, n, size=3)
+        t[x, y] = t[y, x] = (t[x, y] + 1 + v % (n - 1)) % n
+        tables.append(t)
+    for t in tables:
+        want = two_axis_violation(t)
+        assert want is not None and want[0] == "row"
+        with pytest.raises(NotLatinSquare) as err:
+            CayleyLoop(t)
+        assert (err.value.axis, err.value.index, err.value.value) == want
+        assert not diagnose(t).is_latin
+
+
+def test_latin_rows_with_a_repeating_column_are_rejected():
+    """Every row is a permutation and the table is not commutative, so the columns
+    are sorted too: column 1 repeats 1, column 2 repeats 0."""
+    t = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert two_axis_violation(t) == ("col", 1, 1)
+    with pytest.raises(NotLatinSquare, match="col=1 repeats value 1"):
+        CayleyLoop(t)
+    d = diagnose(t)
+    assert not d.is_latin and not d.is_commutative
+
+
+def test_gen_abelian_validates_its_table_once(monkeypatch):
+    """The last fold is named directly, so the order-729 table passes one Latin check,
+    and the table and name are those of the mixed-radix build."""
+    orders, real = [], loop_core._latin_violation
+
+    def counted(arr, commutative=False):
+        orders.append(len(arr))
+        return real(arr, commutative)
+
+    monkeypatch.setattr(loop_core, "_latin_violation", counted)
+    loop = gen_abelian((3,) * 6)
+    assert orders.count(729) == 1
+    want = mixed_radix_abelian((3,) * 6)
+    assert loop.name == want.name == "abelian:3,3,3,3,3,3"
+    assert loop.table.dtype == want.table.dtype and np.array_equal(loop.table, want.table)
+    assert loop.commutative and not loop.table.flags.writeable
+    assert gen_abelian((2, 3), name="six").name == "six"
+    trivial = gen_abelian(())
+    assert (trivial.name, trivial.n) == ("abelian:1", 1)
 
 
 def test_mul_inv_ldiv(z81):

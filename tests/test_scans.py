@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CENTRE_SCANS,
     EXPANSION_CASES,
     NONCML6,
     S3_TABLE,
@@ -282,6 +283,34 @@ def test_survivors_outside_the_centre_fall_back_to_the_full_scan(monkeypatch, ma
     assert tuple(np.flatnonzero(loop.central_mask())) == centre
     assert [x for x, ok in scans if ok] == passed
     assert sum(not ok for _, ok in scans) == failed
+
+
+def test_pair_pre_filter_keeps_the_full_scans(monkeypatch):
+    """Each pair (g, h) of L's greedy generators is one of the (g, z) that the laws at
+    y = g read, so testing the pairs first rules out no x those laws keep: on every
+    scan-test loop, under each cap, the passing full scans are those of the y = g
+    pre-filter alone (``CENTRE_SCANS``) and the failing ones are among its."""
+    loops = centre_scan_loops()
+    assert [loop.name for loop in loops] == [name for name, _, _ in CENTRE_SCANS]
+    for loop, (name, passed, failed) in zip(loops, CENTRE_SCANS):
+        for block in BLOCKS:
+            monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+            scans = count_full_scans(monkeypatch)
+            CayleyLoop(loop.table, name=name).central_mask()
+            assert [x for x, ok in scans if ok] == passed, (name, block)
+            assert {x for x, ok in scans if not ok} <= set(failed), (name, block)
+            monkeypatch.undo()
+
+
+def test_diagnose_reads_the_loop_flag_as_the_raw_scan_reads_the_table():
+    """``diagnose`` of a loop takes commutativity from the constructor's test and its
+    laws from reps^3; of the bare table, from its own test and all n^3 triples.  The
+    loops of ``coset_law_loops`` are compared in the test above."""
+    compared = {loop.name for loop in coset_law_loops()}
+    for loop in centre_scan_loops():
+        assert loop.commutative == bool(np.array_equal(loop.table, loop.table.T)), loop.name
+        if loop.name not in compared:
+            assert diagnose(loop) == diagnose(loop.table), loop.name
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 64, 100, perm_rows.GATHER_BLOCK])

@@ -7,6 +7,7 @@ from conftest import (
     NONCML6,
     S3_TABLE,
     associator_tensor,
+    closure_members,
     early_stop_lattice,
     group_cayley_loop,
     hyperplane_maximals,
@@ -146,6 +147,69 @@ LATTICE_LOOPS = {
     "cayley:dihedral8": lambda: group_cayley_loop(
         PermGroup(4, np.array([[1, 2, 3, 0], [3, 2, 1, 0]]))),
 }
+
+
+CLOSE_KERNEL_LOOPS = {
+    "zassenhaus81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "abelian:4,4": lambda: gen_abelian((4, 4)),
+    "sym3": lambda: CayleyLoop(S3_TABLE, name="sym3"),
+    "swapped48": lambda: swapped_cyclic(48, 4, 2),
+}
+
+
+class CountedTable(np.ndarray):
+    """A table recording the entries of each of its fancy-index reads."""
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key):
+            self.reads.append(np.asarray(out).ravel().tolist())
+        return out
+
+
+@pytest.mark.parametrize("name", CLOSE_KERNEL_LOOPS)
+def test_close_matches_pure_python_closure(name):
+    """`_close` of a closed base and seeded new elements is the product closure of both,
+    with or without the ``commutative`` flag where the table is commutative, and every
+    frontier round gains an element: none is spent once the mask is the whole loop.
+    With a stop array it returns the closure when that holds no stop index, and
+    otherwise a mask between base | new and the closure that holds one."""
+    loop = CLOSE_KERNEL_LOOPS[name]()
+    rng = np.random.default_rng(20261020)
+    flags = (False, True) if loop.commutative else (False,)
+    ids = np.arange(loop.n)
+    whole = stopped = 0
+    for _ in range(30):
+        base = np.isin(ids, closure_members(loop.table, rng.choice(loop.n, rng.integers(0, 2))))
+        new = rng.random(loop.n) < rng.choice([1, 2, 3]) / loop.n
+        want = np.isin(ids, closure_members(loop.table, np.flatnonzero(base | new)))
+        whole += want.all()
+        for commutative in flags:
+            table = loop.table.view(CountedTable)
+            table.reads = []
+            got = _close(table, base, new, commutative=commutative)
+            assert np.array_equal(got, want), (name, commutative)
+            # a round reads x y, and y x unless the flag is set; only a last round
+            # may gain nothing, when it proves a proper subloop closed
+            per_round = 1 if commutative else 2
+            rounds = [sum(table.reads[i:i + per_round], [])
+                      for i in range(0, len(table.reads), per_round)]
+            known, gains = set(np.flatnonzero(base | new).tolist()), []
+            for r in rounds:
+                gains.append(not set(r) <= known)
+                known |= set(r)
+            assert gains[:-1] == [True] * (len(rounds) - 1), (name, commutative)
+            assert not rounds or gains[-1] == bool(want.all()), (name, commutative)
+            stop = rng.choice(loop.n, 2)
+            early = _close(loop.table, base, new, stop, commutative)
+            assert (early <= want).all() and ((base | new) <= early).all()
+            if want[stop].any():
+                stopped += 1
+                assert early[stop].any()
+            else:
+                assert np.array_equal(early, want)
+    assert 0 < whole < 30 and stopped
 
 
 @pytest.mark.parametrize("name", LATTICE_LOOPS)
