@@ -13,16 +13,11 @@ import numpy as np
 
 from .errors import NotCommutative, NotNormal, NotSubgroup
 from .loop_core import CayleyLoop, _cosets, quotient
-from .perm_group import (PermGroup, Permutation, _derived, _generators, _normal_closure,
-                         center_of_group)
+from .perm_group import (PermGroup, Permutation, _derived, _generators, _images,
+                         _normal_closure, center_of_group)
 from .perm_rows import compose, fresh, row_set
 from .reporting import verdict
-from .structure import (
-    Subloop,
-    coerce_subloop,
-    is_normal,
-    normality_witness,
-)
+from .structure import Subloop, coerce_subloop, is_normal, normality_witness
 
 
 def translation(loop, x):
@@ -39,9 +34,7 @@ class MultGroupBundle:
 
 def multiplication_group(loop):
     if not loop.commutative:
-        raise NotCommutative(
-            f"{loop.name} is not commutative; only L-translations are generated here"
-        )
+        raise NotCommutative(f"{loop.name} is not commutative; only L-translations are generated here")
     n, t, ld = loop.n, loop.table, loop.ldiv_table()
     bad = loop.central_violation()
     if bad is not None:
@@ -50,7 +43,9 @@ def multiplication_group(loop):
     # L(c) commutes with each L(y) for c in Z(L), so L(xc, y) = L(x, y) = L(x, yc): the
     # first occurrence of each map in (x, y) order is a pair of least coset members.
     reps, seen = loop.central_cosets()[0], set()
-    inner = [fresh(ld[t[x, reps][:, None], t[x][t[reps]]], seen) for x in reps]
+    at = t[reps]
+    inner = [fresh(ld.take(t[x, reps].astype(np.intp)[:, None] * n + t[x].take(at)), seen)
+             for x in reps]
     I = PermGroup(n, np.concatenate(inner))
     return MultGroupBundle(loop=loop, M=PermGroup(n, t, _stabilizer=I), I=I)
 
@@ -75,7 +70,7 @@ def orbit_of_identity(bundle, N):
     loop = bundle.loop
     if not N.is_subgroup_of(bundle.M):
         raise NotSubgroup("N is not a subgroup of the multiplication group")
-    result = Subloop(loop, N.element_array()[:, 0])
+    result = Subloop(loop, _images(N, [0])[:, 0])
     if not is_normal(loop, result):
         raise NotNormal(normality_witness(loop, result))
     if not _h_star(bundle, result)[bundle.M._index(N.gen_array[:, bundle.M.base])].all():
@@ -104,11 +99,8 @@ def verify_lemma1(bundle, H):
     onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
     kernel = (induced == np.arange(q.n)).all(axis=1)
     kernel_ok = blocks_ok and np.array_equal(kernel, star)
-    witness = {
-        "m_order": m_order,
-        "h_star_order": int(star.sum()),
-        "quotient_m_order": qbundle.M.order(),
-    }
+    witness = {"m_order": m_order, "h_star_order": int(star.sum()),
+               "quotient_m_order": qbundle.M.order()}
     return verdict(witness, order_ok=order_ok, blocks_ok=blocks_ok, onto_ok=onto_ok,
                    kernel_ok=kernel_ok)
 
@@ -140,10 +132,6 @@ def verify_lemma7(bundle, lprime):
     closure = _normal_closure(M, bundle.I.gen_array)[0]
     ok = (np.array_equal(derived, star) and np.array_equal(derived, closure)
           and joined.element_keys() == row_set(M.element_array()[derived]))
-    witness = {
-        "derived_order": int(derived.sum()),
-        "join_order": joined.order(),
-        "h_star_order": int(star.sum()),
-        "normal_closure_order": int(closure.sum()),
-    }
+    witness = {"derived_order": int(derived.sum()), "join_order": joined.order(),
+               "h_star_order": int(star.sum()), "normal_closure_order": int(closure.sum())}
     return ok, witness

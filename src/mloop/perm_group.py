@@ -1,34 +1,29 @@
 """Exact permutation groups at desk scale, on integer arrays.
 
-A group's generators, its chain's transversals and its enumerated
-elements are (k, degree) arrays of image rows in the loop table's dtype
-(int16 up to degree 32768), multiplied by the gathers of ``perm_rows``.
-``Permutation`` is the public value type only; no tuple copy of an array
-is kept.
+A group's generators and its chain's transversals are (k, degree) arrays of
+image rows in the loop table's dtype (int16 up to degree 32768), multiplied
+by the flat gathers of ``perm_rows``; ``Permutation`` is the public value
+type only.  Groups carry a stabilizer chain built from Schreier's lemma, a
+base and strong generating set by construction: order is the product of
+transversal sizes and membership is a sift.  The chain is fixed bit for bit:
+the base is the least moved point; the transversal is a breadth-first search
+over orbit points in sorted order and generators in order, the first
+representative of a point winning; the next level's generators are the
+Schreier generators rep(g(pt))^-1 * g * u_pt over sorted points and ordered
+generators, without the identity or repeats.  No randomization anywhere.
 
-Groups carry a stabilizer chain built from Schreier's lemma, a base and
-strong generating set by construction: order is the product of
-transversal sizes and membership is a sift.  The chain, and with it the
-element order, is fixed bit for bit: the base is the least moved point;
-the transversal is a breadth-first search over orbit points in sorted
-order and generators in order, the first representative of a point
-winning; the next level's generators are the Schreier generators
-rep(g(pt))^-1 * g * u_pt over sorted points and ordered generators,
-without the identity or repeats.  Elements enumerate as rep_1 * rep_2 *
-... with each level's representatives in sorted point order.  No
-randomization anywhere.
-
-Subgroups of an enumerated G are masks over its element order, a member's
-position read off its base point images alone; greedy generators close the
-mask one row at a time, in place, so the masks that ``_lifts``, ``_derived``
-and ``_frattini`` hand out are read-only.  Only a group a public function
-returns gets a chain: ``verify`` and ``mloop invariants`` read the masks.
-Each term of the upper central series is one gather of the previous term's
-mask at the commutator positions p^-1 g^-1 p g, built once per G.
-A normalizer N(H) is the stabilizer of H in the conjugation action: H's
-orbit under the reduced generators is enumerated with O(|G|) memory, and
-each element is labelled with its conjugate of H down a breadth-first tree
-of G's Cayley graph, both built once per G.
+The element at mixed-radix digits (d_1, ..., d_b), each level's
+representatives in sorted point order, is rep_1[d_1] * ... * rep_b[d_b].
+Subgroups are read-only masks over this element order, a member's position
+read off its base point images alone.  The mask kernels never build the
+element table: G keeps, for each point a kernel asks about, the column of
+every element's image of it, built once; any other image is a walk of b flat
+takes down the chain, and a full row is built only for a generator the
+greedy kernel appends.  ``element_array()`` serves callers that need every
+row.  The upper central series is a gather of masks at the commutator
+positions p^-1 g^-1 p g, and a normalizer N(H) the stabilizer of H in the
+conjugation action, each element labelled with its conjugate of H down a
+breadth-first tree of G's Cayley graph; both are built once per G.
 """
 
 from collections import namedtuple
@@ -77,41 +72,25 @@ class Permutation:
     def __mul__(self, other):
         """Composition: (p * q)(i) = p(q(i))."""
         if len(self.images) != len(other.images):
-            raise DegreeMismatch(
-                f"degree {len(self.images)} vs {len(other.images)}"
-            )
+            raise DegreeMismatch(f"degree {len(self.images)} vs {len(other.images)}")
         a, b = self.images, other.images
         return Permutation._raw(tuple(a[b[i]] for i in range(len(a))))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation._raw(tuple(inv))
-
-    def conjugate_by(self, g):
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
-    def is_identity(self):
-        return all(i == img for i, img in enumerate(self.images))
+        return Permutation._raw(tuple(np.argsort(self.images).tolist()))
 
     def order(self):
         return lcm(*self.cycle_lengths())
 
     def cycle_lengths(self):
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
+        seen, out = set(), []
+        for p in range(len(self.images)):
             length = 0
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = self.images[p]
-                length += 1
-            out.append(length)
+            while p not in seen:
+                seen.add(p)
+                p, length = self.images[p], length + 1
+            if length:
+                out.append(length)
         return out
 
     def serialize(self):
@@ -158,8 +137,7 @@ def _perms(rows):
     return [Permutation._raw(tuple(r)) for r in rows.tolist()]
 
 
-# reps: the transversal, sorted by the point rep(base); inverses: reps^-1;
-# slot[pt]: the row of pt's rep, -1 off the orbit
+# reps: the transversal, sorted by rep(base); inverses: reps^-1; slot[pt]: pt's rep, -1 off the orbit
 _ChainLevel = namedtuple("_ChainLevel", "base generators reps inverses slot")
 
 
@@ -177,11 +155,9 @@ class PermGroup:
         self.gen_array.setflags(write=False)
         self.chain = self._build_chain(_stabilizer)
         self.base = [level.base for level in self.chain]
-        self._elements = None
-        self._reduced = None
-        self._conjugation = None
-        self._commutators = None
-        self._derived = None
+        self._store = np.empty((0, self.order()), dtype=self.gen_array.dtype)  # see _columns
+        self._column_of = np.full(self.degree, -1)
+        self._elements = self._reduced = self._conjugation = self._commutators = self._derived = None
 
     @property
     def generators(self):
@@ -218,10 +194,9 @@ class PermGroup:
             seen = {ident.tobytes()}
             stab = []
             for b in blocks(len(reps), len(gens) * self.degree):
-                gu = gens[:, reps[b]]  # [g, pt, i] = g(u_pt(i))
-                back = inverses[slot[gens[:, reps[b, base]]]]
-                s = np.take_along_axis(back, gu, axis=2).transpose(1, 0, 2)
-                stab.append(fresh(s.reshape(-1, self.degree), seen))
+                gu = gens.take(reps[b], axis=1).transpose(1, 0, 2)  # [pt, g, i] = g(u_pt(i))
+                back = slot[gens[:, reps[b, base]]].T[..., None] * self.degree
+                stab.append(fresh(inverses.take(back + gu).reshape(-1, self.degree), seen))
             gens = np.concatenate(stab)
         return tuple(levels)
 
@@ -243,8 +218,7 @@ class PermGroup:
 
     def sift(self, p):
         """Factor p through the chain; returns the residue (identity iff member)."""
-        residue, _ = self._sift(_rows(self.degree, [p]))
-        return _perms(residue)[0]
+        return _perms(self._sift(_rows(self.degree, [p]))[0])[0]
 
     def contains_rows(self, rows):
         """Boolean mask: which rows of a (k, degree) array lie in the group."""
@@ -261,20 +235,20 @@ class PermGroup:
         images = np.array(images, dtype=np.intp)
         index = np.zeros(images.shape[:-1], dtype=np.intp)
         for i, level in enumerate(self.chain):
-            slot = level.slot[images[..., i]]
+            slot = level.slot.take(images[..., i])
             assert (slot >= 0).all(), "a base image is off its orbit: the row is not in the group"
             index = index * len(level.reps) + slot
-            images[..., i + 1:] = level.inverses[slot[..., None], images[..., i + 1:]]
+            later = images[..., i + 1:]
+            later[...] = level.inverses.take(slot[..., None] * self.degree + later)
         return index
 
     def element_array(self):
         """All elements as a read-only (order, degree) array, identity first."""
-        if self.order() > ELEMENT_GUARD_DEFAULT:
-            raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, self.order())
+        _order(self)
         if self._elements is None:
             elems = np.arange(self.degree, dtype=self.gen_array.dtype)[None]
             for level in reversed(self.chain):
-                elems = level.reps[:, elems].reshape(-1, self.degree)
+                elems = level.reps.take(elems, axis=1).reshape(-1, self.degree)
             elems.setflags(write=False)
             self._elements = elems
         return self._elements
@@ -307,60 +281,104 @@ def group_from_generators(gens, degree=None):
 # -- subgroups, as masks over the element index of G ------------------------
 
 
-def _inverse_at(G, points):
-    """Row g of ``points`` mapped by g^-1, g = rep_1 * rep_2 * ... read off g's position."""
-    digits = np.unravel_index(np.arange(len(points)), [len(level.reps) for level in G.chain])
-    for level, digit in zip(G.chain, digits):
-        points = level.inverses[digit[:, None], points]
+def _order(G):
+    """|G|, asked before any array of |G| entries is made: refused above the element guard."""
+    if G.order() > ELEMENT_GUARD_DEFAULT:
+        raise OrderOverflow("element", ELEMENT_GUARD_DEFAULT, G.order())
+    return G.order()
+
+
+def _trivial(G):
+    return np.arange(_order(G)) == 0
+
+
+def _walk(G, positions, points, inverted=False):
+    """Row i of ``points`` mapped by the element e at ``positions[i]``, or by e^-1:
+    e = rep_1 * rep_2 * ... at the mixed-radix digits of its position, one flat
+    take per level, innermost first."""
+    steps = []
+    for level in reversed(G.chain):
+        positions, digit = np.divmod(positions, len(level.reps))
+        steps.append((level.inverses if inverted else level.reps, digit[:, None] * G.degree))
+    for table, offset in reversed(steps) if inverted else steps:
+        points = table.take(offset + points)
     return points
 
 
+def _rows_at(G, positions):
+    """The full rows of the elements at ``positions``."""
+    ident = np.arange(G.degree, dtype=G.gen_array.dtype)
+    return _walk(G, np.asarray(positions), np.tile(ident, (len(positions), 1)))
+
+
+def _columns(G, points):
+    """The rows of G's column store for ``points`` (any shape).  Store row r holds
+    every element's image of one point, in element order, built on first use as
+    ``element_array`` builds rows, on that point alone; the store doubles when full."""
+    order, rows = _order(G), G._column_of[points]
+    new = np.unique(np.asarray(points)[rows < 0])
+    if len(new):
+        cols = new[None]
+        for level in reversed(G.chain):
+            cols = level.reps.take(cols, axis=1).reshape(-1, len(new))
+        used = int(np.count_nonzero(G._column_of >= 0))
+        if used + len(new) > len(G._store):
+            spare = np.empty_like(G._store, shape=(max(used, len(new)), order))
+            G._store = np.concatenate([G._store, spare])
+        G._store[used:used + len(new)] = cols.T
+        G._column_of[new] = np.arange(used, used + len(new))
+        rows = G._column_of[points]
+    return rows
+
+
+def _images(G, points):
+    """(|G|, len(points)): every element's images of ``points``, off the column store."""
+    rows = _columns(G, points)
+    return G._store.take(rows, axis=0).T
+
+
 def _close(G, mask, gens):
-    """The mask closed under right multiplication by the rows ``gens``, gathering
-    the frontier's products in blocks of at most GATHER_BLOCK base images."""
+    """The mask closed under right multiplication by the rows ``gens``: the frontier's
+    products at the base points are read off the columns of the gens' base images,
+    in blocks of at most GATHER_BLOCK."""
+    rows = _columns(G, gens[:, G.base])
     frontier = np.flatnonzero(mask)
     while len(frontier):
         known = mask.copy()
-        for b in blocks(len(frontier), len(gens) * len(G.base)):
-            mask[G._index(G.element_array()[frontier[b, None, None], gens[:, G.base]])] = True
+        for b in blocks(len(frontier), rows.size):
+            mask[G._index(G._store[rows, frontier[b, None, None]])] = True
         frontier = np.flatnonzero(mask & ~known)
     return mask
 
 
-def _grow(G, mask, gens, rows):
-    """The greedy kernel: append to the generator rows ``gens`` each member row of
-    ``rows``, in order, outside the subgroup ``mask`` generated so far, closing
-    the mask after each.  Returns (mask, gens)."""
-    for i, row in zip(G._index(rows[:, G.base]).tolist(), rows):
+def _grow(G, mask, gens, positions):
+    """The greedy kernel: append to the generator rows ``gens`` each member at
+    ``positions``, in order, outside the subgroup ``mask`` generated so far,
+    closing the mask after each; only appended rows are built.  Returns (mask, gens)."""
+    for i in np.asarray(positions).tolist():
         if not mask[i]:
-            gens = np.concatenate([gens, row[None]])
+            gens = np.concatenate([gens, _rows_at(G, [i])])
             mask = _close(G, mask, gens)
     return mask, gens
 
 
 def _generators(G, mask):
     """Greedy generator rows of the subgroup ``mask``, from its members in element order."""
-    elements = G.element_array()
-    return _grow(G, np.arange(G.order()) == 0, elements[:0], elements[mask])[1]
+    return _grow(G, _trivial(G), G.gen_array[:0], np.flatnonzero(mask))[1]
 
 
 def _reduced_rows(G):
     if G._reduced is None:
-        G._reduced = _grow(G, np.arange(G.order()) == 0, G.gen_array[:0], G.gen_array)[1]
+        G._reduced = _grow(G, _trivial(G), G.gen_array[:0], G._index(G.gen_array[:, G.base]))[1]
     return G._reduced
 
 
-def reduced_generators(G):
-    """A greedy irredundant generating subset (same group, fewer iterations)."""
-    return _perms(_reduced_rows(G))
-
-
 def _powers(G, p):
-    """Positions of g^p for each g in G, from g's base point images alone."""
-    elements = G.element_array()
-    images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(elements), len(G.base)))
+    """Positions of g^p for each g in G, g's base point images walked down the chain."""
+    positions = np.arange(_order(G))
+    images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(positions), len(G.base)))
     for _ in range(p):
-        images = np.take_along_axis(elements, images, axis=1)
+        images = _walk(G, positions, images)
     return G._index(images)
 
 
@@ -370,13 +388,13 @@ def _conjugation(G):
     tree of the right Cayley graph, rounds of (points, parents, j) with
     e_point = e_parent s_j, the first find of a point winning."""
     if G._conjugation is None:
-        elements, gens = G.element_array(), _reduced_rows(G)
-        conj = np.empty((len(gens), G.order()), dtype=np.intp)
+        gens = _reduced_rows(G)
+        conj = np.empty((len(gens), _order(G)), dtype=np.intp)
         right = np.empty_like(conj)  # right[j, i]: the position of e_i s_j
         for j, (s, s_inv) in enumerate(zip(gens, inverse(gens))):
-            images = elements[:, s[G.base]]  # e_i s_j at the base points
-            right[j], conj[j] = G._index(images), G._index(s_inv[images])
-        seen, frontier, levels = np.arange(G.order()) == 0, np.zeros(1, dtype=np.intp), []
+            images = _images(G, s[G.base])  # e_i s_j at the base points
+            right[j], conj[j] = G._index(images), G._index(s_inv.take(images))
+        seen, frontier, levels = _trivial(G), np.zeros(1, dtype=np.intp), []
         while len(frontier):
             points, first = np.unique(right[:, frontier], return_index=True)
             new = ~seen[points]
@@ -416,10 +434,10 @@ def _commutators(G):
     """Read-only (k, |G|) positions, built once per G: [j, i] is the position of
     e_i^-1 s_j^-1 e_i s_j for the reduced generators s_j."""
     if G._commutators is None:
-        gens = _reduced_rows(G)
-        comm = np.empty((len(gens), G.order()), dtype=np.intp)
+        gens, positions = _reduced_rows(G), np.arange(_order(G))
+        comm = np.empty((len(gens), len(positions)), dtype=np.intp)
         for j, (g, g_inv) in enumerate(zip(gens, inverse(gens))):
-            comm[j] = G._index(_inverse_at(G, g_inv[G.element_array()[:, g[G.base]]]))
+            comm[j] = G._index(_walk(G, positions, g_inv.take(_images(G, g[G.base])), inverted=True))
         comm.setflags(write=False)
         G._commutators = comm
     return G._commutators
@@ -435,7 +453,7 @@ def _lifts(G, inside):
 
 def _central_series(G):
     """Masks of the upper central series Z_0 <= Z_1 <= ..., up to its first repeat."""
-    masks = [np.arange(G.order()) == 0]
+    masks = [_trivial(G)]
     while not masks[-1].all():
         nxt = _lifts(G, masks[-1])
         if nxt.sum() == masks[-1].sum():
@@ -450,14 +468,13 @@ def _normal_closure(G, seeds):
     each conjugate g^-1 h g of a generator h by the reduced generators g in
     order that lies outside the subgroup so far."""
     conj = _reduced_rows(G)
-    conj_inv = inverse(conj)
-    gens = _distinct(seeds)
-    mask = _close(G, np.arange(G.order()) == 0, gens)
+    conj_inv, gens = inverse(conj), _distinct(seeds)
+    mask = _close(G, _trivial(G), gens)
     work = list(gens)
     while work:
         h = work.pop()
         known = len(gens)
-        mask, gens = _grow(G, mask, gens, compose(conj_inv, h[conj]))
+        mask, gens = _grow(G, mask, gens, G._index(compose(conj_inv, h[conj])[:, G.base]))
         work.extend(gens[known:])
     return mask, gens
 
@@ -476,7 +493,7 @@ def _derived(G):
 
 def center_of_group(G):
     """Elements commuting with every generator (hence with everything)."""
-    return PermGroup(G.degree, _generators(G, _lifts(G, np.arange(G.order()) == 0)))
+    return PermGroup(G.degree, _generators(G, _lifts(G, _trivial(G))))
 
 
 def normal_closure(G, seeds):
@@ -492,30 +509,21 @@ def derived_subgroup(G):
     return PermGroup(G.degree, _derived(G)[1])
 
 
-def upper_central_series_group(G):
-    """Ascending chain Z_0 <= Z_1 <= ... over enumerated elements."""
-    return [PermGroup(G.degree, _generators(G, mask)) for mask in _central_series(G)]
-
-
 def is_nilpotent_group(G):
     return bool(_central_series(G)[-1].all())
 
 
 def _frattini(G):
-    """Read-only mask of Phi(G) for a finite nilpotent group G.
-
-    For nilpotent G the maximal subgroups are exactly the index-p
-    preimages of hyperplanes mod p, so Phi(G) is the intersection over
-    primes p | order(G) of G' * <g^p : g in G>.  (The intersection over
-    primes matters as soon as the order is not a prime power.)
-    """
+    """Read-only mask of Phi(G) for a finite nilpotent group G, whose maximal subgroups
+    are the index-p preimages of hyperplanes mod p: Phi(G) is the intersection of
+    G' * <g^p : g in G> over every prime p | order(G), which matters as soon as the
+    order is not a prime power."""
     if not is_nilpotent_group(G):
         raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
-    elements = G.element_array()
-    inside = np.ones(len(elements), dtype=bool)
+    inside = np.ones(_order(G), dtype=bool)
     for p in _prime_factors(G.order()):
         mask, gens = _derived(G)
-        inside &= _grow(G, mask.copy(), gens, elements[np.unique(_powers(G, p))])[0]
+        inside &= _grow(G, mask.copy(), gens, np.unique(_powers(G, p)))[0]
     inside.setflags(write=False)
     return inside
 
@@ -526,11 +534,8 @@ def frattini_subgroup(G):
 
 
 def frattini_subgroup_oracle(G):
-    """Intersection of maximal subgroups, by exhaustive subgroup search.
-
-    The group's own Cayley table is a (Latin, associative) loop table, so
-    the subloop-lattice machinery enumerates exactly the subgroups.
-    """
+    """Intersection of maximal subgroups, by exhaustive subgroup search: the group's
+    Cayley table is a (Latin, associative) loop table, whose subloops are its subgroups."""
     order = G.order()
     if order > FRATTINI_ORACLE_GUARD:
         raise OrderOverflow("frattini-oracle", FRATTINI_ORACLE_GUARD, order)
@@ -546,15 +551,13 @@ def normalizer_of_subgroup(G, H):
     """{g in G : g^-1 H g = H} over enumerated elements of G."""
     if not H.is_subgroup_of(G):
         raise NotSubgroup("H is not contained in G (generator sift failed)")
-    mask = _close(G, np.arange(G.order()) == 0, H.gen_array)
+    mask = _close(G, _trivial(G), H.gen_array)
     return PermGroup(G.degree, _generators(G, _normalizer_mask(G, mask)))
 
 
 def is_divisible_group(G):
-    """Finite specialization: p-power maps are onto only in the trivial group.
-
-    The primes dividing the exponent are those dividing the order (Cauchy).
-    """
+    """Finite specialization: p-power maps are onto only in the trivial group.  The
+    primes dividing the exponent are those dividing the order (Cauchy)."""
     order = G.order()
     divisible = all(len(np.unique(_powers(G, p))) == order for p in _prime_factors(order))
     assert divisible == (order == 1), "finite divisible group must be trivial"

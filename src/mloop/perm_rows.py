@@ -1,12 +1,12 @@
 """Permutations as rows of integer arrays.
 
-A permutation of degree n is the row of its n point images, and k of them
-form a (k, n) array.  The product p * q (q applied first) is the gather
-p[q].  Gathers run in row blocks of at most GATHER_BLOCK entries.  A loop
-table's row x is L_x, and the table scans run y-row blocks of 1, 2, 4, ...
-rows up to that cap, each cast to intp once (``cast_blocks``), each product
-a ``take``.  The triple scans run the blocks outer and x inner; the centre's
-full scan of one x runs them in turn and stops at its first failing block.
+A permutation of degree n is the row of its n point images, k of them a
+(k, n) array.  The product p * q (q applied first) is the gather p[q], in
+row blocks of at most GATHER_BLOCK entries, each a flat take (a put, for
+inverses) with row i of a block offset by i * n.  A loop table's row x is
+L_x; its scans run y-row blocks of 1, 2, 4, ... rows up to that cap, each
+cast to intp once (``cast_blocks``).  The triple scans run the blocks outer
+and x inner; the centre's full scan of one x stops at its first failing block.
 """
 
 import numpy as np
@@ -43,19 +43,28 @@ def cast_blocks(table):
 
 
 def compose(p, q):
-    """Row-wise products p * q; p may be a single row."""
+    """Row-wise products p * q.  A single row p is one gather, which reads q's
+    entries as they are (no intp copy); otherwise each block is one flat take."""
+    if len(p) == 1:
+        return p[0][q]
     out = np.empty(q.shape, dtype=p.dtype)
     for b in blocks(len(q), q.shape[1]):
-        out[b] = np.take_along_axis(p if len(p) == 1 else p[b], q[b], axis=1)
+        np.take(p[b], _flat(q[b]), out=out[b])
     return out
 
 
 def inverse(p):
-    out = np.empty_like(p)
-    ident = np.arange(p.shape[1], dtype=p.dtype)[None]
+    """Row-wise inverses, each block one flat put of the identity row."""
+    out = np.empty(p.shape, dtype=p.dtype)
+    ident = np.arange(p.shape[1], dtype=p.dtype)
     for b in blocks(len(p), p.shape[1]):
-        np.put_along_axis(out[b], p[b], ident, axis=1)
+        np.put(out[b], _flat(p[b]), ident)
     return out
+
+
+def _flat(rows):
+    """Row i's entries shifted by i * width: indices into the block read as one flat row."""
+    return rows + np.arange(len(rows))[:, None] * rows.shape[1]
 
 
 def row_set(rows):

@@ -84,7 +84,7 @@ class LoopContext:
 
     @cached_property
     def m_center(self):
-        return pg._lifts(self.bundle.M, np.arange(self.bundle.M.order()) == 0)
+        return pg._lifts(self.bundle.M, pg._trivial(self.bundle.M))
 
     @cached_property
     def m_derived(self):
@@ -275,7 +275,7 @@ def _group_chains(m, limit):
     for i in range(1, m.order()):
         if len(chains) == GROUP_CHAIN_SAMPLES:
             break
-        h = pg._close(m, np.arange(m.order()) == 0, m.element_array()[i:i + 1])
+        h = pg._close(m, pg._trivial(m), pg._rows_at(m, [i]))
         chains.setdefault(h.tobytes(), [h])
     for chain in chains.values():
         while not chain[-1].all() and len(chain) <= limit:

@@ -759,9 +759,11 @@ def naive_normalizer(G, H):
 def conjugation_sweep_normalizer_mask(G, mask):
     """Mask of the g in G with g^-1 h g in the subgroup ``mask`` for each of its
     greedy generators h, every element of G conjugating each h."""
+    elements = G.element_array()
+    inverses = reference_inverse(elements)
     keep = np.ones(len(mask), dtype=bool)
     for h in pg._generators(G, mask):
-        keep &= mask[G._index(pg._inverse_at(G, h[G.element_array()[:, G.base]]))]
+        keep &= mask[G._index(np.take_along_axis(inverses, h[elements[:, G.base]], axis=1))]
     return keep
 
 
@@ -782,3 +784,79 @@ def closure_elements(degree, gens):
                     nxt.append(q)
         frontier = nxt
     return list(found.values())
+
+
+# -- permutation helpers with no caller in src -----------------------------
+
+
+def conjugate_by(p, g):
+    """g^-1 * p * g, for Permutations."""
+    return g.inverse() * p * g
+
+
+def is_identity(p):
+    return all(i == img for i, img in enumerate(p.images))
+
+
+def reduced_generators(G):
+    """A greedy irredundant generating subset (same group, fewer iterations)."""
+    return pg._perms(pg._reduced_rows(G))
+
+
+def upper_central_series_group(G):
+    """Ascending chain Z_0 <= Z_1 <= ... of groups, one per central series mask."""
+    return [PermGroup(G.degree, pg._generators(G, mask)) for mask in pg._central_series(G)]
+
+
+# -- the group kernels on G's element table ---------------------------------
+# The routes the kernels took before they read per-point columns and walked
+# the chain: every image is a gather from the whole rows of element_array().
+
+
+def reference_compose(p, q):
+    """Row-wise products p * q by take_along_axis; p may be a single row."""
+    return np.take_along_axis(p, q, axis=1)
+
+
+def reference_inverse(p):
+    out = np.empty_like(p)
+    np.put_along_axis(out, p, np.arange(p.shape[1], dtype=p.dtype)[None], axis=1)
+    return out
+
+
+def table_close(G, mask, gens):
+    """``perm_group._close``, each product's base images gathered from the table."""
+    elements, mask = G.element_array(), mask.copy()
+    frontier = np.flatnonzero(mask)
+    while len(frontier):
+        known = mask.copy()
+        mask[G._index(elements[frontier[:, None, None], gens[:, G.base]])] = True
+        frontier = np.flatnonzero(mask & ~known)
+    return mask
+
+
+def table_grow(G, mask, gens, rows):
+    """``perm_group._grow`` given member rows rather than positions."""
+    for i, row in zip(G._index(rows[:, G.base]).tolist(), rows):
+        if not mask[i]:
+            gens = np.concatenate([gens, row[None]])
+            mask = table_close(G, mask, gens)
+    return mask, gens
+
+
+def table_powers(G, p):
+    """Positions of g^p, each g's base images followed through its table row."""
+    elements = G.element_array()
+    images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(elements), len(G.base)))
+    for _ in range(p):
+        images = np.take_along_axis(elements, images, axis=1)
+    return G._index(images)
+
+
+def table_commutators(G):
+    """Positions of e^-1 g^-1 e g for the reduced generators g (rows) and every e."""
+    elements = G.element_array()
+    inverses = reference_inverse(elements)
+    gens = pg._reduced_rows(G)
+    return np.array([G._index(np.take_along_axis(inverses, g_inv[elements[:, g[G.base]]], axis=1))
+                     for g, g_inv in zip(gens, reference_inverse(gens))]).reshape(len(gens), G.order())

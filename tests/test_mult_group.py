@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import MLOOP_SOURCE_ROOT, NONCML6, inner_map_rows
+from conftest import MLOOP_SOURCE_ROOT, NONCML6, inner_map_rows, upper_central_series_group
 from mloop.errors import NotCommutative, NotNormal, NotSubgroup
 from mloop.loop_core import CayleyLoop, direct_product, gen_abelian, gen_zassenhaus81
 from mloop.mult_group import (
@@ -24,7 +24,6 @@ from mloop.perm_group import (
     center_of_group,
     derived_subgroup,
     frattini_subgroup,
-    upper_central_series_group,
 )
 from mloop.perm_rows import row_set
 from mloop.structure import associator_subloop, center, generate_subloop, trivial_subloop

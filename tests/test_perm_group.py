@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,26 @@ from hypothesis import strategies as st
 
 from conftest import (
     closure_elements,
+    conjugate_by,
     conjugation_sweep_normalizer_mask,
     group_from_elements,
+    is_identity,
     naive_lifts,
     naive_normalizer,
     naive_upper_central_series,
+    reduced_generators,
+    reference_compose,
+    reference_inverse,
     sift_derived_subgroup,
     sift_frattini_subgroup,
     sift_is_divisible_group,
     sift_normal_closure,
     sift_reduced_rows,
+    table_close,
+    table_commutators,
+    table_grow,
+    table_powers,
+    upper_central_series_group,
 )
 from mloop import perm_group as pg
 from mloop import perm_rows
@@ -37,8 +48,6 @@ from mloop.perm_group import (
     normal_closure,
     normalizer_of_subgroup,
     perm_from_cycles,
-    reduced_generators,
-    upper_central_series_group,
 )
 from mloop.perm_rows import compose, inverse
 
@@ -60,9 +69,9 @@ def test_permutation_algebra():
     p = Permutation((1, 2, 0))
     q = Permutation((1, 0, 2))
     assert (p * q).images == (2, 1, 0)  # p after q
-    assert (p * p.inverse()).is_identity()
+    assert is_identity(p * p.inverse())
     assert p.order() == 3 and q.order() == 2
-    assert q.conjugate_by(p) == p.inverse() * q * p
+    assert conjugate_by(q, p) == p.inverse() * q * p
     assert perm_from_cycles(5, [(0, 1, 2), (3, 4)]).order() == 6
     with pytest.raises(DegreeMismatch):
         Permutation((0, 0, 1))
@@ -96,7 +105,7 @@ def test_schreier_chain_small_groups():
     assert Permutation.identity(3) in g
     elems = g.enumerate_elements()
     assert len(elems) == 6
-    assert elems[0].is_identity()
+    assert is_identity(elems[0])
     assert d4().order() == 8
     assert cyclic(12).order() == 12
 
@@ -176,10 +185,28 @@ def test_divisible_group():
     assert not is_divisible_group(cyclic(4))
 
 
-def test_element_guard(monkeypatch):
+def test_element_guard(monkeypatch, z81_bundle):
+    """The guard refuses a group above it before any array of |G| entries exists:
+    no element table, no column, and less traced memory than half an intp array
+    of |G| entries (the sift of H's generators takes a few kB)."""
     monkeypatch.setattr(pg, "ELEMENT_GUARD_DEFAULT", 5)
     with pytest.raises(OrderOverflow):
         s3().enumerate_elements()
+    monkeypatch.setattr(pg, "ELEMENT_GUARD_DEFAULT", 100)
+    m = z81_bundle.M
+    h = PermGroup(m.degree, m.gen_array[:1])
+    calls = (center_of_group, pg._frattini, is_divisible_group, lambda g: normalizer_of_subgroup(g, h))
+    for call in calls:
+        g = PermGroup(m.degree, m.gen_array)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderOverflow):
+                call(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.order() * np.dtype(np.intp).itemsize // 2
+        assert g._elements is None and g._store.size == 0 and (g._column_of < 0).all()
 
 
 def digest(perms):
@@ -553,3 +580,89 @@ def test_mask_subgroups_unchanged_by_small_gather_blocks(monkeypatch, z81_bundle
     want = summary(subgroups(z81_bundle.M))
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 256)
     assert summary(subgroups(z81_bundle.M)) == want
+
+
+def symmetric_subgroup(n, seed):
+    """S_n for seed 0, else a seeded random subgroup of it generated by one to three elements."""
+    G = PermGroup(n, [perm_from_cycles(n, [tuple(range(n))]), perm_from_cycles(n, [(0, 1)])])
+    rng = np.random.default_rng([n, seed])
+    return PermGroup(n, G.element_array()[rng.integers(0, G.order(), rng.integers(1, 4))]) if seed else G
+
+
+KERNEL_GROUPS = {
+    "trivial4": lambda request: PermGroup(4),  # the trivial groups have empty chains
+    "trivial1": lambda request: PermGroup(1, [Permutation([0])]),
+    **{f"S{n}-{seed}": (lambda request, n=n, seed=seed: symmetric_subgroup(n, seed))
+       for n in (5, 6, 7) for seed in range(5)},
+    "M(z81)": lambda request: request.getfixturevalue("z81_bundle").M,
+    "M(z81xZ3)": lambda request: request.getfixturevalue("z243_bundle").M,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_walk_and_columns_match_element_table(request, name):
+    """The chain walk (e and e^-1 at any points), full rows at positions, the
+    column store's gathers and the kernels reading them (``_close``, ``_powers``
+    and ``_commutators``), against gathers from element_array()'s whole rows."""
+    G = KERNEL_GROUPS[name](request)
+    fresh_g = PermGroup(G.degree, G.gen_array)
+    elements, inverses = G.element_array(), reference_inverse(G.element_array())
+    rng = np.random.default_rng(G.order())
+    positions = np.concatenate([[0, G.order() - 1], rng.integers(0, G.order(), 30)])
+    points = rng.integers(0, G.degree, (len(positions), 3))
+    assert np.array_equal(pg._walk(fresh_g, positions, points),
+                          np.take_along_axis(elements[positions], points, axis=1))
+    assert np.array_equal(pg._walk(fresh_g, positions, points, inverted=True),
+                          np.take_along_axis(inverses[positions], points, axis=1))
+    assert same_rows(pg._rows_at(fresh_g, positions), elements[positions])
+    # columns added one point at a time: the store is reallocated only when it doubles
+    store, grown = fresh_g._store, 0
+    for used, q in enumerate(rng.permutation(G.degree).tolist(), start=1):
+        assert same_rows(pg._images(fresh_g, [q]), elements[:, [q]])
+        grown, store = grown + (fresh_g._store is not store), fresh_g._store
+        assert used <= len(store) <= 2 * used
+    assert grown <= G.degree.bit_length() + 1
+    assert same_rows(pg._images(fresh_g, np.arange(G.degree)), elements)
+    assert fresh_g._elements is None
+    for _ in range(3):
+        gens = elements[rng.integers(0, G.order(), rng.integers(1, 3))]
+        start = pg._trivial(G) if rng.integers(2) else pg._derived(G)[0].copy()
+        assert np.array_equal(pg._close(G, start.copy(), gens), table_close(G, start, gens))
+    for p in (2, 3):
+        assert np.array_equal(pg._powers(G, p), table_powers(G, p))
+    assert np.array_equal(pg._commutators(G), table_commutators(G))
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_grow_from_positions_matches_grow_from_rows(request, name):
+    """``_grow`` given member positions appends the same generator rows, bit for bit,
+    and closes the same masks as the table route given the members' rows; seeded
+    position lists, the p-th powers over G' and every member in element order."""
+    G = KERNEL_GROUPS[name](request)
+    elements = G.element_array()
+    rng = np.random.default_rng(G.order() + 1)
+    derived, derived_gens = pg._derived(G)
+    cases = [(pg._trivial(G), G.gen_array[:0], rng.integers(0, G.order(), 8)),
+             (pg._trivial(G), G.gen_array[:0], np.arange(G.order())),
+             (derived, derived_gens, np.unique(pg._powers(G, 2)))]
+    for mask, gens, positions in cases:
+        ours = pg._grow(G, mask.copy(), gens, positions)
+        theirs = table_grow(G, mask.copy(), gens, elements[positions])
+        assert np.array_equal(ours[0], theirs[0]) and same_rows(ours[1], theirs[1])
+
+
+@pytest.mark.parametrize("block", [perm_rows.GATHER_BLOCK, 60])
+def test_compose_and_inverse_match_take_along_axis(monkeypatch, block):
+    """Flat-take products and flat-put inverses against take_along_axis and
+    put_along_axis, on int16 rows whose count crosses a GATHER_BLOCK boundary
+    (at the default and at a block of a few rows), for a single-row p too."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n = 16
+    rows = block // n + 5
+    p = np.argsort(rng.random((rows, n)), axis=1).astype(np.int16)
+    q = np.argsort(rng.random((rows, n)), axis=1).astype(np.int16)
+    assert same_rows(compose(p, q), reference_compose(p, q))
+    assert same_rows(compose(p[3:4], q), reference_compose(p[3:4], q))
+    assert same_rows(inverse(p), reference_inverse(p))
+    assert same_rows(compose(p, inverse(p)), np.tile(np.arange(n, dtype=np.int16), (rows, 1)))

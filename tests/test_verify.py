@@ -370,3 +370,11 @@ def test_divisible_loop_fails_with_pinned_witness(monkeypatch, z81):
     want = {"loop_divisible": True, "group_divisible": False, "divisible_part_order": 1,
             "complement_order": 2187, "loop_ok": False, "group_ok": True}
     assert json.dumps(_check_divisible(LoopContext(z81))) == json.dumps([False, want])
+
+
+def test_group_invariants_build_no_element_table(z81):
+    """Z(M), M' and Phi(M) are read off column gathers and chain walks: reading
+    them from a fresh context leaves M without its element table."""
+    ctx = LoopContext(z81)
+    assert [int(m.sum()) for m in (ctx.m_center, ctx.m_derived, ctx.m_frattini)] == [3, 81, 81]
+    assert ctx.bundle.M._elements is None
