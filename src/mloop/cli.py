@@ -167,7 +167,7 @@ def cmd_normalizer(args):
         try:
             oracle = normalizer_oracle(loop, k, h)
             payload["oracle"] = list(oracle.members)
-            if oracle.elements == trace.result.elements:
+            if oracle == trace.result:
                 print("oracle: agrees with the fixpoint")
             else:
                 print(

@@ -645,5 +645,5 @@ def quotient(loop, subloop):
     h = coerce_subloop(loop, subloop)
     if not is_normal(loop, h):
         raise NotNormal(normality_witness(loop, h))
-    reps, proj = _cosets(loop.table, list(h.members))
+    reps, proj = _cosets(loop.table, np.flatnonzero(h.mask()))
     return CayleyLoop(proj[loop.table[np.ix_(reps, reps)]], name=f"{loop.name}/{h.size}"), proj

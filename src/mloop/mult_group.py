@@ -56,7 +56,7 @@ def _h_star(bundle, H):
     H = coerce_subloop(loop, H)
     if not is_normal(loop, H):
         raise NotNormal(normality_witness(loop, H))
-    proj = _cosets(loop.table, list(H.members))[1]
+    proj = _cosets(loop.table, np.flatnonzero(H.mask()))[1]
     return (compose(proj[None], bundle.M.element_array()) == proj).all(axis=1)
 
 
@@ -85,15 +85,14 @@ def verify_lemma1(bundle, H):
     """Coset action of M factors through M(L/H) with kernel exactly H*."""
     loop = bundle.loop
     H = coerce_subloop(loop, H)
-    q, proj = quotient(loop, H)
+    q, proj = quotient(loop, H)  # raises NotNormal first, as _h_star does
     qbundle = multiplication_group(q)
-    star = _h_star(bundle, H)
+    # coset[a, i] is the coset of a(i): a permutes cosets iff coset[a] is constant on each,
+    # and lies in H* iff coset[a] = proj (the mask of _h_star)
+    coset = compose(proj[None], bundle.M.element_array())
+    star = (coset == proj).all(axis=1)
     m_order = bundle.M.order()
     order_ok = qbundle.M.order() * int(star.sum()) == m_order
-
-    # coset[a, i] is the coset of a(i); a permutes cosets iff coset[a] is constant on each
-    elements = bundle.M.element_array()
-    coset = compose(proj[None], elements)
     induced = coset[:, np.unique(proj, return_index=True)[1]]
     blocks_ok = bool((coset == induced[:, proj]).all())
     onto_ok = blocks_ok and row_set(induced) == qbundle.M.element_keys()
@@ -111,7 +110,7 @@ def verify_prop1(bundle, center):
     zl = coerce_subloop(loop, center)
     zm = center_of_group(bundle.M)
     t = loop.table
-    zs = np.array(zl.members)
+    zs = np.flatnonzero(zl.mask())
     set_ok = row_set(t[zs]) == zm.element_keys()
     # L(a) L(b) = L(ab) on central a, b
     hom_ok = bool((t[zs[:, None, None], t[zs][None]] == t[t[np.ix_(zs, zs)]]).all())
@@ -127,7 +126,7 @@ def verify_lemma7(bundle, lprime):
     derived = _derived(M)[0]
     lprime = coerce_subloop(loop, lprime)
     joined = PermGroup(loop.n, np.concatenate([bundle.I.gen_array,
-                                               loop.table[list(lprime.members)]]))
+                                               loop.table[lprime.mask()]]))
     star = _h_star(bundle, lprime)
     closure = _normal_closure(M, bundle.I.gen_array)[0]
     ok = (np.array_equal(derived, star) and np.array_equal(derived, closure)

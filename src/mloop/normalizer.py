@@ -34,7 +34,6 @@ from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
     _coset_subloop,
-    _join_elements,
     _normality_matrix,
     _require_cml,
     all_subloops,
@@ -118,26 +117,6 @@ def _may_join(pairs, sel):
     return pairs[:, sel].all(axis=1) & pairs[sel].all(axis=0) & pairs.diagonal()
 
 
-def maximality_gaps(loop, k, h, trace):
-    """Elements x in K outside the result of trace = normalizer(loop, k, h)
-    with H still normal in <H, x>.
-
-    An empty list certifies the maximality contrapositive for this input;
-    a nonempty list is a counterexample to reading the fixpoint as "the"
-    normalizer.  <H, x> is built only for x that pass _may_join.
-    """
-    h = coerce_subloop(loop, h)
-    k, kpos, meet, (pairs,) = _normality_matrix(loop, h.mask()[None], k)
-    may = _may_join(pairs, meet[0])[kpos]
-    gaps = []
-    for x, ok in zip(k.members, may.tolist()):
-        if ok and x not in trace.result:
-            sel = k._cosets_meeting(_join_elements(loop, h.mask(), [x]).mask())
-            if pairs[sel][:, sel].all():
-                gaps.append(int(x))
-    return gaps
-
-
 def normalizer_oracle(loop, k, h):
     """Greedy saturation from H, repeated over the addition orders of ORACLE_SEEDS.
 
@@ -160,10 +139,10 @@ def normalizer_oracle(loop, k, h):
         changed = True
         while changed:
             changed = False
-            candidates = [x for x in k.members if x not in s.elements]
+            candidates = np.flatnonzero(k.mask() & ~s.mask()).tolist()
             rng.shuffle(candidates)
             for x in candidates:
-                if x in s.elements or not may[coset_of[x]]:
+                if s.mask()[x] or not may[coset_of[x]]:
                     continue
                 grown = join(s, generate_subloop(loop, [x]))
                 sel = k._cosets_meeting(grown.mask())
@@ -191,7 +170,7 @@ def normalizer_chain(loop, h):
     chain = [h]
     while not chain[-1].is_full:
         result = normalizer(loop, None, chain[-1]).result
-        if result.elements == chain[-1].elements:
+        if result == chain[-1]:
             raise ChainStalled(
                 f"normalizer chain stalled at order {result.size} "
                 f"(subloop {result.serialize()})"
@@ -214,7 +193,7 @@ def ascending_subnormal_system(loop, h):
     chain = normalizer_chain(loop, h)
     terms = [trivial_subloop(loop)]
     for term in chain:
-        if term.elements != terms[-1].elements:
+        if term != terms[-1]:
             terms.append(term)
     for a, b in zip(terms, terms[1:]):
         if not is_normal(loop, a, b):

@@ -27,6 +27,7 @@ batched check.  ``_close`` stays the kernel for closing a single set.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,11 @@ class Subloop:
     Finite product-closure forces identity and inverse closure, but the
     constructor checks all three anyway, save closure on the whole loop, which
     its Latin table gives, and raises NotASubloop with the first offending pair.
-    Only ``_proved``, for a set whose closure its caller has proved, skips them.
+    Only ``_proved``, for a mask whose closure its caller has proved, skips them.
+
+    A subloop stores only its read-only bool mask over the parent's elements.
+    ``members``, ``elements``, ``size`` and ``key`` (the packed mask) are read off
+    it on first use, and ``==``, ``hash``, ``<=``, ``<`` and ``in`` work on masks.
     """
 
     def __init__(self, parent, elements):
@@ -61,28 +66,43 @@ class Subloop:
             raise ParseError(f"element index out of range 0..{parent.n - 1}")
         if 0 not in elems:
             raise NotASubloop("missing identity element 0")
-        members = np.array(elems, dtype=np.int64)
         inside = np.zeros(parent.n, dtype=bool)
-        inside[members] = True
+        inside[elems] = True
         if len(elems) < parent.n:
-            prods = np.asarray(parent.table[np.ix_(members, members)], dtype=np.int64)
+            prods = np.asarray(parent.table[np.ix_(elems, elems)], dtype=np.int64)
             if not inside[prods].all():
                 i, j = np.unravel_index(int(np.argmin(inside[prods])), prods.shape)
                 raise NotASubloop(f"not closed: {elems[i]} * {elems[j]} = {int(prods[i, j])} escapes")
-            if not inside[np.asarray(parent.inverse_array(), dtype=np.int64)[members]].all():
+            if not inside[np.asarray(parent.inverse_array(), dtype=np.int64)[elems]].all():
                 raise NotASubloop("not closed under inverses")
-        self._fill(parent, tuple(elems), inside)
+        self._fill(parent, inside)
 
     @classmethod
-    def _proved(cls, parent, members, mask):
+    def _proved(cls, parent, mask):
         """A subloop whose closure the caller has proved, built without re-validation."""
-        return cls.__new__(cls)._fill(parent, members, mask)
+        return cls.__new__(cls)._fill(parent, mask)
 
-    def _fill(self, parent, members, mask):
-        self.parent, self.members, self.elements = parent, members, frozenset(members)
-        self._mask, self._cosets, self._picked, self._coset_subloops = mask, None, {}, {}
+    def _fill(self, parent, mask):
+        self.parent, self._mask = parent, mask
+        self._cosets, self._picked, self._coset_subloops = None, {}, {}
         mask.setflags(write=False)
         return self
+
+    @cached_property
+    def members(self):
+        return tuple(self._mask.nonzero()[0].tolist())
+
+    @cached_property
+    def elements(self):
+        return frozenset(self._mask.nonzero()[0].tolist())
+
+    @cached_property
+    def size(self):
+        return int(np.count_nonzero(self._mask))
+
+    @cached_property
+    def key(self):
+        return np.packbits(self._mask).tobytes()
 
     def _coset_index(self):
         """(cosets, kpos), computed once: the sorted cosets of Z(L) meeting S, and kpos[j]
@@ -102,50 +122,40 @@ class Subloop:
         """Members of S in the cosets that ``sel`` picks from ``_coset_index()``'s, memoized."""
         key = sel.tobytes()
         if key not in self._picked:
-            kept = sel[self._coset_index()[1]].tolist()
-            self._picked[key] = tuple(x for x, keep in zip(self.members, kept) if keep)
+            self._picked[key] = tuple(self._mask.nonzero()[0][sel[self._coset_index()[1]]].tolist())
         return self._picked[key]
 
     @property
-    def size(self):
-        return len(self.members)
-
-    @property
     def is_full(self):
-        return len(self.members) == self.parent.n
-
-    @property
-    def is_trivial(self):
-        return len(self.members) == 1
+        return self.size == self.parent.n
 
     def mask(self):
         return self._mask
 
     def __contains__(self, i):
-        return int(i) in self.elements
+        return 0 <= i < len(self._mask) and self._mask[i]
 
     def __le__(self, other):
-        return self.parent is other.parent and self.elements <= other.elements
+        return self.parent is other.parent and not (self._mask & ~other._mask).any()
+
+    def __lt__(self, other):
+        return self.size < other.size and self <= other
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subloop)
-            and self.parent is other.parent
-            and self.elements == other.elements
-        )
+        return isinstance(other, Subloop) and self.parent is other.parent and self.key == other.key
 
     def __hash__(self):
-        return hash((id(self.parent), self.elements))
+        return hash((id(self.parent), self.key))
 
     def serialize(self):
-        return ",".join(str(m) for m in self.members)
+        return ",".join(map(str, self._mask.nonzero()[0].tolist()))
 
     def __repr__(self):
         return f"Subloop(order={self.size} of {self.parent.name})"
 
 
 def full_subloop(loop):
-    return Subloop._proved(loop, tuple(range(loop.n)), np.ones(loop.n, dtype=bool))
+    return Subloop._proved(loop, np.ones(loop.n, dtype=bool))
 
 
 def trivial_subloop(loop):
@@ -176,7 +186,7 @@ def generate_subloop(loop, indices):
 def join(a, b):
     if a.parent is not b.parent:
         raise NotNested("subloops of different parents")
-    return _join_elements(a.parent, a.mask(), b.members)
+    return _join_elements(a.parent, a.mask(), np.flatnonzero(b.mask()))
 
 
 def _join_elements(loop, base, elements):
@@ -285,7 +295,7 @@ def normality_witness(loop, h, k=None):
     failing = escapes.any(axis=(1, 2))
     if not failing.any():
         return None
-    members = np.array(h.members, dtype=np.int64)
+    members = np.flatnonzero(h.mask())
     hs = members[np.unique(loop.central_cosets()[1][members], return_index=True)[1]]
     i = np.flatnonzero(failing)[np.argmin(hs[failing])]
     j, l = _first_index(escapes[i][np.ix_(kpos, kpos)])
@@ -307,15 +317,15 @@ def _coset_subloop(loop, k, sel):
 
 
 def _prove_cosets(loop, k, sel):
-    cosets, members = k._coset_index()[0], k._coset_members(sel)
+    cosets = k._coset_index()[0]
     reps, proj = loop.central_cosets()
     if k.size != len(cosets) * (loop.n // len(reps)):
-        return Subloop(loop, members)
+        return Subloop(loop, k._coset_members(sel))
     ids, r = cosets[sel], reps[cosets[sel]]
     picked = np.bincount(ids, minlength=len(reps)) > 0
     if not (picked[0] and picked.take(proj.take(loop.table.take(r, 0).take(r, 1))).all()):
         raise AssertionError(f"the cosets {ids.tolist()} of Z(L) are not closed on L/Z(L)")
-    return Subloop._proved(loop, members, picked[proj])
+    return Subloop._proved(loop, picked[proj])
 
 
 # -- the subloop lattice -----------------------------------------------------
@@ -416,11 +426,6 @@ def _cyclic_masks(loop):
     return np.array(gens, dtype=np.int64), np.array(masks)
 
 
-def cyclic_subloops(loop):
-    """Distinct subloops <x>, including the trivial one, sorted."""
-    return _subloops(loop, np.packbits(_cyclic_masks(loop)[1], axis=1))
-
-
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -444,7 +449,7 @@ def _subloops(loop, packed):
         if bad.any():
             members = np.flatnonzero(block[np.argmax(bad)]).tolist()
             raise NotASubloop(f"{members} is not a subloop: not closed, or missing 0 or an inverse")
-    return [Subloop._proved(loop, tuple(np.flatnonzero(m).tolist()), m) for m in masks]
+    return [Subloop._proved(loop, m) for m in masks]
 
 
 def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
@@ -491,20 +496,34 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     return _subloops(loop, np.concatenate(found))
 
 
+def _inside(masks, over):
+    """held[i, j] iff the mask masks[i] lies inside the mask over[j]: float32 products
+    of row blocks of ``masks`` with the complements of ``over`` are zero there, each
+    block of ``masks`` and each product at most GATHER_BLOCK entries."""
+    held = np.empty((len(masks), len(over)), dtype=bool)
+    for b in blocks(len(masks), masks.shape[1]):
+        rows = masks[b].astype(np.float32)
+        for c in blocks(len(over), len(rows)):
+            held[b, c] = rows @ (~over[c]).T.astype(np.float32) == 0
+    return held
+
+
 def _maximal_members(subloops):
     """The proper members of a subloop list not strictly inside another proper member.
 
-    Members are walked by decreasing order.  One strictly inside a proper member
-    lies inside a maximal one, which is larger and so already kept, so each is
-    tested against the kept maxima only.
+    Members are walked one order at a time, largest first.  Members of one order
+    cannot strictly contain one another, and one strictly inside a proper member
+    lies inside a maximal one, which is larger and so already kept.  So each
+    order's members are tested against the kept maxima only, by ``_inside``.
     """
     proper = [s for s in subloops if not s.is_full]
-    tops = []
-    for s in sorted(proper, key=lambda s: -s.size):
-        if not any(s.elements < t.elements for t in tops):
-            tops.append(s)
-    kept = set(tops)
-    return [s for s in proper if s in kept]
+    masks = np.array([s.mask() for s in proper])
+    sizes = np.array([s.size for s in proper])
+    kept = np.zeros(len(proper), dtype=bool)
+    for size in sorted(set(sizes.tolist()), reverse=True):
+        level = sizes == size
+        kept[level] = ~_inside(masks[level], masks[kept]).any(axis=1)
+    return [s for s, keep in zip(proper, kept.tolist()) if keep]
 
 
 # -- distinguished subloops --------------------------------------------------
@@ -591,8 +610,7 @@ def _maximal_over(loop, derived):
                 m = _join_elements(loop, f.mask(), gens)
                 assert m.size * p == n, f"a hyperplane of L / L'L^{p} has index {n // m.size}"
                 out.append(m)
-    uniq = {s.elements: s for s in out}
-    return sorted(uniq.values(), key=lambda s: s.members)
+    return sorted(set(out), key=lambda s: s.members)
 
 
 def _prime_factors(n):

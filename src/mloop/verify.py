@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class LoopContext:
         self.loop = loop
         self.seed = int(seed)
         self.lattice_guard = lattice_guard
-        self._fixpoints: Dict[Tuple[int, ...], st.Subloop] = {}
+        self._fixpoints: Dict[bytes, st.Subloop] = {}
 
     @cached_property
     def lattice(self):
@@ -48,7 +48,7 @@ class LoopContext:
 
     @cached_property
     def by_members(self):
-        return {s.members: s for s in self.lattice}
+        return {s.key: s for s in self.lattice}
 
     @cached_property
     def whole(self):
@@ -96,12 +96,12 @@ class LoopContext:
 
     def fixpoint_result(self, subloop):
         """The lattice member that the P/D fixpoint of ``subloop`` in L returns."""
-        key = subloop.members
+        key = subloop.key
         if key not in self._fixpoints:
             result = _run_fixpoint(self.loop, self.whole, subloop).result
-            if result.members not in self.by_members:
-                raise AssertionError(f"fixpoint result {result.members} is not in the lattice")
-            self._fixpoints[key] = self.by_members[result.members]
+            if result.key not in self.by_members:
+                raise AssertionError(f"fixpoint result {result.serialize()} is not in the lattice")
+            self._fixpoints[key] = self.by_members[result.key]
         return self._fixpoints[key]
 
 
@@ -173,13 +173,12 @@ def _check_lemma1(ctx):
 def _check_lemma2(ctx):
     bad = (~ctx.center.mask()[st._powers(ctx.loop, 3)]).nonzero()[0]
     first = int(bad[0]) if bad.size else None
-    contained = all(c in ctx.center for c in ctx.cubes.members)
-    ok = first is None and contained
+    ok = first is None and ctx.cubes <= ctx.center
     return ok, None if ok else {"element": first, "cube_order": ctx.cubes.size}
 
 
 def _check_lemma4(ctx):
-    loop_ok = ctx.derived.elements <= ctx.frattini.elements
+    loop_ok = ctx.derived <= ctx.frattini
     group_ok = not (ctx.m_derived & ~ctx.m_frattini).any()
     witness = {
         "derived_order": ctx.derived.size,
@@ -207,39 +206,43 @@ def _check_prop1(ctx):
 
 def _check_prop3(ctx):
     lattice = ctx.lattice
-    pairs = [
-        (h.members, k.members)
-        for h in lattice
-        if not h.is_full
-        for k in lattice
-        if h.elements <= k.elements
-    ]
-    rng = random.Random(ctx.seed)
-    if len(pairs) > PROP3_SAMPLE_COUNT:
-        pairs = rng.sample(pairs, PROP3_SAMPLE_COUNT)
-    pairs.sort()
-    checked = 0
-    failures = 0
+    found = _containments(lattice)
+    picks = range(len(found))
+    if len(picks) > PROP3_SAMPLE_COUNT:
+        picks = random.Random(ctx.seed).sample(picks, PROP3_SAMPLE_COUNT)
+    pairs = sorted(((lattice[h], lattice[k]) for h, k in found[list(picks)].tolist()),
+                   key=lambda pair: (pair[0].members, pair[1].members))
+    checked = failures = 0
     first = None
-    for h_key, k_key in pairs:
-        h, k = ctx.by_members[h_key], ctx.by_members[k_key]
+    for h, k in pairs:
         if not st.is_normal(ctx.loop, h, k):
             continue
         checked += 1
         result = ctx.fixpoint_result(h)
-        if not k.elements <= result.elements:
+        if not k <= result:
             failures += 1
             if first is None:
-                first = {
-                    "h": list(h.members),
-                    "k_prime": list(k.members),
-                    "fixpoint_result": list(result.members),
-                }
+                first = {"h": list(h.members), "k_prime": list(k.members),
+                         "fixpoint_result": list(result.members)}
     ok = failures == 0
     witness = {"pairs_checked": checked, "failures": failures}
     if first is not None:
         witness["first_failure"] = first
     return ok, witness
+
+
+def _containments(lattice):
+    """Every pair (H, K) of lattice indices with H <= K and H proper, as (pairs, 2) rows in
+    (H, K) order.  The lattice is sorted by order and ends with the whole loop, so
+    only the members from H's order on can hold H: per row block of H,
+    ``structure._inside`` tests those."""
+    masks = np.array([s.mask() for s in lattice])
+    sizes = np.array([s.size for s in lattice])
+    found, proper = [np.zeros((0, 2), dtype=np.intp)], masks[:-1]
+    for b in blocks(len(proper), masks.shape[1]):
+        first = int(np.searchsorted(sizes, sizes[b.start]))
+        found.append(np.argwhere(st._inside(proper[b], masks[first:])) + (b.start, first))
+    return np.concatenate(found)
 
 
 def _check_prop4(ctx):
@@ -291,7 +294,7 @@ def _check_theorem2(ctx):
             continue
         result = ctx.fixpoint_result(h)
         sizes.append({"h": h.serialize(), "normalizer_order": result.size})
-        if result.elements == h.elements and first is None:
+        if result == h and first is None:
             first = h.serialize()
     witness = {"proper_subloops": len(sizes), "normalizer_sizes": sizes}
     if first is not None:

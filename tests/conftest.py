@@ -12,7 +12,7 @@ import mloop
 from mloop import loop_core, mult_group, structure
 from mloop import perm_group as pg
 from mloop.errors import NotNilpotent, NotSubgroup, OracleDisagreement, OrderOverflow
-from mloop.normalizer import ORACLE_SEEDS, NormalizerTrace
+from mloop.normalizer import ORACLE_SEEDS, NormalizerTrace, _may_join
 from mloop.perm_group import ELEMENT_GUARD_DEFAULT, PermGroup, Permutation, _rows
 from mloop.perm_rows import cast_blocks, compose, fresh, inverse
 
@@ -160,6 +160,31 @@ def join_oracle(loop, k, h, joins=None):
         elif s != outcome:
             raise OracleDisagreement(tuple(outcome.members), tuple(s.members))
     return outcome
+
+
+def maximality_gaps(loop, k, h, trace):
+    """Elements x in K outside the result of trace = normalizer(loop, k, h)
+    with H still normal in <H, x>.
+
+    An empty list certifies the maximality contrapositive for this input;
+    a nonempty list is a counterexample to reading the fixpoint as "the"
+    normalizer.  <H, x> is built only for x that pass `normalizer._may_join`.
+    """
+    h = structure.coerce_subloop(loop, h)
+    k, kpos, meet, (pairs,) = structure._normality_matrix(loop, h.mask()[None], k)
+    may = _may_join(pairs, meet[0])[kpos]
+    gaps = []
+    for x, ok in zip(k.members, may.tolist()):
+        if ok and x not in trace.result:
+            sel = k._cosets_meeting(structure._join_elements(loop, h.mask(), [x]).mask())
+            if pairs[sel][:, sel].all():
+                gaps.append(int(x))
+    return gaps
+
+
+def cyclic_subloops(loop):
+    """Distinct subloops <x>, including the trivial one, sorted."""
+    return structure._subloops(loop, np.packbits(structure._cyclic_masks(loop)[1], axis=1))
 
 
 def _member_tuples(masks):

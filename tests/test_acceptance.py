@@ -11,7 +11,7 @@ import json
 import re
 import time
 
-from conftest import normalizing_maxima, run_cli
+from conftest import maximality_gaps, normalizing_maxima, run_cli
 
 from mloop.errors import OracleDisagreement
 from mloop.loop_core import direct_product, gen_abelian, gen_zassenhaus81
@@ -22,7 +22,6 @@ from mloop.mult_group import (
     verify_prop1,
 )
 from mloop.normalizer import (
-    maximality_gaps,
     normalizer,
     normalizer_condition,
     normalizer_oracle,

@@ -14,6 +14,7 @@ from conftest import (
     gathered_normality_matrix,
     join_oracle,
     least_escape,
+    maximality_gaps,
     normalizing_maxima,
 )
 from mloop import cli, perm_rows, structure
@@ -23,7 +24,6 @@ from mloop.normalizer import (
     _fixpoints,
     _may_join,
     ascending_subnormal_system,
-    maximality_gaps,
     normalizer,
     normalizer_chain,
     normalizer_condition,
@@ -128,7 +128,7 @@ def test_fixpoints_match_element_fixpoint_and_context():
         assert want.p_stages == (k._coset_members(p),) * 2, h.members
         assert want.d_stages == (k._coset_members(d),) * 2, h.members
         assert result == want.result, h.members
-        assert ctx.fixpoint_result(h) is ctx.by_members[want.result.members], h.members
+        assert ctx.fixpoint_result(h) is ctx.by_members[want.result.key], h.members
 
 
 @pytest.mark.parametrize("within", [None, (9, 27)], ids=["K=L", "K=<9,27>"])

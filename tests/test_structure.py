@@ -8,6 +8,7 @@ from conftest import (
     S3_TABLE,
     associator_tensor,
     closure_members,
+    cyclic_subloops,
     early_stop_lattice,
     group_cayley_loop,
     hyperplane_maximals,
@@ -50,7 +51,6 @@ from mloop.structure import (
     center,
     coerce_subloop,
     cube_subloop,
-    cyclic_subloops,
     frattini_subloop,
     full_subloop,
     generate_subloop,
@@ -78,7 +78,27 @@ def test_subloop_validation(z81):
     h = Subloop(z81, [0, 3, 6])
     assert h.size == 3 and 3 in h and 4 not in h
     assert h <= full_subloop(z81)
-    assert trivial_subloop(z81).is_trivial
+    assert trivial_subloop(z81).size == 1
+
+
+def test_mask_comparisons_match_frozensets(z81, z81_lattice, e27):
+    """==, <=, <, hash and ``in`` read masks; over every pair of z81's 185 lattice
+    members they agree with frozensets of the plain join-closure's member tuples."""
+    ref = [frozenset(members) for members in naive_lattice(z81)]
+    assert len(ref) == len(z81_lattice) == 185
+    for s, a in zip(z81_lattice, ref):
+        assert s.members == tuple(sorted(a)) and s.elements == a and s.size == len(a)
+        assert s.key == np.packbits(s.mask()).tobytes()
+        assert [x in s for x in range(z81.n)] == [x in a for x in range(z81.n)]
+        assert -1 not in s and z81.n not in s
+        for t, b in zip(z81_lattice, ref):
+            assert ((s == t), (s <= t), (s < t)) == ((a == b), (a <= b), (a < b))
+            assert (s != t) == (a != b)
+    rebuilt = [Subloop(z81, sorted(a)) for a in ref]
+    assert [hash(s) for s in rebuilt] == [hash(s) for s in z81_lattice]
+    assert len(set(z81_lattice) | set(rebuilt)) == len(ref)
+    other = trivial_subloop(e27)
+    assert other != trivial_subloop(z81) and not other <= full_subloop(z81)
 
 
 def test_coerce_subloop(z81, e27):
@@ -129,7 +149,7 @@ def test_zassenhaus_lattice(z81_lattice):
     assert len(z81_lattice) == 185
     sizes = [s.size for s in z81_lattice]
     assert sizes == sorted(sizes)
-    assert z81_lattice[0].is_trivial and z81_lattice[-1].is_full
+    assert z81_lattice[0].size == 1 and z81_lattice[-1].is_full
 
 
 LATTICE_LOOPS = {
@@ -342,10 +362,10 @@ def test_lattice_guard(z81):
 def test_center_derived_cubes(z81, e27):
     assert center(z81).members == (0, 1, 2)
     assert associator_subloop(z81).members == (0, 1, 2)
-    assert cube_subloop(z81).is_trivial
+    assert cube_subloop(z81).size == 1
     assert center(e27).is_full
-    assert associator_subloop(e27).is_trivial
-    assert cube_subloop(e27).is_trivial
+    assert associator_subloop(e27).size == 1
+    assert cube_subloop(e27).size == 1
 
 
 @pytest.mark.parametrize("build", [cube_subloop, upper_central_series])
@@ -473,8 +493,8 @@ def test_maximal_subloops_match_hyperplanes_of_quotients(name):
 def test_frattini(z81):
     assert frattini_subloop(z81).members == (0, 1, 2)
     assert frattini_subloop(gen_abelian((4,))).members == (0, 2)
-    assert frattini_subloop(gen_abelian((6,))).is_trivial
-    assert frattini_subloop(gen_abelian((3, 3, 3))).is_trivial
+    assert frattini_subloop(gen_abelian((6,))).size == 1
+    assert frattini_subloop(gen_abelian((3, 3, 3))).size == 1
     assert frattini_subloop(gen_abelian((1,))).is_full
 
 

@@ -165,13 +165,29 @@ def test_prop3_failure_is_deterministic(z81):
     assert again.witness == check.witness
 
 
+@pytest.mark.parametrize("block", [1, 2000, perm_rows.GATHER_BLOCK])
+@pytest.mark.parametrize("name", ["z81", "z81xZ2", "abelian:2,3"])
+def test_containments_match_frozenset_pairs(monkeypatch, name, block):
+    """prop3's pairs H <= K, H proper, come in the order of the pair list over
+    frozensets that the check sampled from, in any row blocks of the products."""
+    loop = {"z81": gen_zassenhaus81,
+            "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+            "abelian:2,3": lambda: gen_abelian((2, 3))}[name]()
+    lattice = st.all_subloops(loop, lattice_guard=loop.n)
+    sets = [frozenset(s.members) for s in lattice]
+    want = [(i, j) for i, h in enumerate(sets) if len(h) < loop.n
+            for j, k in enumerate(sets) if h <= k]
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    assert verify._containments(lattice).tolist() == [list(pair) for pair in want]
+
+
 def test_fixpoint_results_are_lattice_members(z81):
     """The context keeps each fixpoint result as the lattice's own member, and
     raises on a result that the lattice lacks."""
     ctx = LoopContext(z81)
     for h in ctx.lattice[::23]:
         result = ctx.fixpoint_result(h)
-        assert result is ctx.by_members[result.members]
+        assert result is ctx.by_members[result.key]
         assert result == normalizer(z81, None, h).result
     ctx = LoopContext(z81)
     ctx.lattice = [h for h in ctx.lattice if not h.is_full]
