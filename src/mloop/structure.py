@@ -39,7 +39,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
-from .loop_core import _close, _first_index, _greedy_generators
+from .loop_core import _close, _first_index
 from .perm_rows import blocks, ragged_blocks
 
 LATTICE_GUARD_DEFAULT = 128
@@ -580,56 +580,78 @@ def upper_central_series(loop):
 
 
 def maximal_subloops(loop):
-    """Maximal proper subloops, as the preimages of the hyperplanes of L / L'L^p."""
-    _require_cml(loop)
+    """Maximal proper subloops, as the kernels of the functionals on L / L'L^p."""
     return _maximal_over(loop, associator_subloop(loop))
 
 
 def _maximal_over(loop, derived):
-    """maximal_subloops, given the associator subloop L' of the loop, by joins in L.
+    """maximal_subloops, given L'.  In a finite CML every maximal subloop M is normal
+    of prime index p and contains F = L'L^p (Bruck, A Survey of Binary Systems, 1958),
+    so the M of index p are the preimages of the hyperplanes of L / F, p over the primes
+    dividing |L / L'|: the kernels of the functionals v != 0 with leading coefficient 1
+    on the labels d of ``_labels``, all read off one (h, r) @ (r, n) product."""
+    masks = []
+    for p, f in _frattini_factors(loop, derived):
+        labels = _labels(loop, f, p)
+        dtype, r = np.min_scalar_type(len(labels) * (p - 1) ** 2), len(labels)  # holds v d(x)
+        v = [w for w in itertools.product(range(p), repeat=r) if next(filter(None, w), 0) == 1]
+        masks.extend(np.array(v, dtype=dtype) @ labels.astype(dtype) % p == 0)
+    masks.sort(key=lambda m: m.nonzero()[0].tolist())
+    return [Subloop._proved(loop, m) for m in masks]
 
-    In a finite CML every maximal subloop M is normal of prime index p and
-    contains L'L^p (Bruck, A Survey of Binary Systems, 1958), so L / L'L^p is
-    elementary abelian and the M of index p are the preimages of its
-    hyperplanes, p over the primes dividing |L / L'|.  With F = L'L^p and a
-    basis b_1..b_r of L mod F, the hyperplane with leading index i and weights
-    w_j for j > i is the kernel of b_i -> 1, b_j -> 0 below i, b_j -> w_j
-    above i; it is spanned by the b_j below i and b_j b_i^(p - w_j) above i,
-    so its preimage is F joined with those elements.  Each must have index p.
-    """
+
+def _frattini_factors(loop, derived):
+    """(p, F_p = L'L^p) for each prime p dividing |L / L'|, on a CML."""
     _require_cml(loop)
+    for p in _prime_factors(loop.n // derived.size):
+        yield p, _join_elements(loop, derived.mask(), _powers(loop, p))
+
+
+def _labels(loop, f, p):
+    """d(x) in Z_p^r for F = L'L^p, as (r, n) digits, proved a homomorphism onto with kernel F:
+    from S = F, each step gives s b^k = (s b^(k-1)) b, b the least element outside S,
+    d(s) + k e_i, and S must grow exactly p-fold; then d(xy) = d(x) + d(y) on all n^2
+    products, in row blocks of at most GATHER_BLOCK digits."""
     t, n = loop.table, loop.n
-    out = []
-    for p in _prime_factors(n // derived.size):
-        f = _join_elements(loop, derived.mask(), _powers(loop, p))
-        basis = list(_greedy_generators(t, f.mask(), loop.commutative))
-        for i, lead in enumerate(basis):
-            above = basis[i + 1:]
-            for weights in itertools.product(range(p), repeat=len(above)):
-                gens = basis[:i] + [t[b, loop.power(lead, p - w)] for b, w in zip(above, weights)]
-                m = _join_elements(loop, f.mask(), gens)
-                assert m.size * p == n, f"a hyperplane of L / L'L^{p} has index {n // m.size}"
-                out.append(m)
-    return sorted(set(out), key=lambda s: s.members)
+    r = int(round(np.log(n / f.size) / np.log(p)))
+    labels, inside = np.zeros((r, n), dtype=np.min_scalar_type(-2 * p)), f.mask().copy()
+    for i in range(r):
+        b, src = int(np.argmin(inside)), np.flatnonzero(inside)
+        dst = src
+        for k in range(1, p):
+            dst = t[dst, b]
+            inside[dst], labels[:, dst] = True, labels[:, src] + k * (np.arange(r) == i)[:, None]
+        if np.count_nonzero(inside) != p * len(src):
+            raise AssertionError(f"L / L'L^{p} is not elementary abelian: some S b^k meets S")
+    if r == 0 or not inside.all():
+        raise AssertionError(f"[L : L'L^{p}] is not a positive power of {p}")
+    for rows in blocks(n, n * r):
+        gap = labels[:, rows, None] + labels[:, None] - labels.take(t[rows], axis=1)
+        if ((gap != 0) & (gap != p)).any():
+            raise AssertionError(f"the labels of L / L'L^{p} are not additive")
+    return labels
 
 
 def _prime_factors(n):
-    out = []
-    d = 2
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
         d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return out + [n] if n > 1 else out
 
 
 def frattini_subloop(loop):
     """Intersection of all maximal subloops (the whole loop if none exist)."""
-    return _meet(loop, maximal_subloops(loop))
+    return _frattini_over(loop, associator_subloop(loop))
+
+
+def _frattini_over(loop, derived):
+    """frattini_subloop, given L': the meet of the F_p = L'L^p, since the maximal
+    subloops of index p are the preimages of the hyperplanes of L / F_p, which meet in 0."""
+    return _meet(loop, [f for _, f in _frattini_factors(loop, derived)])
 
 
 def _meet(loop, subloops):

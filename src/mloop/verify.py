@@ -76,7 +76,7 @@ class LoopContext:
 
     @cached_property
     def frattini(self):
-        return st._meet(self.loop, self.maximals)
+        return st._frattini_over(self.loop, self.derived)
 
     @cached_property
     def bundle(self):
@@ -214,8 +214,8 @@ def _check_prop3(ctx):
                    key=lambda pair: (pair[0].members, pair[1].members))
     checked = failures = 0
     first = None
-    for h, k in pairs:
-        if not st.is_normal(ctx.loop, h, k):
+    for (h, k), normal in zip(pairs, _normal_in(ctx.loop, pairs)):
+        if not normal:
             continue
         checked += 1
         result = ctx.fixpoint_result(h)
@@ -231,17 +231,30 @@ def _check_prop3(ctx):
     return ok, witness
 
 
+def _normal_in(loop, pairs):
+    """``st.is_normal(loop, h, k)`` for each pair (H, K), H <= K, off one normality matrix C
+    over the distinct H: H is normal in K iff C[h][c, c'] for all cosets c, c' of Z(L) meeting K."""
+    if not pairs:
+        return []
+    rows = {h: i for i, h in enumerate(dict.fromkeys(h for h, _ in pairs))}
+    c = st._normality_matrix(loop, np.array([h.mask() for h in rows]), None)[3]
+    return [bool(c[rows[h]][np.ix_(k._coset_index()[0], k._coset_index()[0])].all()) for h, k in pairs]
+
+
 def _containments(lattice):
     """Every pair (H, K) of lattice indices with H <= K and H proper, as (pairs, 2) rows in
     (H, K) order.  The lattice is sorted by order and ends with the whole loop, so
-    only the members from H's order on can hold H: per row block of H,
-    ``structure._inside`` tests those."""
+    only the members from H's order on can hold H: per row block of H, ``st._inside``
+    tests those in tiles of at most GATHER_BLOCK pairs, re-sorted by H, kept as int32."""
     masks = np.array([s.mask() for s in lattice])
     sizes = np.array([s.size for s in lattice])
-    found, proper = [np.zeros((0, 2), dtype=np.intp)], masks[:-1]
+    found, proper = [np.zeros((0, 2), dtype=np.int32)], masks[:-1]
     for b in blocks(len(proper), masks.shape[1]):
-        first = int(np.searchsorted(sizes, sizes[b.start]))
-        found.append(np.argwhere(st._inside(proper[b], masks[first:])) + (b.start, first))
+        first, rows = int(np.searchsorted(sizes, sizes[b.start])), proper[b]
+        tiles = np.concatenate([np.argwhere(st._inside(rows, masks[first:][c])).astype(np.int32)
+                                + np.int32([b.start, first + c.start])
+                                for c in blocks(len(masks) - first, len(rows))])
+        found.append(tiles[np.argsort(tiles[:, 0], kind="stable")])
     return np.concatenate(found)
 
 
@@ -275,15 +288,29 @@ def _group_chains(m, limit):
     from the first GROUP_CHAIN_SAMPLES distinct cyclic subgroups in element
     order; each chain stops at m or after ``limit`` steps."""
     chains = {}
-    for i in range(1, m.order()):
+    for h in _cyclic_subgroups(m):
         if len(chains) == GROUP_CHAIN_SAMPLES:
             break
-        h = pg._close(m, pg._trivial(m), pg._rows_at(m, [i]))
         chains.setdefault(h.tobytes(), [h])
     for chain in chains.values():
         while not chain[-1].all() and len(chain) <= limit:
             chain.append(pg._normalizer_mask(m, chain[-1]))
     return list(chains.values())
+
+
+def _cyclic_subgroups(m):
+    """The masks of <e_i> for i = 1, 2, ... in m's element order: e_i's powers walked
+    down m's chain until the identity, in row blocks of at most GATHER_BLOCK entries."""
+    order, base = m.order(), np.array(m.base, dtype=np.intp)
+    for b in blocks(order - 1, order):
+        at = np.arange(1, order)[b]
+        masks, live, images = np.zeros((len(at), order), dtype=bool), np.arange(len(at)), base
+        while len(live):
+            images = pg._walk(m, at[live], np.broadcast_to(images, (len(live), len(base))))
+            power = m._index(images)
+            masks[live, power] = True
+            live, images = live[power != 0], images[power != 0]
+        yield from masks
 
 
 def _check_theorem2(ctx):

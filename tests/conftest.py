@@ -327,7 +327,8 @@ def hyperplane_maximals(loop):
     each prime p dividing |L/L'|, the preimages of the hyperplanes of
     V = (L/L') / (L/L')^p, each read off the coordinates of V in a basis.
 
-    A route independent of the joins in L of `structure.maximal_subloops`.
+    A route independent of the labelled kernels of `structure.maximal_subloops`
+    and of the closures in L of `join_maximals`.
     """
     quot, proj = loop_core.quotient(loop, structure.associator_subloop(loop))
     out = set()
@@ -336,6 +337,30 @@ def hyperplane_maximals(loop):
         vec, vproj = loop_core.quotient(quot, powered)
         for hyper in hyperplanes(vec, p):
             out.add(tuple(int(i) for i in np.flatnonzero(hyper.mask()[vproj][proj])))
+    return sorted(out)
+
+
+def join_maximals(loop):
+    """Member tuples of the maximal subloops, sorted, by one closure in L per
+    hyperplane of L / F, F = L'L^p: with a greedy basis b_1..b_r of L mod F, the
+    hyperplane with leading index i and weights w_j for j > i is spanned by the
+    b_j below i and b_j b_i^(p - w_j) above i, so its preimage is F joined with
+    those elements, and it must have index p.
+
+    A route independent of the labelled kernels of `structure.maximal_subloops`.
+    """
+    t, n, out = loop.table, loop.n, set()
+    derived = structure.associator_subloop(loop)
+    for p in structure._prime_factors(n // derived.size):
+        f = structure._join_elements(loop, derived.mask(), structure._powers(loop, p)).mask()
+        basis = list(loop_core._greedy_generators(t, f, loop.commutative))
+        for i, lead in enumerate(basis):
+            above = basis[i + 1:]
+            for weights in itertools.product(range(p), repeat=len(above)):
+                gens = basis[:i] + [t[b, loop.power(lead, p - w)] for b, w in zip(above, weights)]
+                m = structure._join_elements(loop, f, gens)
+                assert m.size * p == n, f"a hyperplane of L / L'L^{p} has index {n // m.size}"
+                out.add(m.members)
     return sorted(out)
 
 

@@ -12,6 +12,7 @@ from conftest import (
     early_stop_lattice,
     group_cayley_loop,
     hyperplane_maximals,
+    join_maximals,
     naive_lattice,
     naive_maximal_members,
     quotient_central_series,
@@ -31,7 +32,7 @@ from mloop.loop_core import (
     gen_zassenhaus81,
     quotient,
 )
-from mloop import perm_rows
+from mloop import perm_rows, structure
 from mloop.loop_core import _close
 from mloop.mult_group import multiplication_group
 from mloop.perm_group import PermGroup
@@ -43,6 +44,7 @@ from mloop.structure import (
     _entries,
     _mark,
     _maximal_members,
+    _meet,
     _powers,
     _row_pairs,
     _subloops,
@@ -447,15 +449,28 @@ MAXIMAL_LOOPS = {
 }  # z81 is test_maximals_match_lattice
 
 
+def assert_maximal_routes(loop, guard):
+    """The labelled kernels give the member lists, in order, of the joins in L, of
+    the quotient-loop route and, up to order ``guard``, of the lattice's maxima, and
+    Phi(L) = the meet of the L'L^p is the meet of each list."""
+    got = [m.members for m in maximal_subloops(loop)]
+    routes = [join_maximals(loop), hyperplane_maximals(loop)]
+    if loop.n <= guard:
+        lattice = all_subloops(loop, lattice_guard=guard)
+        routes.append(sorted(s.members for s in _maximal_members(lattice)))
+    phi = frattini_subloop(loop)
+    for want in routes:
+        assert got == want
+        assert phi == _meet(loop, [Subloop(loop, m) for m in want])
+
+
 @pytest.mark.parametrize("name", MAXIMAL_LOOPS)
 def test_maximal_subloops_match_lattice_maxima(name):
-    """The joins give the maximal members of the exhaustive lattice: with two
-    primes, and with cyclic factors of order 4, 8 and 9, where F = L'L^p is
-    more than L'."""
+    """The labelled kernels give the maximal members of the exhaustive lattice:
+    with two primes, and with cyclic factors of order 4, 8 and 9, where F = L'L^p
+    is more than L'."""
     make, guard = MAXIMAL_LOOPS[name]
-    loop = make()
-    want = sorted(s.members for s in _maximal_members(all_subloops(loop, lattice_guard=guard)))
-    assert [m.members for m in maximal_subloops(loop)] == want
+    assert_maximal_routes(make(), guard)
 
 
 MAXIMA_LISTS = {
@@ -480,14 +495,30 @@ QUOTIENT_LOOPS = {
     "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
     "abelian:3,3,3,3,3": lambda: gen_abelian((3,) * 5),
     "z81xZ3xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3, 3))),
+    "z81xZ4": lambda: direct_product(gen_zassenhaus81(), gen_abelian((4,))),
+    "z81xZ12": lambda: direct_product(gen_zassenhaus81(), gen_abelian((12,))),
 }
 
 
 @pytest.mark.parametrize("name", QUOTIENT_LOOPS)
 def test_maximal_subloops_match_hyperplanes_of_quotients(name):
-    """The joins in L give the member lists, in order, of the quotient-loop route."""
-    loop = QUOTIENT_LOOPS[name]()
-    assert [m.members for m in maximal_subloops(loop)] == hyperplane_maximals(loop)
+    """The labelled kernels give the member lists, in order, of the quotient-loop
+    route, up to order 972 and with two primes (z81xZ12), and the lattice's maxima
+    up to order 324."""
+    assert_maximal_routes(QUOTIENT_LOOPS[name](), 324)
+
+
+@pytest.mark.parametrize("fake, match", [
+    (lambda loop, k: np.zeros(loop.n, dtype=np.int64), "not additive"),
+    (lambda loop, k: np.arange(loop.n), "not a positive power"),
+], ids=["F-is-derived", "F-is-whole"])
+def test_labels_refuse_a_wrong_frattini_factor(monkeypatch, fake, match):
+    """With a wrong F_p in place of L'L^p on abelian:9,3, the labelling walk or its
+    additivity check raises: L / L' = Z9 x Z3 is not elementary abelian, and L / L
+    has no label."""
+    monkeypatch.setattr(structure, "_powers", fake)
+    with pytest.raises(AssertionError, match=match):
+        maximal_subloops(gen_abelian((9, 3)))
 
 
 def test_frattini(z81):

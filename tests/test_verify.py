@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 
@@ -33,11 +34,12 @@ from mloop.verify import (
     run_suite,
 )
 
-# The builders of the shared artifacts: L', the maximal subloops, Z(L),
+# The builders of the shared artifacts: L', the maximal subloops, Phi(L), Z(L),
 # M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask.
 BUILDERS = (
     (st, "associator_subloop"),
     (st, "_maximal_over"),
+    (st, "_frattini_over"),
     (st, "center"),
     (pg, "_normal_closure"),
     (pg, "_frattini"),
@@ -181,6 +183,37 @@ def test_containments_match_frozenset_pairs(monkeypatch, name, block):
     assert verify._containments(lattice).tolist() == [list(pair) for pair in want]
 
 
+NORMAL_PAIR_LOOPS = {
+    "z81": (gen_zassenhaus81, 128),
+    "z81xZ3": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))), 243),
+}
+
+
+@pytest.mark.parametrize("name", NORMAL_PAIR_LOOPS)
+def test_normal_in_matches_is_normal(name):
+    """prop3's verdicts off one normality matrix over the distinct H are the per-pair
+    `is_normal` verdicts, on every 7th pair H <= K of the lattice, normal or not."""
+    make, guard = NORMAL_PAIR_LOOPS[name]
+    loop = make()
+    lattice = st.all_subloops(loop, lattice_guard=guard)
+    pairs = [(lattice[h], lattice[k]) for h, k in verify._containments(lattice)[::7].tolist()]
+    got = verify._normal_in(loop, pairs)
+    assert got == [st.is_normal(loop, h, k) for h, k in pairs]
+    assert 0 < sum(got) < len(got)
+    assert verify._normal_in(loop, []) == []
+
+
+@pytest.mark.parametrize("name", NORMAL_PAIR_LOOPS)
+def test_cyclic_subgroups_match_closures(name):
+    """The seeds of prop4's chains, walked as powers in row blocks, are the closures
+    <e_i> of `perm_group._close`, in element order, across a block boundary."""
+    m = mg.multiplication_group(NORMAL_PAIR_LOOPS[name][0]()).M
+    step = perm_rows.GATHER_BLOCK // m.order()
+    got = list(itertools.islice(verify._cyclic_subgroups(m), step + 5))
+    want = [pg._close(m, pg._trivial(m), pg._rows_at(m, [i])) for i in range(1, step + 6)]
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def test_fixpoint_results_are_lattice_members(z81):
     """The context keeps each fixpoint result as the lattice's own member, and
     raises on a result that the lattice lacks."""
@@ -236,7 +269,7 @@ def test_all_builds_the_group_frattini_subgroup_once(z81_all):
 
 
 def test_all_builds_each_artifact_once(z81_all):
-    # the maxima come from the context's L', Phi(L) from its maxima, and the
+    # the maxima and Phi(L) come from the context's L', and the
     # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
     # on M for m_derived, _frattini and the lemma7 bridge
     _, counts, _ = z81_all
@@ -247,7 +280,8 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     counts = count_builds(monkeypatch)
     assert cli.main(["invariants", "--gen", "zassenhaus81"]) == 0
     assert "derived_order:       3" in capsys.readouterr().out
-    assert counts == dict.fromkeys(counts, 1)
+    # Phi(L) is the meet of the L'L^p, so no maximal subloop is built
+    assert counts == {**dict.fromkeys(counts, 1), "_maximal_over": 0}
 
 
 def test_all_checks_each_centre_once(monkeypatch):
