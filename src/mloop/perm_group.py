@@ -20,10 +20,14 @@ element table: G keeps, for each point a kernel asks about, the column of
 every element's image of it, built once; any other image is a walk of b flat
 takes down the chain, and a full row is built only for a generator the
 greedy kernel appends.  ``element_array()`` serves callers that need every
-row.  The upper central series is a gather of masks at the commutator
-positions p^-1 g^-1 p g, and a normalizer N(H) the stabilizer of H in the
+row.  Z(G) is tested only on the elements whose image of the first base point
+the point stabilizer fixes; a group of prime-power order is nilpotent by its
+order, and otherwise the upper central series is a gather of masks at the
+commutator positions p^-1 g^-1 p g; Phi(G) grows G' by the reduced
+generators' p-th powers.  A normalizer N(H) is the stabilizer of H in the
 conjugation action, each element labelled with its conjugate of H down a
-breadth-first tree of G's Cayley graph; both are built once per G.
+breadth-first tree of G's Cayley graph.  The commutator positions, the
+conjugation table and the tree are built once per G.
 """
 
 from collections import namedtuple
@@ -337,17 +341,18 @@ def _images(G, points):
     return G._store.take(rows, axis=0).T
 
 
-def _close(G, mask, gens):
+def _close(G, mask, gens, closed=0):
     """The mask closed under right multiplication by the rows ``gens``: the frontier's
     products at the base points are read off the columns of the gens' base images,
-    in blocks of at most GATHER_BLOCK."""
+    in blocks of at most GATHER_BLOCK.  The mask is already closed under the first
+    ``closed`` rows, so the first round multiplies by the later rows only."""
     rows = _columns(G, gens[:, G.base])
-    frontier = np.flatnonzero(mask)
-    while len(frontier):
+    frontier, new = np.flatnonzero(mask), rows[closed:]
+    while len(frontier) and not mask.all():
         known = mask.copy()
-        for b in blocks(len(frontier), rows.size):
-            mask[G._index(G._store[rows, frontier[b, None, None]])] = True
-        frontier = np.flatnonzero(mask & ~known)
+        for b in blocks(len(frontier), new.size):
+            mask[G._index(G._store[new, frontier[b, None, None]])] = True
+        frontier, new = np.flatnonzero(mask & ~known), rows
     return mask
 
 
@@ -358,7 +363,7 @@ def _grow(G, mask, gens, positions):
     for i in np.asarray(positions).tolist():
         if not mask[i]:
             gens = np.concatenate([gens, _rows_at(G, [i])])
-            mask = _close(G, mask, gens)
+            mask = _close(G, mask, gens, len(gens) - 1)
     return mask, gens
 
 
@@ -451,6 +456,28 @@ def _lifts(G, inside):
     return lifted
 
 
+def _center(G):
+    """Read-only mask of Z(G).  For h in the stabilizer G_b of the first base point and
+    z central, h z(b) = z h(b) = z(b), so z(b) is fixed by G_b: only the positions whose
+    level-0 digit is such a point are tested, each by the base images of cs and sc for
+    every reduced generator s, in blocks of at most GATHER_BLOCK."""
+    mask = _trivial(G)
+    if G.chain:
+        orbit = G.chain[0].reps[:, G.base[0]]  # in level-0 digit order
+        stab = G.chain[1].generators if len(G.chain) > 1 else G.gen_array[:0]
+        width = G.order() // len(orbit)
+        fixed = np.flatnonzero((stab[:, orbit] == orbit).all(axis=0))
+        cand = (fixed[:, None] * width + np.arange(width)).ravel()
+        gens = _reduced_rows(G)
+        images = gens[:, G.base]  # s(b_i), one row per generator s
+        for c in (cand[b] for b in blocks(len(cand), images.size)):
+            cs = _walk(G, c, np.broadcast_to(images.ravel(), (len(c), images.size)))
+            sc = gens[:, _walk(G, c, np.broadcast_to(G.base, (len(c), len(G.base))))]
+            mask[c] = (cs.reshape(len(c), *images.shape) == sc.transpose(1, 0, 2)).all(axis=(1, 2))
+    mask.setflags(write=False)
+    return mask
+
+
 def _central_series(G):
     """Masks of the upper central series Z_0 <= Z_1 <= ..., up to its first repeat."""
     masks = [_trivial(G)]
@@ -493,7 +520,7 @@ def _derived(G):
 
 def center_of_group(G):
     """Elements commuting with every generator (hence with everything)."""
-    return PermGroup(G.degree, _generators(G, _lifts(G, _trivial(G))))
+    return PermGroup(G.degree, _generators(G, _center(G)))
 
 
 def normal_closure(G, seeds):
@@ -510,20 +537,25 @@ def derived_subgroup(G):
 
 
 def is_nilpotent_group(G):
-    return bool(_central_series(G)[-1].all())
+    """Every group of prime-power order is nilpotent; otherwise the upper central series."""
+    return len(_prime_factors(G.order())) <= 1 or bool(_central_series(G)[-1].all())
 
 
 def _frattini(G):
     """Read-only mask of Phi(G) for a finite nilpotent group G, whose maximal subgroups
     are the index-p preimages of hyperplanes mod p: Phi(G) is the intersection of
     G' * <g^p : g in G> over every prime p | order(G), which matters as soon as the
-    order is not a prime power."""
+    order is not a prime power.  G/G' is abelian, so G' * <s^p : s in S> is the same
+    subgroup for any generating set S; S is the reduced generators."""
     if not is_nilpotent_group(G):
         raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
-    inside = np.ones(_order(G), dtype=bool)
+    inside, reduced = np.ones(_order(G), dtype=bool), _reduced_rows(G)
     for p in _prime_factors(G.order()):
+        powers = reduced
+        for _ in range(p - 1):
+            powers = compose(reduced, powers)
         mask, gens = _derived(G)
-        inside &= _grow(G, mask.copy(), gens, np.unique(_powers(G, p)))[0]
+        inside &= _grow(G, mask.copy(), gens, G._index(powers[:, G.base]))[0]
     inside.setflags(write=False)
     return inside
 

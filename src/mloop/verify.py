@@ -84,7 +84,7 @@ class LoopContext:
 
     @cached_property
     def m_center(self):
-        return pg._lifts(self.bundle.M, pg._trivial(self.bundle.M))
+        return pg._center(self.bundle.M)
 
     @cached_property
     def m_derived(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -272,6 +273,46 @@ def mixed_radix_abelian(moduli):
     sums = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli)
     name = "abelian:" + ",".join(str(m) for m in moduli)
     return loop_core.CayleyLoop((sums * strides).sum(axis=2), name=name)
+
+
+def relabel(loop, seed):
+    """The loop with 1..n-1 renamed by a seeded permutation pi, 0 kept fixed: the
+    table conjugated by pi, new[pi(x), pi(y)] = pi(old[x, y])."""
+    pi = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(loop.n - 1)])
+    table = np.empty_like(loop.table)
+    table[np.ix_(pi, pi)] = pi[loop.table]
+    return loop_core.CayleyLoop(table, name=f"{loop.name}@{seed}")
+
+
+def gaussian_binomial(k, j, q=3):
+    """The number of j-dimensional subspaces of GF(q)^k."""
+    return math.prod(q ** (k - i) - 1 for i in range(j)) // math.prod(q ** (i + 1) - 1 for i in range(j))
+
+
+def goursat_count(a, k):
+    """{order: count} of the subloops of A x Z3^k for a loop A of exponent 3, by
+    Goursat's lemma: a subloop is a pair A2 <= A1 of A's subloops with A1/A2
+    elementary abelian of rank d (A2 holds every associator of A1, so it is normal
+    in A1), a pair B2 <= B1 of subspaces of GF(3)^k with dim B1 - dim B2 = d, and
+    an isomorphism A1/A2 -> B1/B2; its order is |A1| * |B2|.  A's lattice is the
+    plain join-closure, and its associators are read off the n^3 tensor."""
+    assert a.exponent() == 3
+    lattice = naive_lattice(a)
+    masks = np.zeros((len(lattice), a.n), dtype=bool)
+    for row, members in zip(masks, lattice):
+        row[list(members)] = True
+    tensor, sizes, counts = associator_tensor(a), masks.sum(axis=1), {}
+    for size, mask in zip(sizes.tolist(), masks):
+        idx = np.flatnonzero(mask)
+        below = ~masks[:, ~mask].any(axis=1) & masks[:, tensor[np.ix_(idx, idx, idx)].ravel()].all(axis=1)
+        for low in sizes[below].tolist():
+            d = round(math.log(size // low, 3))
+            for j in range(d, k + 1):
+                pairs = gaussian_binomial(k, j) * gaussian_binomial(j, d)
+                isos = math.prod(3 ** d - 3 ** i for i in range(d))
+                order = size * 3 ** (j - d)
+                counts[order] = counts.get(order, 0) + pairs * isos
+    return dict(sorted(counts.items()))
 
 
 def group_cayley_loop(group):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     table_powers,
     upper_central_series_group,
 )
+from mloop import cli
 from mloop import perm_group as pg
 from mloop import perm_rows
 from mloop import verify
@@ -357,12 +359,13 @@ def same_group(ours, theirs):
 
 
 def assert_closures_match_sift_route(G, seed_lists):
-    """Reduced generators, the normal closure of each seed list, G', Phi(G)
-    (where G is nilpotent) and divisibility against the sift route."""
+    """Reduced generators, the normal closure of each seed list, G', nilpotency,
+    Phi(G) (where G is nilpotent) and divisibility against the sift route."""
     assert same_rows(pg._reduced_rows(G), sift_reduced_rows(G))
     for seeds in seed_lists:
         assert same_group(normal_closure(G, seeds), sift_normal_closure(G, seeds))
     assert same_group(derived_subgroup(G), sift_derived_subgroup(G))
+    assert is_nilpotent_group(G) == (naive_upper_central_series(G)[-1].order() == G.order())
     if is_nilpotent_group(G):
         assert same_group(frattini_subgroup(G), sift_frattini_subgroup(G))
     else:
@@ -391,6 +394,7 @@ def test_mask_layer_matches_sift_route_on_random_groups(data):
     mask = subgroup_mask(group, sub)
     assert np.array_equal(pg._normalizer_mask(group, mask), conjugation_sweep_normalizer_mask(group, mask))
     assert np.array_equal(pg._lifts(group, mask), naive_lifts(group, sub))
+    assert np.array_equal(pg._center(group), naive_lifts(group, PermGroup(n)))
     assert_closures_match_sift_route(group, [sub.gen_array, np.array([p.images for p in gens])])
 
 
@@ -430,7 +434,9 @@ def test_mask_layer_matches_sift_route(make, count):
         assert np.array_equal(pg._lifts(G, mask), naive_lifts(G, sub))
     ours, theirs = upper_central_series_group(G), naive_upper_central_series(G)
     assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
-    naive_center = group_from_elements(G.degree, G.element_array()[naive_lifts(G, PermGroup(G.degree))])
+    central = naive_lifts(G, PermGroup(G.degree))
+    assert np.array_equal(pg._center(G), central)
+    naive_center = group_from_elements(G.degree, G.element_array()[central])
     assert center_of_group(G).gen_array.tolist() == naive_center.gen_array.tolist()
     assert_closures_match_sift_route(G, [sub.gen_array for sub in subgroups])
 
@@ -523,6 +529,51 @@ def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243
         ]
         assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
     assert [t.order() for t in ours] == [1, 9, 243, 6561]
+
+
+CENTRE_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "abelian:2,4,3": lambda: gen_abelian((2, 4, 3)),  # I is trivial, M has one chain level
+}
+
+
+@pytest.mark.parametrize("name", CENTRE_LOOPS)
+def test_center_matches_commutators_of_every_element(name):
+    """Z(G) read off the candidates whose first base image the point stabilizer fixes,
+    against every element's commutators with the reduced generators, on M and I."""
+    bundle = multiplication_group(CENTRE_LOOPS[name]())
+    for G in (bundle.M, bundle.I):
+        assert np.array_equal(pg._center(G), naive_lifts(G, PermGroup(G.degree)))
+
+
+def test_center_reads_every_reduced_generator(monkeypatch, z81_bundle):
+    """Without the last reduced generator the commute test keeps elements outside Z(M)."""
+    m = z81_bundle.M
+    want, real = pg._center(m), pg._reduced_rows
+    monkeypatch.setattr(pg, "_reduced_rows", lambda G: real(G)[:-1])
+    assert not np.array_equal(pg._center(m), want)
+
+
+def test_invariants_build_no_group_wide_table(monkeypatch, tmp_path):
+    """`invariants` on z81 x Z3 (|M| = 6,561) reads Z(M) off the point stabilizer's
+    fixed points, the nilpotency of the 3-group M off its order and Phi(M) off the
+    reduced generators' cubes: no commutator or power table over every element."""
+
+    def never(*args):
+        raise AssertionError("an |M|-wide table was built")
+
+    monkeypatch.setattr(pg, "_commutators", never)
+    monkeypatch.setattr(pg, "_powers", never)
+    out = tmp_path / "invariants.json"
+    assert cli.main(["invariants", "--gen", "product:zassenhaus81xabelian:3", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["invariants"] == {
+        "order": 243, "center_order": 9, "derived_order": 3, "cube_order": 1,
+        "nilpotency_class": 2, "frattini_order": 3, "mult_group_order": 6561,
+        "inner_group_order": 27, "mult_center_order": 9, "mult_derived_order": 81,
+        "mult_frattini_order": 81,
+    }
 
 
 def test_closures_match_sift_route_at_orders_2187_and_6561(z81_bundle, z243_bundle):

@@ -10,6 +10,7 @@ from conftest import (
     closure_members,
     cyclic_subloops,
     early_stop_lattice,
+    goursat_count,
     group_cayley_loop,
     hyperplane_maximals,
     join_maximals,
@@ -152,6 +153,18 @@ def test_zassenhaus_lattice(z81_lattice):
     sizes = [s.size for s in z81_lattice]
     assert sizes == sorted(sizes)
     assert z81_lattice[0].size == 1 and z81_lattice[-1].is_full
+
+
+def test_lattice_of_z81xZ3_matches_goursat_count():
+    """The 1,854 subloops of z81 x Z3, order by order, against Goursat's count from
+    z81's own lattice: the first count of a lattice above order 81 that does not
+    come from the lattice walk."""
+    loop = direct_product(gen_zassenhaus81(), gen_abelian((3,)))
+    histogram = {}
+    for s in all_subloops(loop, lattice_guard=loop.n):
+        histogram[s.size] = histogram.get(s.size, 0) + 1
+    assert histogram == goursat_count(gen_zassenhaus81(), 1)
+    assert sum(histogram.values()) == 1854
 
 
 LATTICE_LOOPS = {

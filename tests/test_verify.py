@@ -9,6 +9,7 @@ from conftest import (
     EXPANSION_CASES,
     full_tensor_symmetries,
     quadruple_product_expansion,
+    relabel,
     run_cli,
 )
 
@@ -35,7 +36,9 @@ from mloop.verify import (
 )
 
 # The builders of the shared artifacts: L', the maximal subloops, Phi(L), Z(L),
-# M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask.
+# M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask; and
+# the commutator table over every element of a group, which Z(M) and the
+# nilpotency of a p-group do not need.
 BUILDERS = (
     (st, "associator_subloop"),
     (st, "_maximal_over"),
@@ -43,6 +46,7 @@ BUILDERS = (
     (st, "center"),
     (pg, "_normal_closure"),
     (pg, "_frattini"),
+    (pg, "_commutators"),
 )
 
 
@@ -273,7 +277,7 @@ def test_all_builds_each_artifact_once(z81_all):
     # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
     # on M for m_derived, _frattini and the lemma7 bridge
     _, counts, _ = z81_all
-    assert counts == dict.fromkeys(counts, 1)
+    assert counts == {**dict.fromkeys(counts, 1), "_commutators": 0}
 
 
 def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
@@ -281,7 +285,7 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     assert cli.main(["invariants", "--gen", "zassenhaus81"]) == 0
     assert "derived_order:       3" in capsys.readouterr().out
     # Phi(L) is the meet of the L'L^p, so no maximal subloop is built
-    assert counts == {**dict.fromkeys(counts, 1), "_maximal_over": 0}
+    assert counts == {**dict.fromkeys(counts, 1), "_maximal_over": 0, "_commutators": 0}
 
 
 def test_all_checks_each_centre_once(monkeypatch):
@@ -354,6 +358,20 @@ def test_context_masks_are_read_only(z81):
         with pytest.raises(ValueError, match="read-only"):
             pg._close(m, mask, m.gen_array)
     assert np.array_equal(pg._derived(m)[0], before)
+
+
+@pytest.mark.parametrize("factors", [(), (2,), (3,)], ids=["z81", "z81xZ2", "z81xZ3"])
+def test_invariants_survive_relabelling(tmp_path, factors):
+    """A relabelling that fixes 0 conjugates M(L) in Sym(n): its chain, base, point
+    stabilizer and the candidates for Z(M) change, and no invariant may."""
+    loop = direct_product(gen_zassenhaus81(), gen_abelian(factors)) if factors else gen_zassenhaus81()
+    values = []
+    for i, case in enumerate([loop] + [relabel(loop, seed) for seed in (1, 2, 3)]):
+        path, out = tmp_path / f"{i}.txt", tmp_path / f"{i}.json"
+        path.write_text("\n".join([str(loop.n)] + [" ".join(map(str, row)) for row in case.table.tolist()]))
+        assert cli.main(["invariants", "--input", str(path), "--json", str(out)]) == 0
+        values.append(json.loads(out.read_text())["invariants"])
+    assert values[1:] == values[:1] * 3
 
 
 def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
