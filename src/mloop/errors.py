@@ -79,7 +79,7 @@ class NotSubgroup(LoopError):
 
 
 class NotNilpotent(LoopError):
-    """Ascending centers stall before reaching the whole group."""
+    """A group has a Sylow subgroup that is not normal."""
 
 
 class ChainStalled(LoopError):

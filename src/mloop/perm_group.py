@@ -22,12 +22,11 @@ takes down the chain, and a full row is built only for a generator the
 greedy kernel appends.  ``element_array()`` serves callers that need every
 row.  Z(G) is tested only on the elements whose image of the first base point
 the point stabilizer fixes; a group of prime-power order is nilpotent by its
-order, and otherwise the upper central series is a gather of masks at the
-commutator positions p^-1 g^-1 p g; Phi(G) grows G' by the reduced
-generators' p-th powers.  A normalizer N(H) is the stabilizer of H in the
-conjugation action, each element labelled with its conjugate of H down a
-breadth-first tree of G's Cayley graph.  The commutator positions, the
-conjugation table and the tree are built once per G.
+order, and otherwise iff each Sylow subgroup is normal, counted off the p-th
+power positions; Phi(G) grows G' by the reduced generators' p-th powers.  A
+normalizer N(H) is the stabilizer of H in the conjugation action, each element
+labelled with its conjugate of H down a breadth-first tree of G's Cayley
+graph.  The conjugation table and the tree are built once per G.
 """
 
 from collections import namedtuple
@@ -161,7 +160,7 @@ class PermGroup:
         self.base = [level.base for level in self.chain]
         self._store = np.empty((0, self.order()), dtype=self.gen_array.dtype)  # see _columns
         self._column_of = np.full(self.degree, -1)
-        self._elements = self._reduced = self._conjugation = self._commutators = self._derived = None
+        self._elements = self._reduced = self._conjugation = self._derived = None
 
     @property
     def generators(self):
@@ -435,27 +434,6 @@ def _normalizer_mask(G, mask):
     return label == 0
 
 
-def _commutators(G):
-    """Read-only (k, |G|) positions, built once per G: [j, i] is the position of
-    e_i^-1 s_j^-1 e_i s_j for the reduced generators s_j."""
-    if G._commutators is None:
-        gens, positions = _reduced_rows(G), np.arange(_order(G))
-        comm = np.empty((len(gens), len(positions)), dtype=np.intp)
-        for j, (g, g_inv) in enumerate(zip(gens, inverse(gens))):
-            comm[j] = G._index(_walk(G, positions, g_inv.take(_images(G, g[G.base])), inverted=True))
-        comm.setflags(write=False)
-        G._commutators = comm
-    return G._commutators
-
-
-def _lifts(G, inside):
-    """Read-only mask of the p in G with p^-1 g^-1 p g in the mask ``inside`` for every
-    reduced generator g."""
-    lifted = inside[_commutators(G)].all(axis=0)
-    lifted.setflags(write=False)
-    return lifted
-
-
 def _center(G):
     """Read-only mask of Z(G).  For h in the stabilizer G_b of the first base point and
     z central, h z(b) = z h(b) = z(b), so z(b) is fixed by G_b: only the positions whose
@@ -476,17 +454,6 @@ def _center(G):
             mask[c] = (cs.reshape(len(c), *images.shape) == sc.transpose(1, 0, 2)).all(axis=(1, 2))
     mask.setflags(write=False)
     return mask
-
-
-def _central_series(G):
-    """Masks of the upper central series Z_0 <= Z_1 <= ..., up to its first repeat."""
-    masks = [_trivial(G)]
-    while not masks[-1].all():
-        nxt = _lifts(G, masks[-1])
-        if nxt.sum() == masks[-1].sum():
-            break
-        masks.append(nxt)
-    return masks
 
 
 def _normal_closure(G, seeds):
@@ -536,9 +503,25 @@ def derived_subgroup(G):
     return PermGroup(G.degree, _derived(G)[1])
 
 
+def _non_normal_sylow(G):
+    """The least prime p whose Sylow p-subgroup of G is not normal, or None.  The
+    elements of p-power order are the union of the Sylow p-subgroups, so there are
+    |G|_p = p^a of them iff that subgroup is unique: a walks of g -> g^p take
+    exactly p^a positions to the identity."""
+    order = G.order()
+    for p in _prime_factors(order):
+        step, pos, sylow = _powers(G, p), np.arange(order), 1
+        while order % (sylow * p) == 0:
+            pos, sylow = step[pos], sylow * p
+        if np.count_nonzero(pos == 0) != sylow:
+            return p
+    return None
+
+
 def is_nilpotent_group(G):
-    """Every group of prime-power order is nilpotent; otherwise the upper central series."""
-    return len(_prime_factors(G.order())) <= 1 or bool(_central_series(G)[-1].all())
+    """Every group of prime-power order is nilpotent; otherwise G is nilpotent iff each
+    Sylow subgroup is normal."""
+    return len(_prime_factors(G.order())) <= 1 or _non_normal_sylow(G) is None
 
 
 def _frattini(G):
@@ -548,7 +531,8 @@ def _frattini(G):
     order is not a prime power.  G/G' is abelian, so G' * <s^p : s in S> is the same
     subgroup for any generating set S; S is the reduced generators."""
     if not is_nilpotent_group(G):
-        raise NotNilpotent(f"group of order {G.order()} has a stalled center chain")
+        p = _non_normal_sylow(G)
+        raise NotNilpotent(f"group of order {G.order()} has a non-normal Sylow {p}-subgroup")
     inside, reduced = np.ones(_order(G), dtype=bool), _reduced_rows(G)
     for p in _prime_factors(G.order()):
         powers = reduced

@@ -276,12 +276,12 @@ def mixed_radix_abelian(moduli):
 
 
 def relabel(loop, seed):
-    """The loop with 1..n-1 renamed by a seeded permutation pi, 0 kept fixed: the
-    table conjugated by pi, new[pi(x), pi(y)] = pi(old[x, y])."""
+    """(the loop with 1..n-1 renamed by a seeded permutation pi, 0 kept fixed, pi):
+    the table conjugated by pi, new[pi(x), pi(y)] = pi(old[x, y])."""
     pi = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(loop.n - 1)])
     table = np.empty_like(loop.table)
     table[np.ix_(pi, pi)] = pi[loop.table]
-    return loop_core.CayleyLoop(table, name=f"{loop.name}@{seed}")
+    return loop_core.CayleyLoop(table, name=f"{loop.name}@{seed}"), pi
 
 
 def gaussian_binomial(k, j, q=3):
@@ -894,11 +894,6 @@ def reduced_generators(G):
     return pg._perms(pg._reduced_rows(G))
 
 
-def upper_central_series_group(G):
-    """Ascending chain Z_0 <= Z_1 <= ... of groups, one per central series mask."""
-    return [PermGroup(G.degree, pg._generators(G, mask)) for mask in pg._central_series(G)]
-
-
 # -- the group kernels on G's element table ---------------------------------
 # The routes the kernels took before they read per-point columns and walked
 # the chain: every image is a gather from the whole rows of element_array().
@@ -942,12 +937,3 @@ def table_powers(G, p):
     for _ in range(p):
         images = np.take_along_axis(elements, images, axis=1)
     return G._index(images)
-
-
-def table_commutators(G):
-    """Positions of e^-1 g^-1 e g for the reduced generators g (rows) and every e."""
-    elements = G.element_array()
-    inverses = reference_inverse(elements)
-    gens = pg._reduced_rows(G)
-    return np.array([G._index(np.take_along_axis(inverses, g_inv[elements[:, g[G.base]]], axis=1))
-                     for g, g_inv in zip(gens, reference_inverse(gens))]).reshape(len(gens), G.order())

@@ -25,10 +25,8 @@ from conftest import (
     sift_normal_closure,
     sift_reduced_rows,
     table_close,
-    table_commutators,
     table_grow,
     table_powers,
-    upper_central_series_group,
 )
 from mloop import cli
 from mloop import perm_group as pg
@@ -65,6 +63,22 @@ def d4():
 
 def cyclic(n):
     return group_from_generators([Permutation(tuple((i + 1) % n for i in range(n)))])
+
+
+def a4():
+    return group_from_generators([perm_from_cycles(4, [(0, 1, 2)]), perm_from_cycles(4, [(0, 1), (2, 3)])])
+
+
+def s4():
+    return group_from_generators([perm_from_cycles(4, [(0, 1, 2, 3)]), perm_from_cycles(4, [(0, 1)])])
+
+
+def product_group(G, H):
+    """G x H on disjoint points: G moves the first G.degree points, H the rest."""
+    n, m = G.degree, H.degree
+    left = [g + list(range(n, n + m)) for g in G.gen_array.tolist()]
+    right = [list(range(n)) + [n + i for i in h] for h in H.gen_array.tolist()]
+    return PermGroup(n + m, left + right)
 
 
 def test_permutation_algebra():
@@ -144,7 +158,7 @@ def test_derived_center_closure():
 
 
 def test_upper_central_series_and_nilpotency():
-    series = upper_central_series_group(d4())
+    series = naive_upper_central_series(d4())
     assert [t.order() for t in series] == [1, 2, 8]
     assert is_nilpotent_group(d4())
     assert not is_nilpotent_group(s3())
@@ -171,6 +185,45 @@ def test_frattini_rejects_non_nilpotent():
         frattini_subgroup(s3())
     # the exhaustive oracle has no such restriction
     assert frattini_subgroup_oracle(s3()).order() == 1
+    # A4 has four Sylow 3-subgroups and a normal Klein four; S3 x Z3 has a normal
+    # Sylow 3-subgroup Z3 x Z3 and three Sylow 2-subgroups
+    with pytest.raises(NotNilpotent, match="non-normal Sylow 3-subgroup"):
+        frattini_subgroup(a4())
+    with pytest.raises(NotNilpotent, match="non-normal Sylow 2-subgroup"):
+        frattini_subgroup(product_group(s3(), cyclic(3)))
+
+
+NILPOTENCY_GROUPS = {
+    "S3": (s3, False),
+    "A4": (a4, False),
+    "S4": (s4, False),
+    "S3xZ3": (lambda: product_group(s3(), cyclic(3)), False),
+    "D4xZ3": (lambda: product_group(d4(), cyclic(3)), True),
+}
+
+
+@pytest.mark.parametrize("name", NILPOTENCY_GROUPS)
+def test_nilpotency_by_sylow_counts_matches_upper_central_series(name):
+    """Each Sylow subgroup normal, counted off the p-th power positions, against
+    whether the upper central series over enumerated elements reaches G."""
+    make, nilpotent = NILPOTENCY_GROUPS[name]
+    G = make()
+    assert len(pg._prime_factors(G.order())) == 2
+    assert is_nilpotent_group(G) == (naive_upper_central_series(G)[-1].order() == G.order()) == nilpotent
+
+
+@pytest.mark.parametrize("make, primes", [
+    (lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))), 2),
+    (lambda: gen_abelian((6, 10)), 3),
+], ids=["z81xZ2", "abelian:6,10"])
+def test_mult_groups_are_nilpotent_by_sylow_counts(make, primes):
+    """M and I of a CML are nilpotent: |M(z81 x Z2)| = 2 * 3^7, and |M(abelian:6,10)| =
+    60 takes three primes; the Sylow counts agree with the upper central series."""
+    bundle = multiplication_group(make())
+    assert len(pg._prime_factors(bundle.M.order())) == primes
+    for G in (bundle.M, bundle.I):
+        assert is_nilpotent_group(G)
+        assert naive_upper_central_series(G)[-1].order() == G.order()
 
 
 def test_normalizer_of_subgroup():
@@ -249,7 +302,7 @@ def test_zassenhaus_group_layer_pinned(z81_bundle):
         sub = fn(m)
         assert (sub.order(), digest(sub.generators)) == (order, gens_digest), fn.__name__
         assert set_digest(sub) == elements_digest, fn.__name__
-    assert [(t.order(), set_digest(t)) for t in upper_central_series_group(m)] == [
+    assert [(t.order(), set_digest(t)) for t in naive_upper_central_series(m)] == [
         (1, "596573831ef84f97a78c5b36afa324241ad91427df935a03487964605e345107"),
         (3, z1),
         (81, z2),
@@ -393,7 +446,6 @@ def test_mask_layer_matches_sift_route_on_random_groups(data):
     assert ours.gen_array.tolist() == theirs.gen_array.tolist()
     mask = subgroup_mask(group, sub)
     assert np.array_equal(pg._normalizer_mask(group, mask), conjugation_sweep_normalizer_mask(group, mask))
-    assert np.array_equal(pg._lifts(group, mask), naive_lifts(group, sub))
     assert np.array_equal(pg._center(group), naive_lifts(group, PermGroup(n)))
     assert_closures_match_sift_route(group, [sub.gen_array, np.array([p.images for p in gens])])
 
@@ -420,7 +472,7 @@ def every_subgroup(G):
     ids=["s3", "cyclic4", "M(abelian:3,3)", "d4", "cyclic12"],
 )
 def test_mask_layer_matches_sift_route(make, count):
-    """Normalizers, lifts, central series, normal closures, G', Phi(G) and
+    """Normalizers, Z(G), normal closures, G', nilpotency, Phi(G) and
     divisibility agree with the sift route, generators included, for every
     subgroup of a few small groups (G' is trivial in the abelian ones)."""
     G = make()
@@ -431,9 +483,6 @@ def test_mask_layer_matches_sift_route(make, count):
         assert ours.gen_array.tolist() == theirs.gen_array.tolist()
         mask = subgroup_mask(G, sub)
         assert np.array_equal(pg._normalizer_mask(G, mask), conjugation_sweep_normalizer_mask(G, mask))
-        assert np.array_equal(pg._lifts(G, mask), naive_lifts(G, sub))
-    ours, theirs = upper_central_series_group(G), naive_upper_central_series(G)
-    assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
     central = naive_lifts(G, PermGroup(G.degree))
     assert np.array_equal(pg._center(G), central)
     naive_center = group_from_elements(G.degree, G.element_array()[central])
@@ -520,15 +569,13 @@ def z243_bundle():
 
 
 def test_index_and_upper_central_series_at_orders_2187_and_6561(z81_bundle, z243_bundle):
-    for m in (z81_bundle.M, z243_bundle.M):
+    """The index of every element at its base images, and the orders of the upper
+    central series, which reaches M: M is nilpotent of class 3."""
+    for m, orders in ((z81_bundle.M, [1, 3, 81, 2187]), (z243_bundle.M, [1, 9, 243, 6561])):
         elements = m.element_array()
         assert np.array_equal(m._index(elements[:, m.base]), np.arange(m.order()))
-        ours, theirs = upper_central_series_group(m), naive_upper_central_series(m)
-        assert [(t.order(), sorted(t.element_keys())) for t in ours] == [
-            (t.order(), sorted(t.element_keys())) for t in theirs
-        ]
-        assert [t.gen_array.tolist() for t in ours] == [t.gen_array.tolist() for t in theirs]
-    assert [t.order() for t in ours] == [1, 9, 243, 6561]
+        assert [t.order() for t in naive_upper_central_series(m)] == orders
+        assert is_nilpotent_group(m)
 
 
 CENTRE_LOOPS = {
@@ -559,12 +606,11 @@ def test_center_reads_every_reduced_generator(monkeypatch, z81_bundle):
 def test_invariants_build_no_group_wide_table(monkeypatch, tmp_path):
     """`invariants` on z81 x Z3 (|M| = 6,561) reads Z(M) off the point stabilizer's
     fixed points, the nilpotency of the 3-group M off its order and Phi(M) off the
-    reduced generators' cubes: no commutator or power table over every element."""
+    reduced generators' cubes: no power table over every element."""
 
     def never(*args):
         raise AssertionError("an |M|-wide table was built")
 
-    monkeypatch.setattr(pg, "_commutators", never)
     monkeypatch.setattr(pg, "_powers", never)
     out = tmp_path / "invariants.json"
     assert cli.main(["invariants", "--gen", "product:zassenhaus81xabelian:3", "--json", str(out)]) == 0
@@ -615,15 +661,14 @@ def test_index_certifies_non_members(z81_bundle):
 def test_mask_subgroups_unchanged_by_small_gather_blocks(monkeypatch, z81_bundle):
     """``_close`` gathers base images in frontier blocks of at most
     GATHER_BLOCK entries; with blocks of a few frontier rows, Phi(M) (grown
-    from the p-th powers), M', Z(M), the central series, a normalizer and a
-    normal closure keep their generators and element sets."""
+    from the p-th powers), M', Z(M), a normalizer and a normal closure keep
+    their generators and element sets."""
 
     def subgroups(m):
         g = PermGroup(m.degree, m.gen_array)  # fresh caches
         h = PermGroup(m.degree, g.element_array()[5:6])
         return [frattini_subgroup(g), derived_subgroup(g), center_of_group(g),
-                *upper_central_series_group(g), normalizer_of_subgroup(g, h),
-                normal_closure(g, z81_bundle.I.gen_array)]
+                normalizer_of_subgroup(g, h), normal_closure(g, z81_bundle.I.gen_array)]
 
     def summary(groups):
         return [(s.gen_array.tolist(), sorted(s.element_keys())) for s in groups]
@@ -653,8 +698,8 @@ KERNEL_GROUPS = {
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
 def test_walk_and_columns_match_element_table(request, name):
     """The chain walk (e and e^-1 at any points), full rows at positions, the
-    column store's gathers and the kernels reading them (``_close``, ``_powers``
-    and ``_commutators``), against gathers from element_array()'s whole rows."""
+    column store's gathers and the kernels reading them (``_close`` and
+    ``_powers``), against gathers from element_array()'s whole rows."""
     G = KERNEL_GROUPS[name](request)
     fresh_g = PermGroup(G.degree, G.gen_array)
     elements, inverses = G.element_array(), reference_inverse(G.element_array())
@@ -681,7 +726,6 @@ def test_walk_and_columns_match_element_table(request, name):
         assert np.array_equal(pg._close(G, start.copy(), gens), table_close(G, start, gens))
     for p in (2, 3):
         assert np.array_equal(pg._powers(G, p), table_powers(G, p))
-    assert np.array_equal(pg._commutators(G), table_commutators(G))
 
 
 @pytest.mark.parametrize("name", KERNEL_GROUPS)

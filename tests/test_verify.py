@@ -36,9 +36,7 @@ from mloop.verify import (
 )
 
 # The builders of the shared artifacts: L', the maximal subloops, Phi(L), Z(L),
-# M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask; and
-# the commutator table over every element of a group, which Z(M) and the
-# nilpotency of a p-group do not need.
+# M' (the normal closure mask inside perm_group._derived) and Phi(M)'s mask.
 BUILDERS = (
     (st, "associator_subloop"),
     (st, "_maximal_over"),
@@ -46,7 +44,6 @@ BUILDERS = (
     (st, "center"),
     (pg, "_normal_closure"),
     (pg, "_frattini"),
-    (pg, "_commutators"),
 )
 
 
@@ -277,7 +274,7 @@ def test_all_builds_each_artifact_once(z81_all):
     # prop1 and lemma7 bridges read the context's Z(L) and L'; M' is cached
     # on M for m_derived, _frattini and the lemma7 bridge
     _, counts, _ = z81_all
-    assert counts == {**dict.fromkeys(counts, 1), "_commutators": 0}
+    assert counts == dict.fromkeys(counts, 1)
 
 
 def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
@@ -285,7 +282,7 @@ def test_invariants_builds_each_artifact_once(monkeypatch, capsys):
     assert cli.main(["invariants", "--gen", "zassenhaus81"]) == 0
     assert "derived_order:       3" in capsys.readouterr().out
     # Phi(L) is the meet of the L'L^p, so no maximal subloop is built
-    assert counts == {**dict.fromkeys(counts, 1), "_maximal_over": 0, "_commutators": 0}
+    assert counts == {**dict.fromkeys(counts, 1), "_maximal_over": 0}
 
 
 def test_all_checks_each_centre_once(monkeypatch):
@@ -360,18 +357,43 @@ def test_context_masks_are_read_only(z81):
     assert np.array_equal(pg._derived(m)[0], before)
 
 
+def write_table(path, loop):
+    path.write_text("\n".join([str(loop.n)] + [" ".join(map(str, row)) for row in loop.table.tolist()]))
+
+
 @pytest.mark.parametrize("factors", [(), (2,), (3,)], ids=["z81", "z81xZ2", "z81xZ3"])
 def test_invariants_survive_relabelling(tmp_path, factors):
     """A relabelling that fixes 0 conjugates M(L) in Sym(n): its chain, base, point
     stabilizer and the candidates for Z(M) change, and no invariant may."""
     loop = direct_product(gen_zassenhaus81(), gen_abelian(factors)) if factors else gen_zassenhaus81()
     values = []
-    for i, case in enumerate([loop] + [relabel(loop, seed) for seed in (1, 2, 3)]):
+    for i, case in enumerate([loop] + [relabel(loop, seed)[0] for seed in (1, 2, 3)]):
         path, out = tmp_path / f"{i}.txt", tmp_path / f"{i}.json"
-        path.write_text("\n".join([str(loop.n)] + [" ".join(map(str, row)) for row in case.table.tolist()]))
+        write_table(path, case)
         assert cli.main(["invariants", "--input", str(path), "--json", str(out)]) == 0
         values.append(json.loads(out.read_text())["invariants"])
     assert values[1:] == values[:1] * 3
+
+
+@pytest.mark.parametrize("factors", [(), (2,)], ids=["z81", "z81xZ2"])
+def test_theorem2_fixpoints_survive_relabelling(tmp_path, factors):
+    """theorem2's normalizer fixpoint of every proper subloop H commutes with a
+    relabelling pi that fixes 0: each reported H, mapped back through pi^-1, keeps
+    its normalizer order, and the count of proper subloops is unchanged."""
+    loop = direct_product(gen_zassenhaus81(), gen_abelian(factors)) if factors else gen_zassenhaus81()
+    reports = []
+    for i, (case, pi) in enumerate([(loop, np.arange(loop.n))] + [relabel(loop, seed) for seed in (1, 2, 3)]):
+        path, out = tmp_path / f"{i}.txt", tmp_path / f"{i}.json"
+        write_table(path, case)
+        args = ["verify", "--input", str(path), "--suite", "theorem2", "--max-order", "162", "--json", str(out)]
+        assert cli.main(args) == 0
+        (check,) = json.loads(out.read_text())["checks"]
+        back = np.argsort(pi)
+        sizes = {frozenset(back[list(map(int, s["h"].split(",")))].tolist()): s["normalizer_order"]
+                 for s in check["witness"]["normalizer_sizes"]}
+        reports.append((check["witness"]["proper_subloops"], sizes))
+    assert reports[0][0] == len(reports[0][1]) == {(): 184, (2,): 369}[factors]
+    assert reports[1:] == reports[:1] * 3
 
 
 def test_invariants_agree_with_verify_witnesses(tmp_path, z81_all):
