@@ -34,6 +34,7 @@ from .errors import (
     OrderOverflow,
     ParseError,
 )
+from . import perm_rows
 from .perm_rows import blocks, cast_blocks
 
 MAX_ORDER_DEFAULT = 1024
@@ -58,9 +59,11 @@ def _least_violations(table, laws, reps):
 
     ys is a y-block of the increasing ``reps``, yz[j, k] = ys[j] reps[k] as intp, xs a block
     of at most GATHER_BLOCK // yz.size reps; a law failing at x* is then read only at x < x*.
+    All of reps^3 is one block when it holds at most GATHER_BLOCK entries.
     """
     found, bound = [None] * len(laws), [len(reps)] * len(laws)
-    for rows, yz in cast_blocks(table[np.ix_(reps, reps)]):
+    pairs, whole = table[np.ix_(reps, reps)], len(reps) ** 3 <= perm_rows.GATHER_BLOCK
+    for rows, yz in [(slice(None), pairs.astype(np.intp))] if whole else cast_blocks(pairs):
         ys = reps[rows]
         for xb in blocks(max(bound), yz.size):
             for i, law in enumerate(laws):
@@ -128,14 +131,17 @@ def _central_violation(table, central):
     ones must commute with every y, satisfy (cy)z = c(yz), (yc)z = y(cz) and
     (yz)c = y(zc), and keep Z closed under * c (else row y, y in Z and cy not, fails).
     The centre is a subloop, so Z, the span of such generators, is one inside it.
+    A c that commutes with every y has (yc)z = (cy)z and (yz)c = c(yz), so the laws read
+    X = Y = W for X = (cy)z, Y = c(yz) and W = y(cz): (X != Y) | (Y != W) is the same mask.
     """
-    t = table.astype(np.intp)
-    span = np.arange(len(t)) == 0
+    t, span = table, np.arange(len(table)) == 0
     for c in np.flatnonzero(central):
         if span[c]:
             continue
         left, right = t[c], t[:, c]
-        bad = (t[left] != left.take(t)) | (t[right] != t[:, left]) | (right.take(t) != t[:, right])
+        yzc = left[t]  # c(yz), gathered with no intp copy of the table
+        bad = (t[left] != yzc) | ((yzc != t[:, left]) if np.array_equal(left, right) else
+                                  (t[right] != t[:, left]) | (right[t] != t[:, right]))
         bad |= ((left != right) | (central & ~central[left]))[:, None]
         if bad.any():
             return (int(c),) + _first_index(bad)
@@ -191,7 +197,7 @@ class CayleyLoop:
         self._ldiv = None
         self._central = None
         self._cosets = None
-        self._assoc = None
+        self._assoc = self._assoc_values = None
         self._inner = None
         self._central_check = None  # (violation or None,) once checked
         self._inner_check = None  # (violation or None,) once scanned
@@ -322,14 +328,20 @@ class CayleyLoop:
             reps = self.central_cosets()[0]
             if len(reps) > _TENSOR_LIMIT:
                 raise OrderOverflow("associator table", _TENSOR_LIMIT, len(reps))
-            t, ldiv = self.table, self.ldiv_table()
-            pairs = t[np.ix_(reps, reps)]  # r_b r_c
-            out = np.empty((len(reps),) * 3, dtype=t.dtype)
-            for a, x in enumerate(reps):
-                out[a] = ldiv[t[x].take(pairs), t.take(t[x, reps], axis=0).take(reps, axis=1)]
+            t, m, ldiv = self.table, len(reps), self.ldiv_table()
+            pairs, right = t[np.ix_(reps, reps)], t[:, reps]  # r_b r_c, y r_c
+            out = np.empty((m,) * 3, dtype=t.dtype)
+            for b in blocks(m, m * m):  # ldiv[r_a (r_b r_c), (r_a r_b) r_c]
+                out[b] = ldiv[t[reps[b]][:, pairs], right[pairs[b]]]
             out.setflags(write=False)
             self._assoc = out
         return self._assoc
+
+    def associator_values(self):
+        """The distinct values of ``associator_table()``, ascending, computed once."""
+        if self._assoc_values is None:
+            self._assoc_values = np.flatnonzero(np.bincount(self.associator_table().ravel()))
+        return self._assoc_values
 
     def inner_mapping_table(self):
         """Tensor I[x, y, z] = image of z under L(xy)^-1 L(x) L(y).

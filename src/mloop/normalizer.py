@@ -17,9 +17,10 @@ P = f(D) and D = g(P) are the two maps of a Galois connection (f(D) is the
 set of x with every (H, d, x) inside H, g(P) the set of y with every
 (H, y, p) inside H), so g(f(D)) contains D and f(g(f(D))) = f(D): the pair
 repeats at the second round for every H, and each trace holds two equal
-stages.  ``_fixpoints`` runs the two products on a stack of subloops at
-once, and checks the repeat; ``normalizer`` is its batch of one and
-``normalizer_condition`` one batch over the lattice.
+stages.  ``_fixpoints`` runs the two products once per normality class of H
+(the cosets of Z(L) H meets and the A_q values H holds), keeps each class on K,
+and checks the repeat; ``normalizer`` is its batch of one, ``normalizer_condition``
+one batch over the lattice, and the oracle grows S by one closure per join.
 """
 
 import random
@@ -29,11 +30,12 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ChainStalled, OracleDisagreement
-from .perm_rows import blocks
+from .perm_rows import blocks, row_keys
 from .structure import (
     LATTICE_GUARD_DEFAULT,
     Subloop,
     _coset_subloop,
+    _meets,
     _normality_matrix,
     _require_cml,
     all_subloops,
@@ -42,7 +44,6 @@ from .structure import (
     generate_subloop,
     is_normal,
     join,
-    trivial_subloop,
 )
 
 ORACLE_SEEDS = (0, 1, 2, 3, 4)
@@ -66,7 +67,7 @@ class NormalizerTrace:
 
 def _fixpoints(loop, k, masks):
     """The P/D fixpoint of every H in ``masks``, subloop masks inside K (an (r, n)
-    array or a list of rows), as (K, P, D, results).
+    array or a list of rows), as (K, P, D, results), the last three lists by row.
 
     Both stages read H's normality matrix C over the c cosets of Z(L) that meet
     K (structure._normality_matrix).  (h, y, x) is constant on those cosets,
@@ -74,17 +75,21 @@ def _fixpoints(loop, k, masks):
     P = {b : C[D0, b] all true} and D = {a : C[a, P] all true}, each a boolean
     matrix product with ~C on all rows at once.  P[i] and D[i] are row i's (c,)
     selections; the raise checks that C[D, b] picks P again, so the pair repeats
-    at the second round, as the Galois connection above says.  Rows run in
-    blocks of at most GATHER_BLOCK entries of their masks and of their
-    matrices.  results[i] is row i's D as a Subloop, each distinct one proved a
-    subloop once per K by structure._coset_subloop.
+    at the second round, as the Galois connection above says.  results[i] is row
+    i's D as a Subloop, each distinct one proved a subloop once per K by
+    structure._coset_subloop.  C depends on H only through H's normality class, and K
+    keeps each class's (P, D, result): a call runs one row of each class K lacks, in
+    blocks of at most GATHER_BLOCK entries.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    c = len(k._coset_index()[0])
-    p_sel, d_sel = (np.empty((len(masks), c), dtype=bool) for _ in range(2))
-    for rows in blocks(len(masks), max(loop.n, 4 * c * c)):
-        k, _, d, escapes = _normality_matrix(loop, np.asarray(masks[rows], dtype=bool), k)
+    masks, values = np.asarray(masks, dtype=bool).reshape(-1, loop.n), loop.associator_values()
+    keys = [key for b in blocks(len(masks), loop.n) for key in row_keys(
+        np.concatenate([_meets(loop, masks[b], k), masks[b][:, values]], axis=1))]
+    new = {key: i for i, key in enumerate(keys) if key not in k._classes}  # a row per class
+    rows, c = np.fromiter(new.values(), np.intp, len(new)), len(k._coset_index()[0])
+    for b in blocks(len(rows), max(loop.n, 4 * c * c)):
+        _, _, d, escapes = _normality_matrix(loop, masks[rows[b]], k)
         np.logical_not(escapes, out=escapes)
         p = ~(d[:, None] @ escapes)[:, 0]
         d = ~(escapes @ p[:, :, None])[:, :, 0]
@@ -92,8 +97,9 @@ def _fixpoints(loop, k, masks):
             raise AssertionError("the P/D pair must repeat at its second round")
         if (d & ~p).any():
             raise AssertionError("H must be normal in the stabilized D-set")
-        p_sel[rows], d_sel[rows] = p, d
-    return k, p_sel, d_sel, [_coset_subloop(loop, k, sel) for sel in d_sel]
+        for key, p_row, d_row in zip(list(new)[b], p, d):
+            k._classes[key] = (p_row, d_row, _coset_subloop(loop, k, d_row))
+    return (k, *([k._classes[key][i] for key in keys] for i in range(3)))
 
 
 def normalizer(loop, k, h):
@@ -125,8 +131,8 @@ def normalizer_oracle(loop, k, h):
     since it falsifies the uniqueness this oracle is meant to certify.
     H is normal in the current S (H or an accepted join), so an x whose row or
     column c_x of H's normality matrix C fails on the cosets of S and x is
-    rejected with no closure (_may_join).  Otherwise <S, x> = S v <x> is kept
-    iff C holds on the cosets it meets.
+    rejected with no closure (_may_join).  Otherwise <S, x>, one closure of S and x,
+    is kept iff C holds on the cosets it meets.
     """
     h = coerce_subloop(loop, h)
     k, kpos, meet, (pairs,) = _normality_matrix(loop, h.mask()[None], k)
@@ -144,7 +150,7 @@ def normalizer_oracle(loop, k, h):
             for x in candidates:
                 if s.mask()[x] or not may[coset_of[x]]:
                     continue
-                grown = join(s, generate_subloop(loop, [x]))
+                grown = join(s, [x])
                 sel = k._cosets_meeting(grown.mask())
                 if pairs[sel][:, sel].all():
                     s, may = grown, _may_join(pairs, sel)
@@ -191,7 +197,7 @@ def ascending_subnormal_system(loop, h):
     """1, H, N(H), N(N(H)), ..., L with each term normal in its successor."""
     h = coerce_subloop(loop, h)
     chain = normalizer_chain(loop, h)
-    terms = [trivial_subloop(loop)]
+    terms = [generate_subloop(loop, [])]  # 1, generated by no element
     for term in chain:
         if term != terms[-1]:
             terms.append(term)

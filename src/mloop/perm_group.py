@@ -161,6 +161,7 @@ class PermGroup:
         self._store = np.empty((0, self.order()), dtype=self.gen_array.dtype)  # see _columns
         self._column_of = np.full(self.degree, -1)
         self._elements = self._reduced = self._conjugation = self._derived = None
+        self._powers = {}  # p -> _powers(self, p)
 
     @property
     def generators(self):
@@ -378,12 +379,14 @@ def _reduced_rows(G):
 
 
 def _powers(G, p):
-    """Positions of g^p for each g in G, g's base point images walked down the chain."""
-    positions = np.arange(_order(G))
-    images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(positions), len(G.base)))
-    for _ in range(p):
-        images = _walk(G, positions, images)
-    return G._index(images)
+    """Positions of g^p for each g in G, g's base point images walked down the chain, once per p."""
+    if p not in G._powers:
+        positions = np.arange(_order(G))
+        images = np.broadcast_to(np.array(G.base, dtype=np.intp), (len(positions), len(G.base)))
+        for _ in range(p):
+            images = _walk(G, positions, images)
+        G._powers[p] = G._index(images)
+    return G._powers[p]
 
 
 def _conjugation(G):

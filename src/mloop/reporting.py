@@ -1,7 +1,7 @@
 """Check results: one per check in a verify report, read by the CLI, and the
 verdict helper that the checks and bridges build them from."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -17,7 +17,8 @@ class CheckResult:
         return self.status == "pass"
 
     def as_dict(self):
-        return asdict(self)
+        """The four fields as a dict; the witness, plain JSON data, is shared, not copied."""
+        return dict(name=self.name, status=self.status, witness=self.witness, millis=self.millis)
 
 
 def verdict(witness, **parts):

@@ -82,9 +82,12 @@ class Subloop:
         """A subloop whose closure the caller has proved, built without re-validation."""
         return cls.__new__(cls)._fill(parent, mask)
 
+    _picked = cached_property(lambda self: {})  # coset selection -> members
+    _coset_subloops = cached_property(lambda self: {})  # coset selection -> Subloop
+    _classes = cached_property(lambda self: {})  # H's normality class -> (P, D, result)
+
     def _fill(self, parent, mask):
-        self.parent, self._mask = parent, mask
-        self._cosets, self._picked, self._coset_subloops = None, {}, {}
+        self.parent, self._mask, self._cosets = parent, mask, None
         mask.setflags(write=False)
         return self
 
@@ -176,24 +179,27 @@ def coerce_subloop(loop, value):
 
 def generate_subloop(loop, indices):
     """Smallest subloop containing the given element indices."""
-    indices = [int(i) for i in indices]
-    for i in indices:
-        if not 0 <= i < loop.n:
-            raise ParseError(f"element index {i} out of range 0..{loop.n - 1}")
     return _join_elements(loop, np.arange(loop.n) == 0, indices)
 
 
 def join(a, b):
-    if a.parent is not b.parent:
+    """Smallest subloop containing the subloop a and b, a subloop of the same loop or
+    element indices: one closure, grown from a's mask."""
+    if isinstance(b, Subloop) and a.parent is not b.parent:
         raise NotNested("subloops of different parents")
-    return _join_elements(a.parent, a.mask(), np.flatnonzero(b.mask()))
+    return _join_elements(a.parent, a.mask(), b.members if isinstance(b, Subloop) else b)
 
 
 def _join_elements(loop, base, elements):
-    """The subloop generated by the subloop with mask ``base`` and ``elements``."""
+    """The subloop generated by the subloop with mask ``base`` and the element indices: one
+    closure, a set with 0 closed under products, so a subloop of the finite loop as it is."""
+    indices = [int(i) for i in elements]
+    for i in indices:
+        if not 0 <= i < loop.n:
+            raise ParseError(f"element index {i} out of range 0..{loop.n - 1}")
     seed = np.zeros(loop.n, dtype=bool)
-    seed[list(elements)] = True
-    return Subloop(loop, np.flatnonzero(_close(loop.table, base, seed, None, loop.commutative)))
+    seed[indices] = True
+    return Subloop._proved(loop, _close(loop.table, base, seed, None, loop.commutative))
 
 
 def _powers(loop, k):
@@ -214,36 +220,38 @@ def _normality_rows(loop, masks, k):
     A_q[a, b, c] over the f cosets a that some H_i meets, ascending, and all b, c."""
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    outside = masks & ~k.mask()
-    if outside.any():
-        order = int(masks[np.argmax(outside.any(axis=1))].sum())
-        raise NotNested(f"H (order {order}) is not contained in K (order {k.size})")
+    meet = _meets(loop, masks, k)
     violation = loop.inner_identity_violation()
     if violation is not None:
         raise AssertionError(f"inner-mapping identity fails at {violation}; table corrupted")
     cosets, kpos = k._coset_index()
-    if len(masks) == 1:
-        meet = k._cosets_meeting(masks[0])[None]
-        used = meet[0]
-    else:
-        reps, proj = loop.central_cosets()
-        meet = np.zeros((len(masks), len(reps)), dtype=bool)
-        rows, members = np.nonzero(masks)
-        meet[rows, proj[members]] = True
-        meet = meet[:, cosets]
-        used = meet.any(axis=0)
-    tensor = loop.associator_table()[cosets[used]]
+    tensor = loop.associator_table()[cosets[meet.any(axis=0)]]
     if not k.is_full:
         tensor = tensor.take(cosets, axis=1).take(cosets, axis=2)
     return k, kpos, meet, tensor
 
 
-def _same_values(masks, tensor):
-    """The row groups of the mask stack whose members meet the values of ``tensor`` alike."""
+def _meets(loop, masks, k):
+    """meet[i] marks the cosets of K's ``_coset_index`` that H_i meets, for the (r, n) stack
+    ``masks`` of subloops H of K; raises NotNested unless every H_i lies inside K."""
+    outside = None if k.is_full else (masks & ~k.mask()).any(axis=1)
+    if outside is not None and outside.any():
+        order = int(masks[np.argmax(outside)].sum())
+        raise NotNested(f"H (order {order}) is not contained in K (order {k.size})")
+    if len(masks) == 1:
+        return k._cosets_meeting(masks[0])[None]
+    reps, proj = loop.central_cosets()
+    meet = np.zeros((len(masks), len(reps)), dtype=bool)
+    rows, members = np.nonzero(masks)
+    meet[rows, proj[members]] = True
+    return meet[:, k._coset_index()[0]]
+
+
+def _same_values(loop, masks):
+    """The row groups of the mask stack whose members meet the values of A_q alike."""
     if len(masks) == 1:
         return [np.zeros(1, dtype=np.intp)]
-    values = np.flatnonzero(np.bincount(tensor.ravel(), minlength=masks.shape[1]))
-    which = np.unique(masks[:, values], axis=0, return_inverse=True)[1].ravel()
+    which = np.unique(masks[:, loop.associator_values()], axis=0, return_inverse=True)[1].ravel()
     return np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
 
 
@@ -263,7 +271,7 @@ def _normality_matrix(loop, masks, k):
     k, kpos, meet, tensor = _normality_rows(loop, masks, k)
     c, met = meet.shape[1], meet[:, meet.any(axis=0)]  # met[i]: H_i's rows of tensor
     out = np.empty((len(masks), c, c), dtype=bool)
-    for rows in _same_values(masks, tensor):
+    for rows in _same_values(loop, masks):
         used = met[rows].any(axis=0)
         stays = masks[rows[0]].take(tensor[used])
         if len(rows) == 1:

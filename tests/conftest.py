@@ -627,6 +627,37 @@ def associator_tensor(loop):
     return out
 
 
+def per_rep_associator_table(loop):
+    """A_q[a, b, c] = ldiv[r_a (r_b r_c), (r_a r_b) r_c], one (m, m) gather per
+    representative r_a: the route apart from ``associator_table``'s blocked gather."""
+    t, ldiv = loop.table, loop.ldiv_table()
+    reps = loop.central_cosets()[0]
+    pairs = t[np.ix_(reps, reps)]  # r_b r_c
+    out = np.empty((len(reps),) * 3, dtype=t.dtype)
+    for a, x in enumerate(reps):
+        out[a] = ldiv[t[x].take(pairs), t.take(t[x, reps], axis=0).take(reps, axis=1)]
+    return out
+
+
+def three_law_central_violation(table, central):
+    """``loop_core._central_violation`` with each of its three laws read as written,
+    (cy)z = c(yz), (yc)z = y(cz) and (yz)c = y(zc), on an intp copy of the table,
+    with no use of commutativity."""
+    t = table.astype(np.intp)
+    span = np.arange(len(t)) == 0
+    for c in np.flatnonzero(central):
+        if span[c]:
+            continue
+        left, right = t[c], t[:, c]
+        bad = (t[left] != left.take(t)) | (t[right] != t[:, left]) | (right.take(t) != t[:, right])
+        bad |= ((left != right) | (central & ~central[left]))[:, None]
+        if bad.any():
+            return (int(c),) + loop_core._first_index(bad)
+        while not span[left[span]].all():
+            span[left[span]] = True
+    return None
+
+
 def lifted_associators(loop):
     """The loop's coset tensor A_q read back on L^3: A_q[x', y', z'] at (x, y, z)."""
     proj = loop.central_cosets()[1]

@@ -147,6 +147,44 @@ def test_fixpoint_blocks_give_each_row_its_own_trace(monkeypatch, z81, z81_latti
         assert result == want.result, h.members
 
 
+# (loop, K's generators or None for K = L) -> normality classes among the proper H <= K
+CLASS_COUNTS = {
+    ("z81", None): 54,
+    ("z81xZ2", None): 55,
+    ("z81xZ3", None): 55,
+    ("z81", (1, 3, 9)): 11,
+}
+
+
+@pytest.mark.parametrize("name, within", list(CLASS_COUNTS),
+                         ids=["z81", "z81xZ2", "z81xZ3", "z81-K=<1,3,9>"])
+def test_normality_classes_answer_every_h(monkeypatch, name, within):
+    """K keeps one (P, D, result) per normality class of H (the cosets H meets and the
+    A_q values H holds).  After one batch over every proper H <= K, each H's trace on
+    that warm K equals the batch's row and the trace on a cold K, with no normality
+    matrix built; on the proper K = <1, 3, 9> each is also the element route's."""
+    loop = {**FIXPOINT_LOOPS, "z81xZ3": lambda: direct_product(gen_zassenhaus81(),
+                                                               gen_abelian((3,)))}[name]()
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    cold_k = (lambda: full_subloop(loop)) if within is None else (
+        lambda: generate_subloop(loop, within))
+    warm = cold_k()
+    hs = [h for h in lattice if h < warm]
+    _, p_sel, d_sel, results = _fixpoints(loop, warm, [h.mask() for h in hs])
+    assert len(warm._classes) == CLASS_COUNTS[name, within] < len(hs)
+    cold = [normalizer(loop, cold_k(), h) for h in hs]
+    module, built = importlib.import_module("mloop.normalizer"), []
+    monkeypatch.setattr(module, "_normality_matrix", lambda *a: built.append(a))
+    for h, p, d, result, want in zip(hs, p_sel, d_sel, results, cold):
+        got = normalizer(loop, warm, h)
+        assert got == want, h.members
+        assert got.p_stages == (warm._coset_members(p),) * 2, h.members
+        assert got.d_stages == (warm._coset_members(d),) * 2 and got.result is result, h.members
+        if within is not None:
+            assert got == element_fixpoint(loop, warm, h), h.members
+    assert built == [] and len(warm._classes) == CLASS_COUNTS[name, within]
+
+
 # SHA-256 of `normalizer --gen zassenhaus81 --json` reports, fixed before the fixpoint
 # ran in batches: the traces of H = <27> and <3, 9> in L, and of <27> in <9, 27>.
 NORMALIZER_JSON_SHA256 = {

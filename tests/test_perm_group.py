@@ -761,3 +761,37 @@ def test_compose_and_inverse_match_take_along_axis(monkeypatch, block):
     assert same_rows(compose(p[3:4], q), reference_compose(p[3:4], q))
     assert same_rows(inverse(p), reference_inverse(p))
     assert same_rows(compose(p, inverse(p)), np.tile(np.arange(n, dtype=np.int16), (rows, 1)))
+
+
+def test_powers_are_walked_once_per_prime(monkeypatch):
+    """The checks of ``run_suite(z81 x Z2, "all")``, run in order on one context, ask
+    for the square and cube positions of M (|M| = 4,374) for Phi(M)'s nilpotency test,
+    and for the squares again for divisibility; the chain is walked p times once per
+    prime, so 2 + 3 walks in all, and the kept positions are those of the element table."""
+    calls, inside, walks = [], [], []
+    real_powers, real_walk = pg._powers, pg._walk
+
+    def powers(G, p):
+        calls.append((G.order(), p))
+        inside.append(p)
+        try:
+            return real_powers(G, p)
+        finally:
+            inside.pop()
+
+    def walk(*args, **kwargs):
+        walks.append(bool(inside))
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "_powers", powers)
+    monkeypatch.setattr(pg, "_walk", walk)
+    ctx = verify.LoopContext(direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+                             lattice_guard=162)
+    for _, _, check in verify.CHECK_REGISTRY:
+        check(ctx)
+    assert calls == [(4374, 2), (4374, 3), (4374, 2)]
+    assert sum(walks) == 2 + 3
+    m = ctx.bundle.M
+    assert sorted(m._powers) == [2, 3]
+    for p in (2, 3):
+        assert np.array_equal(real_powers(m, p), table_powers(m, p))

@@ -20,9 +20,11 @@ from conftest import (
     naive_associators,
     naive_center,
     naive_violations,
+    per_rep_associator_table,
     per_x_least_violations,
     scan_central_mask,
     swapped_cyclic,
+    three_law_central_violation,
 )
 from mloop import loop_core, perm_rows
 from mloop.loop_core import (
@@ -157,6 +159,69 @@ def test_certificate_matches_the_full_scan():
         assert found == full_inner_identity_violation(loop), loop.name
         failing += found is not None
     assert (len(loops), failing) == (24, 11)
+
+
+CERTIFICATE_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "z81xZ3xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3, 3))),
+}
+
+
+# 27 * 27 * 2: blocks of two representatives a over m = 27 cosets; 1: one a per block
+@pytest.mark.parametrize("block", [perm_rows.GATHER_BLOCK, 27 * 27 * 2, 1])
+@pytest.mark.parametrize("name", CERTIFICATE_LOOPS)
+def test_associator_table_matches_the_per_rep_loop(monkeypatch, name, block):
+    """A_q built as gathers over blocks of representatives equals the table built
+    one (m, m) gather per representative."""
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
+    loop = CERTIFICATE_LOOPS[name]()
+    assert np.array_equal(loop.associator_table(), per_rep_associator_table(loop))
+    assert len(loop.central_cosets()[0]) == 27
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_LOOPS)
+def test_central_violation_matches_the_three_laws(name):
+    """The centre check, which reads two comparisons for each c that commutes with every
+    element (every c of a commutative table), gives the three-law route's witness: None
+    on the true centre, and the same (c, y, z) on seeded wrong claims, each with one or
+    two non-central elements added or one central element dropped."""
+    loop = CERTIFICATE_LOOPS[name]()
+    t, central = loop.table, loop.central_mask()
+    assert loop.commutative and loop.central_violation() is None
+    assert three_law_central_violation(t, central) is None
+    rng = np.random.default_rng(loop.n)
+    claims = []
+    for added in (1, 1, 2):
+        claim = central.copy()
+        claim[rng.choice(np.flatnonzero(~central), added, replace=False)] = True
+        claims.append(claim)
+    for _ in range(2):
+        claim = central.copy()
+        claim[rng.choice(np.flatnonzero(central)[1:])] = False
+        claims.append(claim)
+    for claim in claims:
+        want = three_law_central_violation(t, claim)
+        assert want is not None
+        assert loop_core._central_violation(t, claim) == want, np.flatnonzero(claim)
+
+
+def test_central_violation_on_non_commutative_tables():
+    """On tables that are not commutative the check gives the three-law route's witness:
+    None on the true centre, whose generator 8 of swapped16 commutes with every element,
+    and a failure on claims adding an element that does not commute, or swapped16's 4,
+    which commutes with every element but is not in the middle or right nucleus."""
+    for loop, added in ((CayleyLoop(S3_TABLE), [[1]]), (swapped_cyclic(16, 2, 5), [[4], [1, 4]])):
+        assert not loop.commutative
+        central = loop.central_mask()
+        assert loop_core._central_violation(loop.table, central) is None
+        assert three_law_central_violation(loop.table, central) is None
+        for extra in added:
+            claim = central.copy()
+            claim[extra] = True
+            want = three_law_central_violation(loop.table, claim)
+            assert want is not None and loop_core._central_violation(loop.table, claim) == want
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -119,6 +119,13 @@ def test_generate_and_join(z81):
     assert join(generate_subloop(z81, [3]), generate_subloop(z81, [9])) == nine
     # e1, e2, e3 together force the associator e4, hence the whole loop
     assert join(generate_subloop(z81, [27]), nine).is_full
+    # the second argument may be element indices: <S, x> as one closure from S
+    assert join(generate_subloop(z81, [3]), [9]) == nine
+    assert join(nine, []) is not nine and join(nine, []) == nine
+    with pytest.raises(ParseError, match=r"element index 81 out of range 0\.\.80"):
+        join(nine, [81])
+    with pytest.raises(NotNested):
+        join(nine, generate_subloop(gen_abelian((3,)), [1]))
 
 
 def test_cyclic_subloops(z81):
