@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -210,6 +211,7 @@ def cmd_verify(args):
     return 0 if report.all_passed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="mloop",
@@ -228,13 +230,9 @@ def _build_parser():
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", parents=[common],
-                             help="validate a table and print diagnostics")
-    p_check.set_defaults(func=cmd_check)
-
-    p_inv = sub.add_parser("invariants", parents=[common],
-                           help="structural invariants of a CML and its multiplication group")
-    p_inv.set_defaults(func=cmd_invariants)
+    sub.add_parser("check", parents=[common], help="validate a table and print diagnostics")
+    sub.add_parser("invariants", parents=[common],
+                   help="structural invariants of a CML and its multiplication group")
 
     p_norm = sub.add_parser("normalizer", parents=[common],
                             help="run the P/D fixpoint for a generated subloop")
@@ -244,22 +242,22 @@ def _build_parser():
                         help="generators of K (default: the whole loop)")
     p_norm.add_argument("--oracle", action="store_true",
                         help="also run the greedy-saturation oracle and compare")
-    p_norm.set_defaults(func=cmd_normalizer)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a named verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0,
                           help="seed for sampled checks (default 0)")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the cmd_* names are read at each call, so a rebound command is the one that runs
+    commands = {"check": cmd_check, "invariants": cmd_invariants, "normalizer": cmd_normalizer,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except OrderOverflow as exc:
         print(f"error: OrderOverflow: {exc}", file=sys.stderr)
         return 2

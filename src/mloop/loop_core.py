@@ -17,6 +17,11 @@ x, y or z holds or fails on whole coset triples, so its least violating (x, y, z
 is (r_a, r_b, r_c) for the least violating coset triple, reps[a] the least member
 of coset a, increasing in a.  ``diagnose``, the inner-map certificate (which
 checks Z first) and verify's identity checks read their laws on reps^3.
+
+A direct product keeps its factors.  Pairs commute and lie in the three nuclei iff
+each coordinate does, so Z(A x B) = Z(A) x Z(B), and (a, b)\\(c, d) = (a\\c, b\\d):
+its ``central_mask``, ``inverse_array`` and ``ldiv_table`` are the factors'.  Its
+constructor's checks, ``diagnose``, associators and certificates read its own table.
 """
 
 import math
@@ -202,6 +207,7 @@ class CayleyLoop:
         self._central_check = None  # (violation or None,) once checked
         self._inner_check = None  # (violation or None,) once scanned
         self._diag = None
+        self._factors = None  # (A, B) when built by direct_product
 
     @property
     def commutative(self):
@@ -215,7 +221,11 @@ class CayleyLoop:
 
     def inverse_array(self):
         if self._inv is None:
-            inv = np.argmin(self.table, axis=1).astype(self.table.dtype)
+            if self._factors is not None:
+                a, b = self._factors
+                inv = _pair_codes(a.inverse_array(), b.inverse_array(), b.n, self.table.dtype)
+            else:
+                inv = np.argmin(self.table, axis=1).astype(self.table.dtype)
             inv.setflags(write=False)
             self._inv = inv
         return self._inv
@@ -227,8 +237,12 @@ class CayleyLoop:
         """ldiv[u, w] is the unique k with u * k = w."""
         if self._ldiv is None:
             n = self.n
-            ld = np.empty((n, n), dtype=self.table.dtype)
-            ld[np.arange(n)[:, None], self.table] = np.arange(n, dtype=self.table.dtype)
+            if self._factors is not None:
+                a, b = self._factors
+                ld = _pair_codes(a.ldiv_table(), b.ldiv_table(), b.n, self.table.dtype)
+            else:
+                ld = np.empty((n, n), dtype=self.table.dtype)
+                ld[np.arange(n)[:, None], self.table] = np.arange(n, dtype=self.table.dtype)
             ld.setflags(write=False)
             self._ldiv = ld
         return self._ldiv
@@ -280,8 +294,11 @@ class CayleyLoop:
         The survivors are walked in ascending order: an x in the span of those found
         central is central, any other runs the full n^2 scan (``_central_scan``), and
         if it passes it joins the span.  Full scans run only for the greedy
-        generators of Z and for survivors outside Z.
+        generators of Z and for survivors outside Z.  A direct product's is Z(A) x Z(B).
         """
+        if self._central is None and self._factors is not None:
+            self._central = np.logical_and.outer(*(f.central_mask() for f in self._factors)).ravel()
+            self._central.setflags(write=False)
         if self._central is None:
             t, commutative = self.table, self.commutative
             central = np.ones(self.n, dtype=bool) if commutative else (t == t.T).all(axis=1)
@@ -626,15 +643,24 @@ def gen_zassenhaus81():
     return CayleyLoop(table, name="zassenhaus81")
 
 
+def _pair_codes(xa, xb, nb, dtype):
+    """xa * nb + xb at each pair of positions, every axis indexed by pair codes i * len + j."""
+    ea = xa.astype(dtype).reshape([d for s in xa.shape for d in (s, 1)])
+    eb = xb.astype(dtype).reshape([d for s in xb.shape for d in (1, s)])
+    return (ea * nb + eb).reshape([s * t for s, t in zip(xa.shape, xb.shape)])
+
+
 def direct_product(a, b, max_order=None, name=None):
-    """Componentwise product on pairs, encoded as i * order(b) + j."""
+    """Componentwise product on pairs, encoded as i * order(b) + j, keeping (a, b) for
+    Z(L), inverses and left division (module docstring).  The table is built in int64:
+    freeing that temporary raises glibc's mmap threshold above the later scans' blocks."""
     n = a.n * b.n
     _guard_order(n, max_order)
-    ta = a.table.astype(np.int64)
-    tb = b.table.astype(np.int64)
-    table = (ta[:, None, :, None] * b.n + tb[None, :, None, :]).reshape(n, n)
+    table = _pair_codes(a.table, b.table, b.n, np.int64)
     label = name if name is not None else f"{a.name}x{b.name}"
-    return CayleyLoop(table, name=label)
+    loop = CayleyLoop(table, name=label)
+    loop._factors = (a, b)
+    return loop
 
 
 def _cosets(table, members):

@@ -301,3 +301,27 @@ def test_readme_cli_examples_match_the_cli():
     for command, body in blocks:
         res = run_cli(*shlex.split(command))
         assert millis.sub("(N ms)", res.stdout) == millis.sub("(N ms)", body), command
+
+
+def test_in_process_calls_match_fresh_processes(monkeypatch, capsys):
+    """``main`` builds its parser once per process: a second in-process call, after
+    another command and after a usage error, prints what a fresh process prints.
+    Each call runs the ``cmd_*`` bound in the module when it is made."""
+    from mloop import cli
+
+    monkeypatch.delenv("MLOOP_MAX_ORDER", raising=False)
+    argvs = [["check", "--gen", "product:zassenhaus81xabelian:3"],
+             ["normalizer", "--gen", "zassenhaus81", "--subloop", "27"],
+             ["invariants", "--gen", "abelian:3,3"],
+             ["check"]]
+    fresh = [run_cli(*argv) for argv in argvs]
+    for _ in range(2):
+        for argv, want in zip(argvs, fresh):
+            assert cli.main(argv) == want.returncode, argv
+            got = capsys.readouterr()
+            assert (got.out, got.err) == (want.stdout, want.stderr), argv
+    with pytest.raises(SystemExit):
+        cli.main(["check", "--bogus"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert cli.main(argvs[0]) == 7

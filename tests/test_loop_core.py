@@ -329,6 +329,53 @@ def test_direct_product(z81):
         direct_product(z81, z81, max_order=1024)
 
 
+def _s3_power(k):
+    """S3^k as the nested products ((S3 x S3) x S3) x ..."""
+    loop = sym3 = CayleyLoop(S3_TABLE, name="sym3")
+    for _ in range(k - 1):
+        loop = direct_product(loop, sym3, max_order=6 ** k)
+    return loop
+
+
+FACTOR_PRODUCTS = {
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "Z2xz81": lambda: direct_product(gen_abelian((2,)), gen_zassenhaus81()),
+    "z81xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))),
+    "Z3xz81": lambda: direct_product(gen_abelian((3,)), gen_zassenhaus81()),
+    "z81xZ3xZ3": lambda: direct_product(gen_zassenhaus81(), gen_abelian((3, 3))),
+    "z81xZ12": lambda: direct_product(gen_zassenhaus81(), gen_abelian((12,))),
+    "noncml6xZ3": lambda: direct_product(CayleyLoop(NONCML6, name="noncml6"), gen_abelian((3,))),
+    "Z2xnoncml6": lambda: direct_product(gen_abelian((2,)), CayleyLoop(NONCML6, name="noncml6")),
+    "sym3xZ51": lambda: direct_product(CayleyLoop(S3_TABLE, name="sym3"), gen_abelian((51,))),
+    "S3^4": lambda: _s3_power(4),
+    "abelian3^6": lambda: gen_abelian((3,) * 6),
+}  # every direct product the tests build, non-commutative and non-CML factors included
+
+
+@pytest.mark.parametrize("name", list(FACTOR_PRODUCTS))
+def test_products_read_off_their_factors_match_the_table_scans(name):
+    """A direct product's centre, inverses and left division are read off its
+    factors; the same table rebuilt with no factors scans its own rows.  Both
+    give the same arrays, cosets, certificate verdict, diagnostics and A_q.  The
+    last two read reps^3, 1296^3 triples on S3^4 (about 2.5 s per diagnose), so
+    they are compared where m <= 300; diagnose reads only the table, the flag
+    and the representatives, which the test compares on every product."""
+    loop = FACTOR_PRODUCTS[name]()
+    scanned = CayleyLoop(loop.table, name=loop.name)
+    assert loop._factors is not None and scanned._factors is None
+    assert loop.commutative == scanned.commutative
+    for artifact in ("central_mask", "inverse_array", "ldiv_table"):
+        got, want = getattr(loop, artifact)(), getattr(scanned, artifact)()
+        assert got.dtype == want.dtype and not got.flags.writeable, artifact
+        assert np.array_equal(got, want), artifact
+    for got, want in zip(loop.central_cosets(), scanned.central_cosets()):
+        assert np.array_equal(got, want)
+    assert loop.central_violation() == scanned.central_violation() is None
+    if len(loop.central_cosets()[0]) <= 300:
+        assert loop.diagnostics() == scanned.diagnostics()
+        assert np.array_equal(loop.associator_table(), scanned.associator_table())
+
+
 def test_quotient_by_center(z81):
     q, proj = quotient(z81, center(z81))
     assert q.n == 27
@@ -356,7 +403,7 @@ def test_tensor_guard():
     assert big.associator_table().shape == (6, 6, 6)  # Z(S3 x Z51) = Z51
     with pytest.raises(OrderOverflow, match="inner mapping table guard: 306 exceeds limit 300"):
         big.inner_mapping_table()
-    s3_4 = direct_product(direct_product(direct_product(sym3, sym3), sym3), sym3, max_order=1296)
+    s3_4 = _s3_power(4)
     with pytest.raises(OrderOverflow, match="associator table guard: 1296 exceeds limit 300"):
         s3_4.associator_table()  # Z(S3^4) is trivial
     abelian = gen_abelian((17, 19))

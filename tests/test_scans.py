@@ -305,12 +305,15 @@ def test_central_mask_matches_the_per_x_scan(monkeypatch):
         monkeypatch.undo()  # the reference scans at the default blocks
 
 
-def count_full_scans(monkeypatch):
-    """Record each ``_central_scan`` of ``central_mask`` as (x, passed)."""
+def count_full_scans(monkeypatch, orders=None):
+    """Record each ``_central_scan`` of ``central_mask`` as (x, passed), and the
+    order of its table in the list ``orders`` if one is given."""
     scans, real = [], loop_core._central_scan
 
     def counted(table, x, commutative):
         scans.append((int(x), real(table, x, commutative)))
+        if orders is not None:
+            orders.append(len(table))
         return scans[-1][1]
 
     monkeypatch.setattr(loop_core, "_central_scan", counted)
@@ -324,12 +327,24 @@ def count_full_scans(monkeypatch):
 def test_full_scans_run_once_per_greedy_generator_of_the_centre(monkeypatch, make, generators):
     """On z81 x Z3 x Z3 (|Z| = 27) and the abelian 3^6 (|Z| = 729) no
     non-central x survives the pre-filter, and only the greedy generators
-    of Z run the n^2 scan; every other central x lies in their span."""
-    loop = make()
+    of Z run the n^2 scan; every other central x lies in their span.  The
+    tables are rebuilt with no factors, so the scan, not Z(A) x Z(B), runs."""
+    loop = CayleyLoop(make().table)
     scans = count_full_scans(monkeypatch)
     central = loop.central_mask()
     assert scans == [(g, True) for g in generators]
     assert int(central.sum()) == 3 ** len(generators)
+
+
+def test_products_scan_only_their_factors(monkeypatch):
+    """z81 x Z3 x Z3 reads Z(z81) x Z(Z3 x Z3) off its factors, so the n^2 scan runs
+    only on z81 (for its centre's generator 1) and on the two Z3 of the abelian
+    fold, never on a table of order 9, 243 or 729; the mask is the scanned table's."""
+    loop, orders = direct_product(gen_zassenhaus81(), gen_abelian((3, 3))), []
+    scans = count_full_scans(monkeypatch, orders)
+    central = loop.central_mask()
+    assert list(zip(orders, scans)) == [(81, (1, True)), (3, (1, True)), (3, (1, True))]
+    assert np.array_equal(central, scan_central_mask(CayleyLoop(loop.table)))
 
 
 @pytest.mark.parametrize("make, passed, failed, centre", [

@@ -375,6 +375,18 @@ def test_invariants_survive_relabelling(tmp_path, factors):
     assert values[1:] == values[:1] * 3
 
 
+def test_invariants_read_the_same_from_gen_and_input_at_order_729(tmp_path):
+    """``--gen`` builds z81 x Z3 x Z3 as a product, whose centre, inverses and left
+    division are read off the factors; ``--input`` of the same table scans its rows."""
+    path, values = tmp_path / "729.txt", []
+    write_table(path, direct_product(gen_zassenhaus81(), gen_abelian((3, 3))))
+    for i, source in enumerate([["--gen", "product:zassenhaus81xabelian:3,3"], ["--input", str(path)]]):
+        out = tmp_path / f"{i}.json"
+        assert cli.main(["invariants", *source, "--json", str(out)]) == 0
+        values.append(json.loads(out.read_text())["invariants"])
+    assert values[0] == values[1] and values[0]["center_order"] == 27
+
+
 @pytest.mark.parametrize("factors", [(), (2,)], ids=["z81", "z81xZ2"])
 def test_theorem2_fixpoints_survive_relabelling(tmp_path, factors):
     """theorem2's normalizer fixpoint of every proper subloop H commutes with a
