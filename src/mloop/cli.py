@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import structure as st
 from .errors import LoopError, OracleDisagreement, OrderOverflow
@@ -93,7 +94,24 @@ def _parse_indices(text, flag):
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(_dumps(payload) + "\n")
+
+
+def _dumps(value, pad="\n"):
+    """``json.dumps(value, indent=2)`` byte for byte, ``pad`` a newline and the indent, without
+    json's pure-Python indenting encoder; other types go to ``json.dumps``, re-indented."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if (kind is list or kind is tuple) and value:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _dumps(v, inner) for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def _header(loop):

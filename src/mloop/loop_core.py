@@ -632,22 +632,23 @@ def gen_zassenhaus81():
     picks up the twist (x3 - y3)(x1 y2 - x2 y1).  Base-3 encoded with the
     first coordinate most significant, so e1=27, e2=9, e3=3, e4=1.
     """
-    idx = np.arange(81)
-    d = np.stack([(idx // 27) % 3, (idx // 9) % 3, (idx // 3) % 3, idx % 3], axis=1)
-    x = d[:, None, :]
-    y = d[None, :, :]
-    twist = (x[..., 2] - y[..., 2]) * (x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0])
-    coords = (x + y) % 3
-    last = (x[..., 3] + y[..., 3] + twist) % 3
-    table = coords[..., 0] * 27 + coords[..., 1] * 9 + coords[..., 2] * 3 + last
+    idx = np.arange(81, dtype=np.int16)[:, None]
+    x = [idx // 27, idx // 9 % 3, idx // 3 % 3, idx % 3]  # x's digits as (81, 1) columns
+    y = [d.T for d in x]
+    twist = (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])
+    table = ((x[0] + y[0]) % 3 * 27 + (x[1] + y[1]) % 3 * 9 + (x[2] + y[2]) % 3 * 3
+             + (x[3] + y[3] + twist) % 3)
     return CayleyLoop(table, name="zassenhaus81")
 
 
 def _pair_codes(xa, xb, nb, dtype):
-    """xa * nb + xb at each pair of positions, every axis indexed by pair codes i * len + j."""
-    ea = xa.astype(dtype).reshape([d for s in xa.shape for d in (s, 1)])
-    eb = xb.astype(dtype).reshape([d for s in xb.shape for d in (1, s)])
-    return (ea * nb + eb).reshape([s * t for s, t in zip(xa.shape, xb.shape)])
+    """xa * nb + xb at each pair of positions, every axis indexed by pair codes i * len + j,
+    computed in a dtype that holds nb too and returned in ``dtype``."""
+    wide = np.promote_types(dtype, np.min_scalar_type(nb))
+    ea = xa.astype(wide).reshape([d for s in xa.shape for d in (s, 1)])
+    eb = xb.astype(wide).reshape([d for s in xb.shape for d in (1, s)])
+    codes = (ea * nb + eb).reshape([s * t for s, t in zip(xa.shape, xb.shape)])
+    return codes.astype(dtype, copy=False)
 
 
 def direct_product(a, b, max_order=None, name=None):

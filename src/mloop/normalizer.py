@@ -19,8 +19,9 @@ set of x with every (H, d, x) inside H, g(P) the set of y with every
 repeats at the second round for every H, and each trace holds two equal
 stages.  ``_fixpoints`` runs the two products once per normality class of H
 (the cosets of Z(L) H meets and the A_q values H holds), keeps each class on K,
-and checks the repeat; ``normalizer`` is its batch of one, ``normalizer_condition``
-one batch over the lattice, and the oracle grows S by one closure per join.
+and checks the repeat, keeping each row's answer on K under its packed mask; ``normalizer``
+reads it by ``h.key`` (a batch of one if K lacks it), ``normalizer_condition`` is one
+batch over the lattice, and the oracle grows S by one closure per join.
 """
 
 import random
@@ -79,7 +80,8 @@ def _fixpoints(loop, k, masks):
     i's D as a Subloop, each distinct one proved a subloop once per K by
     structure._coset_subloop.  C depends on H only through H's normality class, and K
     keeps each class's (P, D, result): a call runs one row of each class K lacks, in
-    blocks of at most GATHER_BLOCK entries.
+    blocks of at most GATHER_BLOCK entries.  K's ``_rows`` keeps each row's class
+    entry under the row's packed mask, which is ``Subloop.key``, for ``normalizer``.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
@@ -99,19 +101,24 @@ def _fixpoints(loop, k, masks):
             raise AssertionError("H must be normal in the stabilized D-set")
         for key, p_row, d_row in zip(list(new)[b], p, d):
             k._classes[key] = (p_row, d_row, _coset_subloop(loop, k, d_row))
+    k._rows.update(zip(row_keys(np.packbits(masks, axis=1)), (k._classes[key] for key in keys)))
     return (k, *([k._classes[key][i] for key in keys] for i in range(3)))
 
 
 def normalizer(loop, k, h):
     """Run the P/D fixpoint for H inside K; result is the stabilized D-set.
 
-    ``_fixpoints`` on H alone; only the trace maps its coset selections to K's
-    members, its two rounds the same pair.
+    The answer K keeps for H (``_fixpoints``), found by ``h.key``; a K that has not
+    answered H runs ``_fixpoints`` on H alone first.  Only the trace maps the coset
+    selections to K's members, its two rounds the same pair.
     """
     _require_cml(loop)
     h = coerce_subloop(loop, h)
-    k, p_sel, d_sel, (result,) = _fixpoints(loop, k, h.mask()[None])
-    p, d = k._coset_members(p_sel[0]), k._coset_members(d_sel[0])
+    k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
+    if h.key not in k._rows:
+        _fixpoints(loop, k, h.mask()[None])
+    p_sel, d_sel, result = k._rows[h.key]
+    p, d = k._coset_members(p_sel), k._coset_members(d_sel)
     return NormalizerTrace((p, p), (d, d), result, 2)
 
 

@@ -85,6 +85,7 @@ class Subloop:
     _picked = cached_property(lambda self: {})  # coset selection -> members
     _coset_subloops = cached_property(lambda self: {})  # coset selection -> Subloop
     _classes = cached_property(lambda self: {})  # H's normality class -> (P, D, result)
+    _rows = cached_property(lambda self: {})  # H's packed mask -> its class's (P, D, result)
 
     def _fill(self, parent, mask):
         self.parent, self._mask, self._cosets = parent, mask, None

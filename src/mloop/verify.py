@@ -24,7 +24,7 @@ from . import perm_group as pg
 from . import structure as st
 from .errors import ChainStalled, OrderOverflow
 from .loop_core import _first_index
-from .normalizer import normalizer as _run_fixpoint
+from .normalizer import _fixpoints, normalizer as _run_fixpoint
 from .perm_rows import blocks, row_keys, row_set
 from .reporting import CheckResult, verdict
 
@@ -34,13 +34,14 @@ GROUP_CHAIN_SAMPLES = 20
 
 
 class LoopContext:
-    """Per-loop artifacts, each built on first use and then cached."""
+    """Per-loop artifacts, each built on first use and then cached.  Fixpoint results come
+    from one ``_fixpoints`` batch on ``whole``, read back per subloop by ``normalizer``."""
 
     def __init__(self, loop, seed=0, lattice_guard=st.LATTICE_GUARD_DEFAULT):
         self.loop = loop
         self.seed = int(seed)
         self.lattice_guard = lattice_guard
-        self._fixpoints: Dict[bytes, st.Subloop] = {}
+        self._results: Dict[bytes, st.Subloop] = {}
 
     @cached_property
     def lattice(self):
@@ -97,12 +98,16 @@ class LoopContext:
     def fixpoint_result(self, subloop):
         """The lattice member that the P/D fixpoint of ``subloop`` in L returns."""
         key = subloop.key
-        if key not in self._fixpoints:
+        if key not in self._results:
+            if not self._results:
+                proper = [h for h in self.lattice if not h.is_full]
+                for b in blocks(len(proper), self.loop.n):
+                    _fixpoints(self.loop, self.whole, [h.mask() for h in proper[b]])
             result = _run_fixpoint(self.loop, self.whole, subloop).result
             if result.key not in self.by_members:
                 raise AssertionError(f"fixpoint result {result.serialize()} is not in the lattice")
-            self._fixpoints[key] = self.by_members[result.key]
-        return self._fixpoints[key]
+            self._results[key] = self.by_members[result.key]
+        return self._results[key]
 
 
 # -- identity checks ---------------------------------------------------------
@@ -233,12 +238,20 @@ def _check_prop3(ctx):
 
 def _normal_in(loop, pairs):
     """``st.is_normal(loop, h, k)`` for each pair (H, K), H <= K, off one normality matrix C
-    over the distinct H: H is normal in K iff C[h][c, c'] for all cosets c, c' of Z(L) meeting K."""
+    over the distinct H and one coset-incidence matrix over the distinct K: H is normal in
+    K iff C[h][c, c'] for all cosets c, c' of Z(L) meeting K, read in blocks of pairs."""
     if not pairs:
         return []
-    rows = {h: i for i, h in enumerate(dict.fromkeys(h for h, _ in pairs))}
-    c = st._normality_matrix(loop, np.array([h.mask() for h in rows]), None)[3]
-    return [bool(c[rows[h]][np.ix_(k._coset_index()[0], k._coset_index()[0])].all()) for h, k in pairs]
+    hs, ks = {}, {}  # key -> (row, subloop), for the distinct H and the distinct K
+    hi = np.array([hs.setdefault(h.key, (len(hs), h))[0] for h, _ in pairs])
+    ki = np.array([ks.setdefault(k.key, (len(ks), k))[0] for _, k in pairs])
+    whole, _, _, c = st._normality_matrix(loop, np.array([h.mask() for _, h in hs.values()]), None)
+    meet = st._meets(loop, np.array([k.mask() for _, k in ks.values()]), whole)
+    normal = np.empty(len(pairs), dtype=bool)
+    for b in blocks(len(pairs), c.shape[1] * c.shape[2]):
+        inc = meet[ki[b]]
+        normal[b] = (c[hi[b]] | ~(inc[:, :, None] & inc[:, None, :])).all(axis=(1, 2))
+    return normal.tolist()
 
 
 def _containments(lattice):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import NONCML6, run_cli
+from mloop.verify import SUITE_NAMES
 
 GOOD_Z3 = "# name: cyclic3\n3\n0 1 2\n1 2 0\n2 0 1\n"
 BAD_LATIN = "3\n0 1 2\n1 1 0\n2 0 1\n"
@@ -325,3 +326,47 @@ def test_in_process_calls_match_fresh_processes(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
     assert cli.main(argvs[0]) == 7
+
+
+JSON_REPORTS = [
+    ["check", "--gen", "zassenhaus81"],
+    ["check", "--gen", "abelian:2,3"],
+    ["invariants", "--gen", "zassenhaus81"],
+    ["normalizer", "--gen", "zassenhaus81", "--subloop", "27"],
+    ["normalizer", "--gen", "zassenhaus81", "--subloop", "27", "--within", "9,27"],
+    ["normalizer", "--gen", "zassenhaus81", "--subloop", "27", "--oracle"],  # runs disagree
+    ["normalizer", "--gen", "zassenhaus81", "--subloop", "3,9", "--oracle"],
+    ["normalizer", "--gen", "zassenhaus81", "--subloop", "1", "--within", "1,3,9", "--oracle"],
+] + [["verify", "--gen", "zassenhaus81", "--suite", suite] for suite in SUITE_NAMES]
+
+
+@pytest.mark.parametrize("argv", JSON_REPORTS, ids=[" ".join(argv) for argv in JSON_REPORTS])
+def test_json_reports_match_the_json_module(monkeypatch, capsys, tmp_path, argv):
+    """Each CLI report's file is ``json.dumps(payload, indent=2)`` and a newline, byte for byte."""
+    from mloop import cli
+
+    payloads, real = [], cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda path, payload: payloads.append(payload)
+                        or real(path, payload))
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--json", str(out)]) in (0, 1)
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def test_json_writer_matches_the_json_module_on_other_values():
+    """Values no report holds, subclasses of the types the writer handles among them, go
+    through ``json.dumps`` at their own indent."""
+    from mloop.cli import _dumps
+
+    Count, Text = type("Count", (int,), {}), type("Text", (str,), {})
+    Row, Record = type("Row", (list,), {}), type("Record", (dict,), {})
+
+    payload = {"none": None, "true": True, "false": False, "float": 0.1, "empty": [],
+               "empty_dict": {}, "nested": [[], {}, [[]], {"a": {}}, ([], ())], "tuple": (1, "x"),
+               "text": "café ∑\n\"q\"\\", "negative": -3, "big": 10 ** 30,
+               "int_keys": {1: [2.5, None], "b": {3: True}}, "list": [True, 1.0, (None,)],
+               "subclasses": [Count(4), Text("t"), Row([1, Row([])]), Record(a=Record(b=[2]))],
+               Text("text_key"): {Text("k"): Count(5)}}
+    for value in (payload, [payload, payload], {7: payload}, [], {}, (), "x", 5, None, 1e300):
+        assert _dumps(value) == json.dumps(value, indent=2), value

@@ -310,6 +310,32 @@ def test_gen_abelian_guard():
         gen_abelian((3, 0))
 
 
+def test_zassenhaus_table_is_the_docstring_formula():
+    """Each of the 6,561 products is the docstring's: digits added mod 3, the last one
+    with the twist (x3 - y3)(x1 y2 - x2 y1), base 3 with the first digit most significant."""
+    table = gen_zassenhaus81().table
+    assert table.dtype == np.int16
+    for a in range(81):
+        x = [a // 27 % 3, a // 9 % 3, a // 3 % 3, a % 3]
+        for b in range(81):
+            y = [b // 27 % 3, b // 9 % 3, b // 3 % 3, b % 3]
+            twist = (x[2] - y[2]) * (x[0] * y[1] - x[1] * y[0])
+            digits = [(x[i] + y[i]) % 3 for i in range(3)] + [(x[3] + y[3] + twist) % 3]
+            assert int(table[a, b]) == digits[0] * 27 + digits[1] * 9 + digits[2] * 3 + digits[3]
+
+
+@pytest.mark.parametrize("nb", [3, 127, 128, 32767, 32768, 40000])
+def test_pair_codes_hold_any_factor_order(nb):
+    """Pair codes xa * nb + xb come back in the asked dtype, also when nb itself
+    does not fit it (a factor of order 2^15 in an int16 table)."""
+    xa, xb = np.zeros(1, dtype=np.int16), np.arange(3, dtype=np.int16)
+    for dtype in (np.int16, np.int32, np.int64):
+        got = loop_core._pair_codes(xa, xb, nb, dtype)
+        assert got.dtype == dtype and got.tolist() == [0, 1, 2]
+    got = loop_core._pair_codes(np.arange(2, dtype=np.int16), xb, nb, np.int64)
+    assert got.tolist() == [0, 1, 2, nb, nb + 1, nb + 2]
+
+
 @pytest.mark.parametrize("moduli", [(), (1,), (6,), (2, 3), (4, 4), (3,) * 6],
                          ids=lambda m: ",".join(map(str, m)) or "empty")
 def test_gen_abelian_is_the_mixed_radix_table(moduli):

@@ -160,9 +160,10 @@ CLASS_COUNTS = {
                          ids=["z81", "z81xZ2", "z81xZ3", "z81-K=<1,3,9>"])
 def test_normality_classes_answer_every_h(monkeypatch, name, within):
     """K keeps one (P, D, result) per normality class of H (the cosets H meets and the
-    A_q values H holds).  After one batch over every proper H <= K, each H's trace on
-    that warm K equals the batch's row and the trace on a cold K, with no normality
-    matrix built; on the proper K = <1, 3, 9> each is also the element route's."""
+    A_q values H holds), and each batch row's answer under H's key.  After one batch
+    over every proper H <= K, each H's trace on that warm K is a read of that answer:
+    it equals the batch's row and the trace on a cold K, with no batch run and no
+    normality matrix built; on the proper K = <1, 3, 9> each is also the element route's."""
     loop = {**FIXPOINT_LOOPS, "z81xZ3": lambda: direct_product(gen_zassenhaus81(),
                                                                gen_abelian((3,)))}[name]()
     lattice = all_subloops(loop, lattice_guard=loop.n)
@@ -171,10 +172,11 @@ def test_normality_classes_answer_every_h(monkeypatch, name, within):
     warm = cold_k()
     hs = [h for h in lattice if h < warm]
     _, p_sel, d_sel, results = _fixpoints(loop, warm, [h.mask() for h in hs])
-    assert len(warm._classes) == CLASS_COUNTS[name, within] < len(hs)
+    assert len(warm._classes) == CLASS_COUNTS[name, within] < len(hs) == len(warm._rows)
     cold = [normalizer(loop, cold_k(), h) for h in hs]
     module, built = importlib.import_module("mloop.normalizer"), []
     monkeypatch.setattr(module, "_normality_matrix", lambda *a: built.append(a))
+    monkeypatch.setattr(module, "_fixpoints", lambda *a: built.append(a))
     for h, p, d, result, want in zip(hs, p_sel, d_sel, results, cold):
         got = normalizer(loop, warm, h)
         assert got == want, h.members

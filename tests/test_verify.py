@@ -186,14 +186,16 @@ def test_containments_match_frozenset_pairs(monkeypatch, name, block):
 
 NORMAL_PAIR_LOOPS = {
     "z81": (gen_zassenhaus81, 128),
+    "z81xZ2": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))), 162),
     "z81xZ3": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((3,))), 243),
 }
 
 
 @pytest.mark.parametrize("name", NORMAL_PAIR_LOOPS)
-def test_normal_in_matches_is_normal(name):
-    """prop3's verdicts off one normality matrix over the distinct H are the per-pair
-    `is_normal` verdicts, on every 7th pair H <= K of the lattice, normal or not."""
+def test_normal_in_matches_is_normal(monkeypatch, name):
+    """prop3's verdicts off one normality matrix over the distinct H and one coset-incidence
+    matrix over the distinct K are the per-pair `is_normal` verdicts, on every 7th pair
+    H <= K of the lattice, normal or not, also read five pairs to a block."""
     make, guard = NORMAL_PAIR_LOOPS[name]
     loop = make()
     lattice = st.all_subloops(loop, lattice_guard=guard)
@@ -202,6 +204,9 @@ def test_normal_in_matches_is_normal(name):
     assert got == [st.is_normal(loop, h, k) for h, k in pairs]
     assert 0 < sum(got) < len(got)
     assert verify._normal_in(loop, []) == []
+    m = len(loop.central_cosets()[0])
+    monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 5 * m * m)
+    assert verify._normal_in(loop, pairs) == got
 
 
 @pytest.mark.parametrize("name", NORMAL_PAIR_LOOPS)
@@ -227,6 +232,31 @@ def test_fixpoint_results_are_lattice_members(z81):
     ctx.lattice = [h for h in ctx.lattice if not h.is_full]
     with pytest.raises(AssertionError, match="is not in the lattice"):
         ctx.fixpoint_result(ctx.lattice[0])
+
+
+@pytest.mark.parametrize("name", ["z81", "z81xZ2"])
+def test_context_results_are_fresh_fixpoints(name):
+    """After the context's one batch over the lattice, each member's fixpoint result is
+    the lattice member that `normalizer` returns on a fresh K = L."""
+    loop = NORMAL_PAIR_LOOPS[name][0]()
+    ctx = LoopContext(loop, lattice_guard=loop.n)
+    for h in ctx.lattice:
+        want = normalizer(loop, st.full_subloop(loop), h).result
+        assert ctx.fixpoint_result(h) is ctx.by_members[want.key], h.members
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--gen", "zassenhaus81"], 184),
+    (["--gen", "product:zassenhaus81xabelian:2", "--max-order", "162"], 369),
+], ids=["z81", "z81xZ2"])
+def test_theorem2_calls_the_fixpoint_once_per_proper_subloop(monkeypatch, capsys, argv, calls):
+    """The context's batch answers every proper subloop, and each answer is still read
+    back through one `normalizer` call."""
+    seen, real = [], verify._run_fixpoint
+    monkeypatch.setattr(verify, "_run_fixpoint", lambda *a: seen.append(a[2]) or real(*a))
+    assert cli.main(["verify", "--suite", "theorem2", *argv]) == 0
+    capsys.readouterr()
+    assert len(seen) == len({h.key for h in seen}) == calls
 
 
 def test_prop4_raises_when_a_fixpoint_stalls(monkeypatch, z81):
