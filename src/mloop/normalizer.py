@@ -19,8 +19,8 @@ set of x with every (H, d, x) inside H, g(P) the set of y with every
 repeats at the second round for every H, and each trace holds two equal
 stages.  ``_fixpoints`` runs the two products once per normality class of H
 (the cosets of Z(L) H meets and the A_q values H holds), keeps each class on K,
-and checks the repeat, keeping each row's answer on K under its packed mask; ``normalizer``
-reads it by ``h.key`` (a batch of one if K lacks it), ``normalizer_condition`` is one
+and checks the repeat, keeping each H's answer on K under ``h.key``; ``normalizer``
+reads it by that key (a batch of one if K lacks it), ``normalizer_condition`` is one
 batch over the lattice, and the oracle grows S by one closure per join.
 """
 
@@ -66,9 +66,9 @@ class NormalizerTrace:
         }
 
 
-def _fixpoints(loop, k, masks):
-    """The P/D fixpoint of every H in ``masks``, subloop masks inside K (an (r, n)
-    array or a list of rows), as (K, P, D, results), the last three lists by row.
+def _fixpoints(loop, k, subloops):
+    """The P/D fixpoint of every H in the list ``subloops`` of subloops of K, as
+    (K, P, D, results), the last three lists by row.
 
     Both stages read H's normality matrix C over the c cosets of Z(L) that meet
     K (structure._normality_matrix).  (h, y, x) is constant on those cosets,
@@ -79,19 +79,21 @@ def _fixpoints(loop, k, masks):
     at the second round, as the Galois connection above says.  results[i] is row
     i's D as a Subloop, each distinct one proved a subloop once per K by
     structure._coset_subloop.  C depends on H only through H's normality class, and K
-    keeps each class's (P, D, result): a call runs one row of each class K lacks, in
-    blocks of at most GATHER_BLOCK entries.  K's ``_rows`` keeps each row's class
-    entry under the row's packed mask, which is ``Subloop.key``, for ``normalizer``.
+    keeps each class's (P, D, result): a call runs one row of each class K lacks.  The
+    masks are stacked in blocks of at most GATHER_BLOCK entries.  K's ``_rows`` keeps
+    each row's class entry under H's ``key``, for ``normalizer``.
     """
     _require_cml(loop)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
-    masks, values = np.asarray(masks, dtype=bool).reshape(-1, loop.n), loop.associator_values()
-    keys = [key for b in blocks(len(masks), loop.n) for key in row_keys(
-        np.concatenate([_meets(loop, masks[b], k), masks[b][:, values]], axis=1))]
+    values, keys = loop.associator_values(), []
+    for b in blocks(len(subloops), loop.n):
+        masks = np.array([h.mask() for h in subloops[b]])
+        keys += row_keys(np.concatenate([_meets(loop, masks, k), masks[:, values]], axis=1))
     new = {key: i for i, key in enumerate(keys) if key not in k._classes}  # a row per class
-    rows, c = np.fromiter(new.values(), np.intp, len(new)), len(k._coset_index()[0])
+    rows, c = list(new.values()), len(k._coset_index()[0])
     for b in blocks(len(rows), max(loop.n, 4 * c * c)):
-        _, _, d, escapes = _normality_matrix(loop, masks[rows[b]], k)
+        masks = np.array([subloops[i].mask() for i in rows[b]])
+        _, _, d, escapes = _normality_matrix(loop, masks, k)
         np.logical_not(escapes, out=escapes)
         p = ~(d[:, None] @ escapes)[:, 0]
         d = ~(escapes @ p[:, :, None])[:, :, 0]
@@ -101,7 +103,7 @@ def _fixpoints(loop, k, masks):
             raise AssertionError("H must be normal in the stabilized D-set")
         for key, p_row, d_row in zip(list(new)[b], p, d):
             k._classes[key] = (p_row, d_row, _coset_subloop(loop, k, d_row))
-    k._rows.update(zip(row_keys(np.packbits(masks, axis=1)), (k._classes[key] for key in keys)))
+    k._rows.update(zip((h.key for h in subloops), (k._classes[key] for key in keys)))
     return (k, *([k._classes[key][i] for key in keys] for i in range(3)))
 
 
@@ -116,7 +118,7 @@ def normalizer(loop, k, h):
     h = coerce_subloop(loop, h)
     k = full_subloop(loop) if k is None else coerce_subloop(loop, k)
     if h.key not in k._rows:
-        _fixpoints(loop, k, h.mask()[None])
+        _fixpoints(loop, k, [h])
     p_sel, d_sel, result = k._rows[h.key]
     p, d = k._coset_members(p_sel), k._coset_members(d_sel)
     return NormalizerTrace((p, p), (d, d), result, 2)
@@ -172,8 +174,8 @@ def normalizer_oracle(loop, k, h):
 def normalizer_condition(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
     """Does every proper subloop grow under the fixpoint?  (witness = least failure)"""
     _require_cml(loop)
-    proper = [h for h in all_subloops(loop, lattice_guard=lattice_guard) if not h.is_full]
-    results = _fixpoints(loop, None, [h.mask() for h in proper])[3]
+    proper = all_subloops(loop, lattice_guard=lattice_guard)[:-1]  # the whole loop comes last
+    results = _fixpoints(loop, None, proper)[3]
     return next(((False, h) for h, result in zip(proper, results) if result == h), (True, None))
 
 

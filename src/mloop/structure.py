@@ -23,6 +23,8 @@ The walk goes one level of greedy sequences at a time: a level's candidates
 are pre-tested by one matrix product and closed together, row by row, by
 ``_close_rows``; the members are sorted once and proved subloops by one
 batched check.  ``_close`` stays the kernel for closing a single set.
+The ``Lattice`` keeps each member's greedy sequence: S is generated by it and K
+is closed, so S <= K iff K holds it, at most log2 |S| reads per pair (S, K).
 """
 
 import itertools
@@ -438,9 +440,18 @@ def _cyclic_masks(loop):
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _subloops(loop, packed):
-    """The subloops with the member masks packed (``np.packbits``) in the rows of
-    ``packed``, sorted by (order, members), each proved a subloop by one batched check.
+class Lattice(list):
+    """Subloops of one loop, sorted by (order, members), with row i of the array
+    ``greedy`` the greedy sequence of member i, padded with 0 to the longest."""
+
+    def __init__(self, subloops, greedy):
+        super().__init__(subloops)
+        self.greedy = greedy
+
+
+def _subloops(loop, packed, greedy):
+    """The ``Lattice`` of the member masks packed (``np.packbits``) in the rows of ``packed``
+    and the greedy sequences in those of ``greedy``, each proved a subloop by one batched check.
 
     At equal order, members compare at the least element in which the two sets
     differ, the set holding it first, so the key after the order is the packed
@@ -458,11 +469,11 @@ def _subloops(loop, packed):
         if bad.any():
             members = np.flatnonzero(block[np.argmax(bad)]).tolist()
             raise NotASubloop(f"{members} is not a subloop: not closed, or missing 0 or an inverse")
-    return [Subloop._proved(loop, m) for m in masks]
+    return Lattice([Subloop._proved(loop, m) for m in masks], greedy[order])
 
 
 def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
-    """Every subloop, sorted by (order, members), by canonical augmentation.
+    """Every subloop, sorted by (order, members), by canonical augmentation, as a ``Lattice``.
 
     The walk is breadth first, one level of the greedy sequences at a time: the
     candidates of a level are its subloops S with each atom generator x past
@@ -478,20 +489,20 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
         raise OrderOverflow("lattice", lattice_guard, loop.n)
     table, n, commutative = loop.table, loop.n, loop.commutative
     gens, masks = _cyclic_masks(loop)
-    gens, atoms = gens[1:], masks[1:]
+    gens, atoms = gens[1:].astype(table.dtype), masks[1:]
     ids = np.arange(n)
     # below[y, a]: x_a y or y x_a is less than x_a
     below = ((table[gens].T < gens) | (table[:, gens] < gens)).astype(np.float32)
-    level, last = masks[:1], np.zeros(1, dtype=gens.dtype)
-    found = []
+    # prefix[i]: row i's greedy sequence after a 0, so prefix[i, -1] is 0 or its last g
+    level, prefix, found = masks[:1], np.zeros((1, 1), dtype=table.dtype), []
     # a level's rows go in blocks of GATHER_BLOCK // 4 mask entries, the float32
     # product's bytes, and its candidates in blocks of _close_rows rows
     while len(level):
-        found.append(np.packbits(level, axis=1))
-        grown, grown_last = [], []
+        found.append((np.packbits(level, axis=1), prefix))
+        grown, grown_prefix = [], []
         for rows in blocks(len(level), 4 * n):
             current = level[rows]
-            todo = (gens > last[rows, None]) & ~current[:, gens]
+            todo = (gens > prefix[rows, -1:]) & ~current[:, gens]
             todo &= current.astype(np.float32) @ below == 0
             s, a = np.nonzero(todo)
             for b in blocks(len(s), PAIR_WIDTH * n):
@@ -499,39 +510,31 @@ def all_subloops(loop, lattice_guard=LATTICE_GUARD_DEFAULT):
                 merged, stopped = _close_rows(table, base | atom, atom & ~base,
                                               ~base & (ids < gens[a[b], None]), commutative)
                 grown.append(merged[~stopped])
-                grown_last.append(gens[a[b]][~stopped])
+                grown_prefix.append(np.column_stack((prefix[rows][s[b]], gens[a[b]]))[~stopped])
         level = np.concatenate(grown) if grown else level[:0]
-        last = np.concatenate(grown_last) if grown else last[:0]
-    return _subloops(loop, np.concatenate(found))
-
-
-def _inside(masks, over):
-    """held[i, j] iff the mask masks[i] lies inside the mask over[j]: float32 products
-    of row blocks of ``masks`` with the complements of ``over`` are zero there, each
-    block of ``masks`` and each product at most GATHER_BLOCK entries."""
-    held = np.empty((len(masks), len(over)), dtype=bool)
-    for b in blocks(len(masks), masks.shape[1]):
-        rows = masks[b].astype(np.float32)
-        for c in blocks(len(over), len(rows)):
-            held[b, c] = rows @ (~over[c]).T.astype(np.float32) == 0
-    return held
+        prefix = np.concatenate(grown_prefix) if grown else prefix[:0]
+    packed, prefixes = zip(*found)
+    greedy = np.concatenate([np.pad(p, ((0, 0), (0, len(found) - p.shape[1]))) for p in prefixes])
+    return _subloops(loop, np.concatenate(packed), greedy[:, 1:])
 
 
 def _maximal_members(subloops):
-    """The proper members of a subloop list not strictly inside another proper member.
+    """The proper members of a ``Lattice`` not strictly inside another proper member.
 
     Members are walked one order at a time, largest first.  Members of one order
     cannot strictly contain one another, and one strictly inside a proper member
     lies inside a maximal one, which is larger and so already kept.  So each
-    order's members are tested against the kept maxima only, by ``_inside``.
+    order's members are tested against the kept maxima only: M holds S iff M holds
+    S's greedy sequence, one gather of the kept masks, packed eight to a byte.
     """
-    proper = [s for s in subloops if not s.is_full]
-    masks = np.array([s.mask() for s in proper])
-    sizes = np.array([s.size for s in proper])
+    proper, greedy = subloops[:-1], subloops.greedy[:-1]  # the whole loop comes last
+    sizes, n = np.array([s.size for s in proper]), subloops[0].parent.n
     kept = np.zeros(len(proper), dtype=bool)
     for size in sorted(set(sizes.tolist()), reverse=True):
         level = sizes == size
-        kept[level] = ~_inside(masks[level], masks[kept]).any(axis=1)
+        masks = np.array([proper[i].mask() for i in np.flatnonzero(kept)], dtype=bool).reshape(-1, n)
+        held = np.packbits(masks, axis=0)  # column x: the kept maxima holding x, packed
+        kept[level] = ~np.bitwise_and.reduce(held[:, greedy[level]], axis=2).any(axis=0)
     return [s for s, keep in zip(proper, kept.tolist()) if keep]
 
 

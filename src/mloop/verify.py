@@ -100,9 +100,7 @@ class LoopContext:
         key = subloop.key
         if key not in self._results:
             if not self._results:
-                proper = [h for h in self.lattice if not h.is_full]
-                for b in blocks(len(proper), self.loop.n):
-                    _fixpoints(self.loop, self.whole, [h.mask() for h in proper[b]])
+                _fixpoints(self.loop, self.whole, self.lattice[:-1])
             result = _run_fixpoint(self.loop, self.whole, subloop).result
             if result.key not in self.by_members:
                 raise AssertionError(f"fixpoint result {result.serialize()} is not in the lattice")
@@ -255,19 +253,18 @@ def _normal_in(loop, pairs):
 
 
 def _containments(lattice):
-    """Every pair (H, K) of lattice indices with H <= K and H proper, as (pairs, 2) rows in
-    (H, K) order.  The lattice is sorted by order and ends with the whole loop, so
-    only the members from H's order on can hold H: per row block of H, ``st._inside``
-    tests those in tiles of at most GATHER_BLOCK pairs, re-sorted by H, kept as int32."""
-    masks = np.array([s.mask() for s in lattice])
-    sizes = np.array([s.size for s in lattice])
-    found, proper = [np.zeros((0, 2), dtype=np.int32)], masks[:-1]
-    for b in blocks(len(proper), masks.shape[1]):
-        first, rows = int(np.searchsorted(sizes, sizes[b.start])), proper[b]
-        tiles = np.concatenate([np.argwhere(st._inside(rows, masks[first:][c])).astype(np.int32)
-                                + np.int32([b.start, first + c.start])
-                                for c in blocks(len(masks) - first, len(rows))])
-        found.append(tiles[np.argsort(tiles[:, 0], kind="stable")])
+    """Every pair (H, K) of lattice indices with H <= K and H proper, as (pairs, 2) int32
+    rows in (H, K) order.  Row x of the membership index packs the members holding x, and
+    H <= K iff K holds H's greedy sequence (``st.Lattice``), so up(H) is the AND of
+    the index rows of H's generators, per row block of H; only its nonzero bytes unpack."""
+    index = np.packbits(np.array([s.mask() for s in lattice]).T, axis=1)
+    greedy = lattice.greedy[:-1]
+    found = [np.zeros((0, 2), dtype=np.int32)]
+    for b in blocks(len(greedy), index.shape[1] * greedy.shape[1]):
+        up = np.bitwise_and.reduce(index[greedy[b]], axis=1)
+        h, byte = np.nonzero(up)
+        at, bit = np.nonzero(np.unpackbits(up[h, byte][:, None], axis=1))
+        found.append(np.column_stack((h[at] + b.start, 8 * byte[at] + bit)).astype(np.int32))
     return np.concatenate(found)
 
 
@@ -327,11 +324,8 @@ def _cyclic_subgroups(m):
 
 
 def _check_theorem2(ctx):
-    sizes = []
-    first = None
-    for h in ctx.lattice:
-        if h.is_full:
-            continue
+    sizes, first = [], None
+    for h in ctx.lattice[:-1]:  # the proper subloops: the whole loop comes last
         result = ctx.fixpoint_result(h)
         sizes.append({"h": h.serialize(), "normalizer_order": result.size})
         if result == h and first is None:

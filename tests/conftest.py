@@ -184,8 +184,9 @@ def maximality_gaps(loop, k, h, trace):
 
 
 def cyclic_subloops(loop):
-    """Distinct subloops <x>, including the trivial one, sorted."""
-    return structure._subloops(loop, np.packbits(structure._cyclic_masks(loop)[1], axis=1))
+    """Distinct subloops <x>, including the trivial one, sorted by (order, members)."""
+    subloops = [structure.Subloop(loop, np.flatnonzero(m)) for m in structure._cyclic_masks(loop)[1]]
+    return sorted(subloops, key=lambda s: (s.size, s.members))
 
 
 def _member_tuples(masks):

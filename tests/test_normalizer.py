@@ -121,7 +121,7 @@ def test_fixpoints_match_element_fixpoint_and_context():
     element route repeats at its second round, as the batch assumes and checks."""
     loop = FIXPOINT_LOOPS["z81xZ2"]()
     ctx = LoopContext(loop, lattice_guard=loop.n)
-    k, p_sel, d_sel, results = _fixpoints(loop, None, [h.mask() for h in ctx.lattice])
+    k, p_sel, d_sel, results = _fixpoints(loop, None, ctx.lattice)
     for h, p, d, result in zip(ctx.lattice, p_sel, d_sel, results):
         want = element_fixpoint(loop, None, h)
         assert want.iterations == 2, h.members
@@ -138,7 +138,7 @@ def test_fixpoint_blocks_give_each_row_its_own_trace(monkeypatch, z81, z81_latti
     k = None if within is None else generate_subloop(z81, within)
     hs = [h for h in z81_lattice if k is None or h <= k]
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", 20 * z81.n)
-    k, p_sel, d_sel, results = _fixpoints(z81, k, [h.mask() for h in hs])
+    k, p_sel, d_sel, results = _fixpoints(z81, k, hs)
     assert len(hs) > 5
     for h, p, d, result in zip(hs, p_sel, d_sel, results):
         want = element_fixpoint(z81, k, h)
@@ -171,7 +171,7 @@ def test_normality_classes_answer_every_h(monkeypatch, name, within):
         lambda: generate_subloop(loop, within))
     warm = cold_k()
     hs = [h for h in lattice if h < warm]
-    _, p_sel, d_sel, results = _fixpoints(loop, warm, [h.mask() for h in hs])
+    _, p_sel, d_sel, results = _fixpoints(loop, warm, hs)
     assert len(warm._classes) == CLASS_COUNTS[name, within] < len(hs) == len(warm._rows)
     cold = [normalizer(loop, cold_k(), h) for h in hs]
     module, built = importlib.import_module("mloop.normalizer"), []
@@ -228,7 +228,7 @@ def test_certificate_runs_once_per_k_and_coset_set(monkeypatch, z81, z81_lattice
     hs = z81_lattice[:-1]
     first = [normalizer(z81, whole, h).result for h in hs]
     assert len(proved) == len({r.members for r in first}) < len(hs)
-    again = _fixpoints(z81, whole, [h.mask() for h in hs])[3]
+    again = _fixpoints(z81, whole, hs)[3]
     assert all(a is b for a, b in zip(first, again)) and len(proved) == len(set(first))
     normalizer(z81, full_subloop(z81), hs[5])
     assert len(proved) == len(set(first)) + 1

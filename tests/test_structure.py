@@ -344,9 +344,46 @@ def test_batched_member_check_rejects(z81, bad):
     rows[1, [1, 2]] = True
     rows[2] = False
     rows[2, bad] = True
+    greedy = np.array([[0], [1], [0]])
     with pytest.raises(NotASubloop, match="is not a subloop"):
-        _subloops(z81, np.packbits(rows, axis=1))
-    assert [s.members for s in _subloops(z81, np.packbits(rows[:2], axis=1))] == [(0,), (0, 1, 2)]
+        _subloops(z81, np.packbits(rows, axis=1), greedy)
+    got = _subloops(z81, np.packbits(rows[1::-1], axis=1), greedy[1::-1])
+    assert [s.members for s in got] == [(0,), (0, 1, 2)] and got.greedy.tolist() == [[0], [1]]
+
+
+# name -> (loop, the longest greedy sequence's length)
+GREEDY_LOOPS = {
+    "zassenhaus81": (gen_zassenhaus81, 4),
+    "z81xZ2": (lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))), 5),
+    "abelian:2,3": (lambda: gen_abelian((2, 3)), 2),
+    "abelian:2,2,2,2,2,2,2": (lambda: gen_abelian((2,) * 7), 7),
+    "cayley:dihedral8": (LATTICE_LOOPS["cayley:dihedral8"], 2),
+}
+
+
+@pytest.mark.parametrize("name", GREEDY_LOOPS)
+def test_lattice_records_greedy_sequences(name):
+    """Each member's row of the lattice's ``greedy`` is its greedy sequence padded with 0:
+    g_1 < g_2 < ..., g_{i+1} the least member outside <g_1 .. g_i>, and the whole sequence
+    generates the member.  Every prefix is a member recorded with that prefix, so one
+    `_close` per member, from its prefix's mask, checks each <g_1 .. g_i> by induction."""
+    make, depth = GREEDY_LOOPS[name]
+    loop = make()
+    lattice = all_subloops(loop, lattice_guard=loop.n)
+    assert lattice.greedy.shape == (len(lattice), depth)
+    sequences = [tuple(x for x in row if x) for row in lattice.greedy.tolist()]
+    assert all(not row[len(g):].any() for row, g in zip(lattice.greedy, sequences))
+    assert max(map(len, sequences)) == depth
+    by_sequence = dict(zip(sequences, lattice))
+    assert len(by_sequence) == len(lattice) and by_sequence[()].size == 1
+    for s, g in zip(lattice, sequences):
+        if not g:
+            continue
+        assert list(g) == sorted(set(g)), (name, g)
+        seed = np.arange(loop.n) == g[-1]
+        assert np.array_equal(_close(loop.table, by_sequence[g[:-1]].mask(), seed), s.mask()), g
+        for i, x in enumerate(g):
+            assert np.argmax(s.mask() & ~by_sequence[g[:i]].mask()) == x, (name, g)
 
 
 @pytest.mark.parametrize("name", ["zassenhaus81", "sym3", "abelian:9"])

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     EXPANSION_CASES,
     full_tensor_symmetries,
+    group_cayley_loop,
     quadruple_product_expansion,
     relabel,
     run_cli,
@@ -168,20 +169,29 @@ def test_prop3_failure_is_deterministic(z81):
     assert again.witness == check.witness
 
 
+CONTAINMENT_LOOPS = {
+    "z81": gen_zassenhaus81,
+    "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
+    "abelian:2,3": lambda: gen_abelian((2, 3)),
+    "abelian:1": lambda: gen_abelian((1,)),  # no proper member, no greedy generator
+    "cayley:dihedral8": lambda: group_cayley_loop(
+        pg.PermGroup(4, np.array([[1, 2, 3, 0], [3, 2, 1, 0]]))),
+}
+
+
 @pytest.mark.parametrize("block", [1, 2000, perm_rows.GATHER_BLOCK])
-@pytest.mark.parametrize("name", ["z81", "z81xZ2", "abelian:2,3"])
+@pytest.mark.parametrize("name", CONTAINMENT_LOOPS)
 def test_containments_match_frozenset_pairs(monkeypatch, name, block):
     """prop3's pairs H <= K, H proper, come in the order of the pair list over
-    frozensets that the check sampled from, in any row blocks of the products."""
-    loop = {"z81": gen_zassenhaus81,
-            "z81xZ2": lambda: direct_product(gen_zassenhaus81(), gen_abelian((2,))),
-            "abelian:2,3": lambda: gen_abelian((2, 3))}[name]()
+    frozensets that the check sampled from, in any row blocks of H."""
+    loop = CONTAINMENT_LOOPS[name]()
     lattice = st.all_subloops(loop, lattice_guard=loop.n)
     sets = [frozenset(s.members) for s in lattice]
     want = [(i, j) for i, h in enumerate(sets) if len(h) < loop.n
             for j, k in enumerate(sets) if h <= k]
     monkeypatch.setattr(perm_rows, "GATHER_BLOCK", block)
-    assert verify._containments(lattice).tolist() == [list(pair) for pair in want]
+    got = verify._containments(lattice)
+    assert got.dtype == np.int32 and got.tolist() == [list(pair) for pair in want]
 
 
 NORMAL_PAIR_LOOPS = {
